@@ -6,8 +6,8 @@ FUZZTIME ?= 10s
 # registry-composed schemes), one full system simulation end to end,
 # the serial-vs-parallel engine-mode comparison across bank counts, and
 # the long-trace event-engine sweep (timing wheel vs the seed binary
-# heap across pending populations).
-BENCHFILTER ?= BenchmarkSchemePlanWrite|BenchmarkComposedSchemePlanWrite|BenchmarkSchemePlanWriteDense|BenchmarkArrayFlipCount|BenchmarkCacheHit|BenchmarkFullSystemSingle|BenchmarkFullSystemParallel|BenchmarkEngineLongTrace
+# heap across pending populations), and workload synthesis alone.
+BENCHFILTER ?= BenchmarkSchemePlanWrite|BenchmarkComposedSchemePlanWrite|BenchmarkSchemePlanWriteDense|BenchmarkArrayFlipCount|BenchmarkCacheHit|BenchmarkFullSystemSingle|BenchmarkFullSystemParallel|BenchmarkEngineLongTrace|BenchmarkGeneratorNext
 BENCHCOUNT ?= 3
 
 # Build stamping for `<binary> -version`: ldflags override the
@@ -44,6 +44,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReader -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzParseTrace -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzPack -fuzztime=$(FUZZTIME) ./internal/tetris
+	$(GO) test -run='^$$' -fuzz=FuzzSourceMatchesMathRand -fuzztime=$(FUZZTIME) ./internal/workload
 
 # Run the gated benchmarks and leave the output in bench_new.txt for
 # benchgate. -count=$(BENCHCOUNT): benchgate takes the best run per

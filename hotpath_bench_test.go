@@ -2,8 +2,9 @@ package tetriswrite
 
 // Micro-benchmarks for the three layers the structure-of-arrays rewrite
 // targets (see DESIGN.md, Performance): the word-parallel cell store,
-// the batched pulse emission and the flat cache hit path. They are part
-// of the gated set (Makefile BENCHFILTER, ci.yml bench-gate) so the
+// the batched pulse emission and the flat cache hit path — plus the
+// workload generator that feeds them (DESIGN.md, Workload RNG kernel).
+// They are part of the gated set (Makefile BENCHFILTER, ci.yml bench-gate) so the
 // fast paths cannot silently fall back to the scalar code — a fallback
 // shows up as an ns/op and allocs/op cliff.
 
@@ -18,6 +19,7 @@ import (
 	"tetriswrite/internal/schemes"
 	"tetriswrite/internal/sim"
 	"tetriswrite/internal/units"
+	"tetriswrite/internal/workload"
 )
 
 // BenchmarkArrayFlipCount measures the SoA cell store's read surface:
@@ -123,5 +125,27 @@ func BenchmarkCacheHit(b *testing.B) {
 	b.StopTimer()
 	if hits != b.N {
 		b.Fatalf("%d of %d reads completed", hits, b.N)
+	}
+}
+
+// BenchmarkGeneratorNext measures workload synthesis alone: one core's
+// Generator.Next, which draws the think gap, the read/write choice and
+// the address, and for a write builds the payload from about 330 RNG
+// draws (a Poisson count and a partial Fisher–Yates per data unit).
+// vips is the write-heaviest profile (38% writes), canneal the most
+// read-dominated (6%), so the two bracket the per-op cost.
+func BenchmarkGeneratorNext(b *testing.B) {
+	for _, name := range []string{"vips", "canneal"} {
+		b.Run(name, func(b *testing.B) {
+			prof, err := workload.ProfileByName(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			g := workload.NewProgram(prof, 4, 1, pcm.DefaultParams()).Generator(0)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = g.Next()
+			}
+		})
 	}
 }

@@ -19,7 +19,6 @@ package workload
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"tetriswrite/internal/linestore"
 	"tetriswrite/internal/pcm"
@@ -125,9 +124,9 @@ const (
 type Generator struct {
 	prof     Profile
 	core     int
-	rng      *rand.Rand
-	zipfPriv *rand.Zipf
-	zipfShrd *rand.Zipf
+	rng      source
+	zipfPriv zipf
+	zipfShrd zipf
 	prog     *Program
 	privBase pcm.LineAddr
 	frontier pcm.LineAddr // next fresh line for this core
@@ -146,9 +145,6 @@ type Generator struct {
 	// per-unit Poisson draw — the mean is a generator constant, and
 	// math.Exp per draw was a measurable slice of full-system profiles.
 	expUnitMean float64
-	// perm is distinctBits' partial Fisher-Yates scratch; reusing it
-	// consumes the RNG identically to a fresh slice.
-	perm []int
 }
 
 // Program is one multi-threaded workload instance: a profile plus the
@@ -176,6 +172,12 @@ func NewProgram(prof Profile, cores int, seed int64, par pcm.Params) *Program {
 	}
 	if prof.ZipfS <= 0 {
 		prof.ZipfS = defaultZipfS
+	}
+	if !(prof.ZipfS > 1) {
+		// Rejection-inversion zipf needs s > 1; anything else would
+		// yield NaN addresses mid-simulation.
+		panic(fmt.Sprintf("workload: profile %q has ZipfS %v, want > 1 (or 0 for the default %v)",
+			prof.Name, prof.ZipfS, defaultZipfS))
 	}
 	if prof.UntouchedUnits <= 0 {
 		prof.UntouchedUnits = defaultUntouched
@@ -211,13 +213,11 @@ func (p *Program) Generator(core int) *Generator {
 	if core < 0 || core >= p.cores {
 		panic(fmt.Sprintf("workload: core %d of %d", core, p.cores))
 	}
-	rng := rand.New(rand.NewSource(p.seed*1000003 + int64(core)*7919 + 1))
 	apki := p.prof.RPKI + p.prof.WPKI
 	total := p.prof.MeanSets + p.prof.MeanResets
 	g := &Generator{
 		prof:      p.prof,
 		core:      core,
-		rng:       rng,
 		prog:      p,
 		privBase:  pcm.LineAddr(int64(core) * int64(p.prof.PrivateLines)),
 		frontier:  p.frontBase + pcm.LineAddr(int64(core)*frontierCap),
@@ -226,8 +226,9 @@ func (p *Program) Generator(core int) *Generator {
 		freshFrac: (p.prof.MeanSets - p.prof.MeanResets) / total,
 	}
 	g.frontEnd = g.frontier + frontierCap
-	g.zipfPriv = rand.NewZipf(rng, p.prof.ZipfS, 1, uint64(p.prof.PrivateLines-1))
-	g.zipfShrd = rand.NewZipf(rng, p.prof.ZipfS, 1, uint64(p.prof.SharedLines-1))
+	g.rng.seed(p.seed*1000003 + int64(core)*7919 + 1)
+	g.zipfPriv = newZipf(p.prof.ZipfS, 1, uint64(p.prof.PrivateLines-1))
+	g.zipfShrd = newZipf(p.prof.ZipfS, 1, uint64(p.prof.SharedLines-1))
 	scale := 1 / (1 - p.prof.UntouchedUnits)
 	g.expUnitMean = math.Exp(-total * scale)
 	return g
@@ -330,8 +331,8 @@ func (p *Program) InitialContentsInto(addr pcm.LineAddr, dst []byte) {
 func (g *Generator) Next() Op {
 	op := Op{Think: g.thinkGap()}
 	// Read/write mix per Table III.
-	op.Write = g.rng.Float64() < g.prof.WPKI/(g.prof.RPKI+g.prof.WPKI)
-	if op.Write && g.rng.Float64() < g.freshFrac {
+	op.Write = g.rng.float64() < g.prof.WPKI/(g.prof.RPKI+g.prof.WPKI)
+	if op.Write && g.rng.float64() < g.freshFrac {
 		op.Addr = g.allocFresh()
 		op.Data = g.freshPayload(op.Addr)
 		return op
@@ -360,13 +361,13 @@ func (g *Generator) allocFresh() pcm.LineAddr {
 // the current phase (burst or idle) while the long-run mean is
 // preserved.
 func (g *Generator) thinkGap() int64 {
-	u := g.rng.Float64()
+	u := g.rng.float64()
 	for u == 0 {
-		u = g.rng.Float64()
+		u = g.rng.float64()
 	}
 	mean := g.meanGap
 	if b := g.prof.Burstiness; b > 0 {
-		if g.rng.Float64() < 0.05 {
+		if g.rng.float64() < 0.05 {
 			g.inBurst = !g.inBurst
 		}
 		if g.inBurst {
@@ -385,10 +386,10 @@ func (g *Generator) thinkGap() int64 {
 // pickAddr draws the target line: shared region with probability Sharing,
 // else the core's private region; Zipf-ranked within the region.
 func (g *Generator) pickAddr() pcm.LineAddr {
-	if g.rng.Float64() < g.prof.Sharing {
-		return g.prog.shrdBase + pcm.LineAddr(g.zipfShrd.Uint64())
+	if g.rng.float64() < g.prof.Sharing {
+		return g.prog.shrdBase + pcm.LineAddr(g.zipfShrd.uint64(&g.rng))
 	}
-	return g.privBase + pcm.LineAddr(g.zipfPriv.Uint64())
+	return g.privBase + pcm.LineAddr(g.zipfPriv.uint64(&g.rng))
 }
 
 // freshPayload builds the first write to a fresh (all-zero) line: per
@@ -397,42 +398,15 @@ func (g *Generator) pickAddr() pcm.LineAddr {
 func (g *Generator) freshPayload(addr pcm.LineAddr) []byte {
 	words := g.prog.shadowWords(addr)
 	for u := 0; u < g.lineLen/8; u++ {
-		if g.rng.Float64() < g.prof.UntouchedUnits {
+		if g.rng.float64() < g.prof.UntouchedUnits {
 			continue
 		}
-		n := g.poissonL(g.expUnitMean)
 		// Bit b of the 64-bit unit is bit b of the little-endian word.
-		for _, b := range g.distinctBits(n, 64) {
-			words[u] |= 1 << b
-		}
+		words[u] |= g.rng.unitMask(g.rng.poisson(g.expUnitMean))
 	}
 	out := make([]byte, g.lineLen)
 	linestore.UnpackLine(out, words)
 	return out
-}
-
-// distinctBits samples n distinct bit positions in [0, width) by partial
-// Fisher-Yates, so a unit's mutation changes exactly n cells (sampling
-// with replacement would silently undershoot through collisions).
-func (g *Generator) distinctBits(n, width int) []int {
-	if n > width {
-		n = width
-	}
-	if n == 0 {
-		return nil
-	}
-	if cap(g.perm) < width {
-		g.perm = make([]int, width)
-	}
-	perm := g.perm[:width]
-	for i := range perm {
-		perm[i] = i
-	}
-	for i := 0; i < n; i++ {
-		j := i + g.rng.Intn(width-i)
-		perm[i], perm[j] = perm[j], perm[i]
-	}
-	return perm[:n]
 }
 
 // mutateResident toggles bits of a resident line's shadow: per data unit,
@@ -443,37 +417,12 @@ func (g *Generator) distinctBits(n, width int) []int {
 func (g *Generator) mutateResident(addr pcm.LineAddr) []byte {
 	words := g.prog.shadowWords(addr)
 	for u := 0; u < g.lineLen/8; u++ {
-		if g.rng.Float64() < g.prof.UntouchedUnits {
+		if g.rng.float64() < g.prof.UntouchedUnits {
 			continue
 		}
-		n := g.poissonL(g.expUnitMean)
-		for _, b := range g.distinctBits(n, 64) {
-			words[u] ^= 1 << b
-		}
+		words[u] ^= g.rng.unitMask(g.rng.poisson(g.expUnitMean))
 	}
 	out := make([]byte, g.lineLen)
 	linestore.UnpackLine(out, words)
 	return out
-}
-
-// poissonL samples a Poisson variate by Knuth's method from the
-// precomputed threshold l = exp(-mean) (means here are < 30, so the
-// naive product loop is fine). l >= 1 encodes mean <= 0 and returns 0
-// without touching the RNG, exactly like the un-cached version did.
-func (g *Generator) poissonL(l float64) int {
-	if l >= 1 {
-		return 0
-	}
-	k := 0
-	p := 1.0
-	for {
-		p *= g.rng.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-		if k > 512 { // numerical safety net; unreachable for sane means
-			return k
-		}
-	}
 }

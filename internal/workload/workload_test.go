@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"tetriswrite/internal/bitutil"
@@ -272,14 +274,42 @@ func TestGeneratorPanicsOnBadCore(t *testing.T) {
 	prog.Generator(2)
 }
 
-func BenchmarkGeneratorNext(b *testing.B) {
+// TestNewProgramRejectsZipfSAtMostOne: rejection-inversion zipf is only
+// defined for s > 1, so a profile outside that range must fail when the
+// program is built, naming the profile and the value, not mid-run.
+func TestNewProgramRejectsZipfSAtMostOne(t *testing.T) {
 	par := pcm.DefaultParams()
-	prof, _ := ProfileByName("vips")
-	prog := NewProgram(prof, 4, 1, par)
-	g := prog.Generator(0)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = g.Next()
+	for _, tc := range []struct {
+		zipfS float64
+		bad   bool
+	}{
+		{0, false}, // the default, 1.2
+		{-1, false},
+		{1.2, false},
+		{3, false},
+		{0.5, true},
+		{1, true},
+		{math.NaN(), true},
+	} {
+		prof, _ := ProfileByName("dedup")
+		prof.ZipfS = tc.zipfS
+		msg := func() (msg string) {
+			defer func() {
+				if r := recover(); r != nil {
+					msg = fmt.Sprint(r)
+				}
+			}()
+			NewProgram(prof, 2, 1, par).Generator(1).Next()
+			return ""
+		}()
+		switch {
+		case !tc.bad && msg != "":
+			t.Errorf("ZipfS %v: unexpected panic %q", tc.zipfS, msg)
+		case tc.bad && msg == "":
+			t.Errorf("ZipfS %v: accepted", tc.zipfS)
+		case tc.bad && !(strings.Contains(msg, `"dedup"`) && strings.Contains(msg, fmt.Sprint(tc.zipfS))):
+			t.Errorf("ZipfS %v: panic %q does not name the profile and the value", tc.zipfS, msg)
+		}
 	}
 }
 
