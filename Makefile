@@ -4,10 +4,9 @@ GO ?= go
 FUZZTIME ?= 10s
 # The gated hot-path benchmarks: per-write planning cost (base and
 # registry-composed schemes), one full system simulation end to end,
-# the serial-vs-parallel engine-mode comparison across bank counts, and
 # the long-trace event-engine sweep (timing wheel vs the seed binary
 # heap across pending populations), and workload synthesis alone.
-BENCHFILTER ?= BenchmarkSchemePlanWrite|BenchmarkComposedSchemePlanWrite|BenchmarkSchemePlanWriteDense|BenchmarkArrayFlipCount|BenchmarkCacheHit|BenchmarkFullSystemSingle|BenchmarkFullSystemParallel|BenchmarkEngineLongTrace|BenchmarkGeneratorNext
+BENCHFILTER ?= BenchmarkSchemePlanWrite|BenchmarkComposedSchemePlanWrite|BenchmarkSchemePlanWriteDense|BenchmarkArrayFlipCount|BenchmarkCacheHit|BenchmarkFullSystemSingle|BenchmarkEngineLongTrace|BenchmarkGeneratorNext
 BENCHCOUNT ?= 3
 
 # Build stamping for `<binary> -version`: ldflags override the
@@ -48,12 +47,9 @@ fuzz-smoke:
 
 # Run the gated benchmarks and leave the output in bench_new.txt for
 # benchgate. -count=$(BENCHCOUNT): benchgate takes the best run per
-# benchmark, discarding scheduler noise. Also refreshes the
-# BENCH_<date>.json perf-trajectory artifact in the repo root, so the
-# local tree carries the same history CI uploads.
+# benchmark, discarding scheduler noise.
 bench:
 	$(GO) test -run='^$$' -bench='$(BENCHFILTER)' -benchmem -count=$(BENCHCOUNT) . | tee bench_new.txt
-	$(GO) run ./cmd/tetrisbench -bench-json -writes 200
 
 # Refresh the committed baseline. Run on a quiet machine after an
 # intentional performance change; the diff is part of the review.

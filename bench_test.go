@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"tetriswrite/internal/exp"
 	"tetriswrite/internal/schemes"
@@ -200,8 +199,7 @@ func benchPlanWrite(b *testing.B, name string) {
 			rec.RecyclePlan(plan)
 		}
 	}
-	// Warm the pulse freelist, scratch arenas and (for Tetris)
-	// the schedule memo-cache before measuring.
+	// Warm the pulse freelist and scratch arenas before measuring.
 	for i := 0; i < 256; i++ {
 		cycle(i)
 	}
@@ -300,46 +298,6 @@ func BenchmarkFullSystemSingle(b *testing.B) {
 		_, err := system.Run(prof, tetris.New, cfg)
 		if err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFullSystemParallel compares the serial engine against the
-// deterministic per-bank parallel engine on a planning-heavy
-// configuration: write-heavy vips under DCW at 256-byte lines, where
-// per-write plan construction is the dominant per-event cost and the
-// scheme's content-independent service floor lets every completion
-// resolve inline (maximum lookahead). The two modes produce
-// bit-identical Results (the engine-mode cross-check sweep proves it);
-// the ratio reported as the speedup-x metric is pure wall-clock win
-// from overlapping plan computation across banks. The full gain needs
-// GOMAXPROCS >= banks; single-CPU hosts still see a modest win from
-// the workers' batched planning locality.
-func BenchmarkFullSystemParallel(b *testing.B) {
-	prof, _ := workload.ProfileByName("vips")
-	for _, banks := range []int{2, 4, 8} {
-		serial := make(map[int]float64)
-		for _, mode := range []sim.EngineMode{sim.EngineSerial, sim.EngineParallel} {
-			b.Run(string(mode)+"-"+strconv.Itoa(banks)+"bank", func(b *testing.B) {
-				par := DefaultParams()
-				par.LineBytes = 256
-				par.NumBanks = banks
-				par.CapacityBytes = 16 << 30
-				cfg := system.Config{Params: par, Cores: 8, InstrBudget: 50_000, EngineMode: mode}
-				start := time.Now()
-				for i := 0; i < b.N; i++ {
-					_, err := system.Run(prof, schemes.NewDCW, cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				perOp := float64(time.Since(start)) / float64(b.N)
-				if mode == sim.EngineSerial {
-					serial[banks] = perOp
-				} else if perOp > 0 && serial[banks] > 0 {
-					b.ReportMetric(serial[banks]/perOp, "speedup-x")
-				}
-			})
 		}
 	}
 }

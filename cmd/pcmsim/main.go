@@ -88,7 +88,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		deepChecks = fs.Bool("deep-checks", false, "with -guard, replay every plan on a shadow cell array (exhaustive)")
 
 		engine     = fs.String("engine", "", "event queue implementation: wheel (default) or heap; results are bit-identical")
-		engineMode = fs.String("engine-mode", "", "execution mode: serial (default) or parallel (per-bank planning workers); results are bit-identical")
 		useCaches  = fs.Bool("caches", false, "interpose the Table II cache hierarchy between cores and memory")
 		epochStr   = fs.String("epoch", "", "telemetry sampling interval, e.g. 10us (off when empty)")
 		metricsOut = fs.String("metrics-out", "", "directory for telemetry exports: per-series CSV, epochs.jsonl, metrics.prom (needs -epoch)")
@@ -140,10 +139,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 	queueKind := sim.QueueKind(*engine)
 	if !queueKind.Valid() {
 		return fmt.Errorf("-engine %q: want wheel or heap", *engine)
-	}
-	mode := sim.EngineMode(*engineMode)
-	if !mode.Valid() {
-		return fmt.Errorf("-engine-mode %q: want serial or parallel", *engineMode)
 	}
 	if *runTO < 0 {
 		return fmt.Errorf("-run-timeout %v: cannot be negative", *runTO)
@@ -230,7 +225,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		MaxEvents:   *maxEvents,
 		MaxSimTime:  maxSim,
 		EngineQueue: queueKind,
-		EngineMode:  mode,
 	}
 
 	if *runTO > 0 {

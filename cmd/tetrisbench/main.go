@@ -24,10 +24,8 @@ import (
 	"math/rand"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
-	"time"
 
 	"tetriswrite/internal/exp"
 	"tetriswrite/internal/mlc"
@@ -65,7 +63,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		par        = fs.Int("parallel", 0, "concurrent full-system simulations (0 = all CPUs; tables are bit-identical at any value)")
 		runTO      = fs.Duration("run-timeout", 0, "wall-clock limit per full-system simulation, e.g. 5m (0 = none)")
 		engine     = fs.String("engine", "", "event queue implementation: wheel (default) or heap; tables are bit-identical")
-		engineMode = fs.String("engine-mode", "", "execution mode: serial (default) or parallel (per-bank planning workers); tables are bit-identical")
 		schemeList = fs.String("schemes", "", "comma-separated scheme names for the full-system figures (registry names, composable with +, e.g. baseline,tetris,dcw+flipmin,adaptive); empty = the paper set; the first is the normalization baseline")
 		energy     = fs.Bool("energy", false, "also print the energy-per-write table with the full-system figures")
 		sweep      = fs.String("sweep", "", "extra sweep beyond the paper: 'line' (64/128/256 B) or 'budget' (32..4)")
@@ -85,8 +82,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		epochStr   = fs.String("epoch", "", "attach epoch telemetry to the full-system figures and print the per-scheme summary, e.g. 10us")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = fs.String("memprofile", "", "write a heap profile to this file on exit")
-		benchJSON  = fs.Bool("bench-json", false, "write a BENCH_<date>.json perf-trajectory artifact and exit")
-		benchDir   = fs.String("bench-dir", ".", "directory for the -bench-json artifact")
 		showVer    = fs.Bool("version", false, "print build version and exit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -106,6 +101,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		}
 	}()
 
+	switch {
+	case *instr <= 0:
+		return fmt.Errorf("-instr %d: instruction budget must be positive", *instr)
+	case *writes <= 0:
+		return fmt.Errorf("-writes %d: write sample count must be positive", *writes)
+	}
 	if *par < 0 {
 		return fmt.Errorf("-parallel %d: worker count cannot be negative", *par)
 	}
@@ -114,9 +115,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 	}
 	if !sim.QueueKind(*engine).Valid() {
 		return fmt.Errorf("-engine %q: want wheel or heap", *engine)
-	}
-	if !sim.EngineMode(*engineMode).Valid() {
-		return fmt.Errorf("-engine-mode %q: want serial or parallel", *engineMode)
 	}
 	opt := exp.Options{
 		Writes:      *writes,
@@ -127,7 +125,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		Parallel:    *par,
 		RunTimeout:  *runTO,
 		EngineQueue: sim.QueueKind(*engine),
-		EngineMode:  sim.EngineMode(*engineMode),
 	}
 	if *schemeList != "" {
 		for _, n := range strings.Split(*schemeList, ",") {
@@ -190,17 +187,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		return fmt.Errorf("-crash-cuts needs -crash-every")
 	}
 
-	if *benchJSON {
-		return writeBenchArtifact(stdout, opt, *benchDir)
-	}
-
 	if *mlcCmp {
 		printMLC(stdout, opt)
 	}
 
 	if !*all && *fig == 0 && *table == 0 && *sweep == "" && !*endur && !*faults && *seeds == 0 && !*mlcCmp {
 		fs.Usage()
-		return fmt.Errorf("nothing to do: pass -all, -fig N, -table N, -sweep, -endurance, -faults, -seeds or -bench-json")
+		return fmt.Errorf("nothing to do: pass -all, -fig N, -table N, -sweep, -endurance, -faults or -seeds")
 	}
 
 	needFull := *all || (*fig >= 11 && *fig <= 14)
@@ -319,33 +312,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		fmt.Fprintln(stdout, tb)
 	}
 	return sweepErr
-}
-
-// writeBenchArtifact measures the perf trajectory and writes it to
-// BENCH_<date>.json in dir, printing the path and rows to stdout.
-func writeBenchArtifact(stdout io.Writer, opt exp.Options, dir string) error {
-	date := time.Now().UTC().Format("2006-01-02")
-	art, err := exp.BenchTrajectory(opt, date)
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(dir, "BENCH_"+date+".json")
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := art.WriteJSON(f); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "wrote %s (%s, %d writes)\n", path, art.Workload, art.Writes)
-	for _, row := range art.Schemes {
-		fmt.Fprintf(stdout, "  %-10s %6.3f units/write  %8.1f ns/op  %8.1f verify-ns/write\n",
-			row.Scheme, row.WriteUnits, row.NsPerOp, row.VerifyOverheadNsPerWrite)
-	}
-	fmt.Fprintf(stdout, "  full-system %.0f ns/op, %.0f allocs/op\n",
-		art.FullSystemNsPerOp, art.AllocsPerOp)
-	return nil
 }
 
 // printMLC prints the SLC-vs-MLC comparison backing the paper's "we

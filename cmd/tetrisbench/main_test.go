@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -151,61 +150,6 @@ func TestRunEpochSummary(t *testing.T) {
 	}
 }
 
-func TestRunBenchJSON(t *testing.T) {
-	dir := t.TempDir()
-	var out, errb bytes.Buffer
-	err := run(context.Background(), []string{"-bench-json", "-bench-dir", dir, "-writes", "200"}, &out, &errb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || !strings.HasPrefix(entries[0].Name(), "BENCH_") ||
-		!strings.HasSuffix(entries[0].Name(), ".json") {
-		t.Fatalf("unexpected artifact listing: %v", entries)
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, entries[0].Name()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var art struct {
-		Date    string `json:"date"`
-		Writes  int    `json:"writes"`
-		Schemes []struct {
-			Scheme     string  `json:"scheme"`
-			WriteUnits float64 `json:"write_units_per_write"`
-			NsPerOp    float64 `json:"ns_per_op"`
-			VerifyNs   float64 `json:"verify_overhead_ns_per_write"`
-		} `json:"schemes"`
-		FullSystemNs float64 `json:"full_system_ns_per_op"`
-		AllocsPerOp  float64 `json:"allocs_per_op"`
-	}
-	if err := json.Unmarshal(raw, &art); err != nil {
-		t.Fatalf("artifact not valid JSON: %v\n%s", err, raw)
-	}
-	if art.Writes != 200 || len(art.Schemes) != 5 {
-		t.Errorf("artifact shape wrong: writes=%d schemes=%d", art.Writes, len(art.Schemes))
-	}
-	for _, s := range art.Schemes {
-		if s.WriteUnits <= 0 || s.NsPerOp <= 0 || s.VerifyNs <= 0 {
-			t.Errorf("scheme %s has non-positive measurements: %+v", s.Scheme, s)
-		}
-	}
-	// The deterministic axis: baseline plans 8 units, tetris well under 2.
-	if u := art.Schemes[0].WriteUnits; u < 7.9 || u > 8.1 {
-		t.Errorf("baseline write units = %v, want 8", u)
-	}
-	if u := art.Schemes[4].WriteUnits; u <= 0 || u >= 2 {
-		t.Errorf("tetris write units = %v, want in (0, 2)", u)
-	}
-	if art.FullSystemNs <= 0 || art.AllocsPerOp <= 0 {
-		t.Errorf("full-system trajectory point missing: %v ns/op, %v allocs/op",
-			art.FullSystemNs, art.AllocsPerOp)
-	}
-}
-
 // TestParallelMatchesSerialOutput is the CLI-level determinism contract:
 // -parallel 1 and -parallel 4 produce byte-identical tables.
 func TestParallelMatchesSerialOutput(t *testing.T) {
@@ -250,27 +194,6 @@ func TestIdenticalFlagsGoldenOutput(t *testing.T) {
 	}
 }
 
-// TestEngineModeFlag: -engine-mode parallel renders byte-identical
-// tables to the serial default, and unknown modes are rejected before
-// any simulation work.
-func TestEngineModeFlag(t *testing.T) {
-	args := []string{"-fig", "13", "-instr", "10000", "-writes", "50"}
-	var serial, parallel, errb bytes.Buffer
-	if err := run(context.Background(), append(args, "-engine-mode", "serial"), &serial, &errb); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(context.Background(), append(args, "-engine-mode", "parallel"), &parallel, &errb); err != nil {
-		t.Fatal(err)
-	}
-	if serial.Len() == 0 || serial.String() != parallel.String() {
-		t.Errorf("-engine-mode parallel output differs from serial:\nserial:\n%s\nparallel:\n%s",
-			serial.String(), parallel.String())
-	}
-	if err := run(context.Background(), []string{"-fig", "13", "-engine-mode", "turbo"}, &serial, &errb); err == nil {
-		t.Fatal("unknown -engine-mode accepted")
-	}
-}
-
 // TestCancelledSweepRendersPartials: a pre-cancelled context fails the
 // sweep but still reports how many cells finished.
 func TestCancelledSweepRendersPartials(t *testing.T) {
@@ -290,6 +213,26 @@ func TestBadParallelFlag(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"-fig", "13", "-run-timeout", "-1s"}, &out, &errb); err == nil {
 		t.Fatal("negative -run-timeout accepted")
+	}
+	// Non-positive scale flags must fail naming the flag, not fall back
+	// to hidden defaults.
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-fig", "13", "-instr", "-5"}, "-instr -5: instruction budget must be positive"},
+		{[]string{"-fig", "13", "-instr", "0"}, "-instr 0: instruction budget must be positive"},
+		{[]string{"-fig", "10", "-writes", "-1"}, "-writes -1: write sample count must be positive"},
+		{[]string{"-fig", "10", "-writes", "0"}, "-writes 0: write sample count must be positive"},
+	} {
+		out.Reset()
+		err := run(context.Background(), tc.args, &out, &errb)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%v: err = %v, want %q", tc.args, err, tc.want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: printed output despite the error:\n%s", tc.args, out.String())
+		}
 	}
 }
 

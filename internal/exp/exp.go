@@ -89,11 +89,6 @@ type Options struct {
 	// sim.QueueHeap). Results are bit-identical either way; the knob
 	// exists for A/B benchmarking and cross-checking.
 	EngineQueue sim.QueueKind
-	// EngineMode selects serial or parallel (per-bank worker) execution
-	// for every full-system cell. Like EngineQueue, results are
-	// bit-identical either way; parallel trades goroutine overhead for
-	// off-thread write planning.
-	EngineMode sim.EngineMode
 }
 
 // Normalize fills defaults.
@@ -351,7 +346,6 @@ func RunFullSystemCtx(ctx context.Context, opt Options) (*FullResults, error) {
 						Epoch:       opt.Epoch,
 						Guard:       opt.Guard,
 						EngineQueue: opt.EngineQueue,
-						EngineMode:  opt.EngineMode,
 					}
 					return system.RunCtx(ctx, fr.Profiles[w], fr.Schemes[s].Factory, cfg)
 				},

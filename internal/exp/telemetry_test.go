@@ -50,40 +50,3 @@ func TestEpochSummaryWithoutEpoch(t *testing.T) {
 		t.Error("series returned without telemetry attached")
 	}
 }
-
-func TestBenchTrajectory(t *testing.T) {
-	opt := fastOptions()
-	opt.Writes = 200
-	art, err := BenchTrajectory(opt, "2026-01-01")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if art.Date != "2026-01-01" || art.Workload != "vips" || len(art.Schemes) != 5 {
-		t.Fatalf("artifact header wrong: %+v", art)
-	}
-	// Write units are deterministic: two measurements must agree exactly.
-	art2, err := BenchTrajectory(opt, "2026-01-02")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range art.Schemes {
-		if art.Schemes[i].WriteUnits != art2.Schemes[i].WriteUnits {
-			t.Errorf("%s write units nondeterministic: %v vs %v",
-				art.Schemes[i].Scheme, art.Schemes[i].WriteUnits, art2.Schemes[i].WriteUnits)
-		}
-		if art.Schemes[i].VerifyOverheadNsPerWrite != art2.Schemes[i].VerifyOverheadNsPerWrite {
-			t.Errorf("%s verify overhead nondeterministic", art.Schemes[i].Scheme)
-		}
-	}
-	// Tetris must plan strictly fewer units than the DCW baseline.
-	if art.Schemes[4].WriteUnits >= art.Schemes[0].WriteUnits {
-		t.Errorf("tetris (%v) not below baseline (%v)",
-			art.Schemes[4].WriteUnits, art.Schemes[0].WriteUnits)
-	}
-	// The end-to-end trajectory point must be populated: a real run takes
-	// time and allocates.
-	if art.FullSystemNsPerOp <= 0 || art.AllocsPerOp <= 0 {
-		t.Errorf("full-system point missing: %v ns/op, %v allocs/op",
-			art.FullSystemNsPerOp, art.AllocsPerOp)
-	}
-}

@@ -217,63 +217,6 @@ func (g *Guard) CheckWritePlan(now units.Time, addr pcm.LineAddr, old, new []byt
 	g.checkPlan(now, addr, old, new, plan)
 }
 
-// Deep reports whether the deep shadow-array replay is enabled. Replay
-// mutates the shadow in plan order, so the parallel controller falls
-// back to serial in-line planning whenever it is on.
-func (g *Guard) Deep() bool { return g != nil && g.cfg.Enabled && g.cfg.DeepChecks }
-
-// PlanIssue is a violation found by ValidateWritePlan: the kind plus the
-// fully formatted detail, identical to what the in-line check would have
-// reported. It is recorded — first violation wins, as always — when the
-// owner commits it with ReportPlanIssue.
-type PlanIssue struct {
-	Kind   string
-	Detail string
-}
-
-// BeginWritePlan is the issue-time half of CheckWritePlan for the
-// parallel controller: it runs the clock check and counts the plan,
-// reporting whether the guard was active at entry and the plan therefore
-// needs validating. The plan itself is validated off-thread with
-// ValidateWritePlan and committed in issue order via ReportPlanIssue.
-func (g *Guard) BeginWritePlan(now units.Time) bool {
-	if !g.active() {
-		return false
-	}
-	g.CheckClock(now)
-	g.stats.WritePlans++
-	return true
-}
-
-// ValidateWritePlan runs the cheap plan checks (structure, power) and
-// returns the violation, or nil. It reads only immutable guard state —
-// the device parameters and the power budget — never the violation
-// latch, counters or shadow, so bank worker goroutines may call it
-// concurrently with coordinator-side checks.
-func (g *Guard) ValidateWritePlan(addr pcm.LineAddr, plan schemes.Plan) *PlanIssue {
-	if g == nil {
-		return nil
-	}
-	if err := plan.Validate(g.par); err != nil {
-		return &PlanIssue{Kind: KindCoverage, Detail: fmt.Sprintf("line %d: %v", addr, err)}
-	}
-	if err := g.budget.Check(plan.Profile(units.Time(0))); err != nil {
-		return &PlanIssue{Kind: KindPower, Detail: fmt.Sprintf("line %d: %v (budget %d per chip, %d chips, gcp=%v)",
-			addr, err, g.budget.PerChip, g.budget.Chips, g.budget.GCP)}
-	}
-	return nil
-}
-
-// ReportPlanIssue records a violation produced by ValidateWritePlan,
-// stamped at the plan's issue time so the fingerprint cycle matches the
-// in-line check exactly.
-func (g *Guard) ReportPlanIssue(at units.Time, iss *PlanIssue) {
-	if g == nil || iss == nil {
-		return
-	}
-	g.report(iss.Kind, at, "%s", iss.Detail)
-}
-
 // CheckPresetPlan validates one idle-time PreSET plan, which must take
 // the stored contents old to logical all-ones.
 func (g *Guard) CheckPresetPlan(now units.Time, addr pcm.LineAddr, old []byte, plan schemes.Plan) {
@@ -294,10 +237,14 @@ func (g *Guard) CheckPresetPlan(now units.Time, addr pcm.LineAddr, old []byte, p
 func (g *Guard) checkPlan(now units.Time, addr pcm.LineAddr, old, want []byte, plan schemes.Plan) {
 	// Structure (pulses inside the write phase, non-empty masks, no cell
 	// pulsed twice) and power (peak simultaneous draw against the
-	// per-chip budget) — shared with the parallel controller's
-	// off-thread validation so the detail strings have one format site.
-	if iss := g.ValidateWritePlan(addr, plan); iss != nil {
-		g.report(iss.Kind, now, "%s", iss.Detail)
+	// per-chip budget).
+	if err := plan.Validate(g.par); err != nil {
+		g.report(KindCoverage, now, "line %d: %v", addr, err)
+		return
+	}
+	if err := g.budget.Check(plan.Profile(units.Time(0))); err != nil {
+		g.report(KindPower, now, "line %d: %v (budget %d per chip, %d chips, gcp=%v)",
+			addr, err, g.budget.PerChip, g.budget.Chips, g.budget.GCP)
 		return
 	}
 	if !g.cfg.DeepChecks {

@@ -13,11 +13,6 @@ package linestore
 //
 // Concurrency: Pending is deliberately not goroutine-safe — it is a
 // single-writer structure owned by the simulation engine's goroutine.
-// The parallel engine mode preserves that contract: bank workers only
-// compute write plans from issue-time snapshots and never touch
-// controller-side associations, so every Put/Delete/Range still happens
-// on the coordinator (the engine-mode cross-check sweep runs under the
-// race detector in CI to keep it that way).
 type Pending struct {
 	idx  map[Addr]int
 	keys []Addr

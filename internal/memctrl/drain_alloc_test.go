@@ -122,7 +122,7 @@ func TestWriteCycleAllocBound(t *testing.T) {
 		eng.Run()
 	}
 	for i := 0; i < 4; i++ {
-		cycle() // warm freelists, scratch arenas, memo cache
+		cycle() // warm freelists and scratch arenas
 	}
 	allocs := testing.AllocsPerRun(50, cycle)
 	// Three engine events per cycle (submit kick, write completion,

@@ -10,7 +10,6 @@ package memctrl
 
 import (
 	"fmt"
-	"sync"
 
 	"tetriswrite/internal/guard"
 	"tetriswrite/internal/linestore"
@@ -97,14 +96,6 @@ type Config struct {
 	// VerifyRetries is the per-write retry budget of the verify loop
 	// (default 3, the typical iterative-write bound of PCM controllers).
 	VerifyRetries int
-	// ParallelBanks offloads write planning — the dominant per-write CPU
-	// cost — to one worker goroutine per bank, synchronized by
-	// conservative-lookahead completion events so results stay
-	// bit-identical to the serial path (see parallel.go). Features that
-	// inspect or reshape a plan after issue (write pausing/cancellation,
-	// idle PreSET, verify, crash hooks, deep guard checks) silently fall
-	// back to serial planning.
-	ParallelBanks bool
 
 	// drainLowSet latches the one-time DrainLow sentinel resolution so
 	// Normalize is idempotent.
@@ -274,18 +265,6 @@ type Controller struct {
 	// completion costs no allocation.
 	readEvFree  []*readEvent
 	writeEvFree []*writeEvent
-
-	// Deferred-planning (parallel engine) state; see parallel.go. The
-	// mode is latched at the first write, once every hook that could
-	// force the serial fallback has been attached.
-	modeLatched  bool
-	deferred     bool
-	closed       bool
-	workersUp    bool
-	wg           sync.WaitGroup
-	inflight     []*writeJob // issue-ordered outstanding jobs
-	inflightHead int
-	jobFree      []*writeJob
 }
 
 // SetWearTracker attaches per-line pulse accounting.
@@ -394,15 +373,6 @@ type bank struct {
 	verifying bool
 	// busyTime accumulates array occupancy for the utilization report.
 	busyTime units.Duration
-
-	// Deferred-planning worker plumbing (parallel engine only): one
-	// worker goroutine per bank, at most one job outstanding, so both
-	// channels stay capacity one and sends never block. The cached
-	// service-time floors are the conservative lookahead bounds.
-	jobs         chan *writeJob
-	results      chan *writeJob
-	floorClean   units.Duration
-	floorChanged units.Duration
 }
 
 // idle reports whether nothing at all is in flight on the bank.
@@ -803,13 +773,6 @@ func (c *Controller) startRead(b *bank, req *request) {
 }
 
 func (c *Controller) startWrite(b *bank, req *request) {
-	if !c.modeLatched {
-		c.latchMode()
-	}
-	if c.deferred {
-		c.startWriteDeferred(b, req)
-		return
-	}
 	b.write = req
 	if c.oldBuf == nil {
 		c.oldBuf = make([]byte, c.par.LineBytes)

@@ -89,31 +89,6 @@ func (c *Controller) RegisterMetrics(reg *telemetry.Registry) {
 		})
 	}
 
-	// Tetris schedule memo-cache, aggregated across the per-bank scheme
-	// instances. Registered only when the scheme actually exposes the
-	// counters (interface assertion keeps memctrl scheme-agnostic).
-	if _, ok := c.banks[0].scheme.(schedCacheStatser); ok {
-		reg.CounterFunc("tetris.sched_cache.hits", "schedule memo-cache hits across banks", func() float64 {
-			h, _, _ := c.schedCacheTotals()
-			return float64(h)
-		})
-		reg.CounterFunc("tetris.sched_cache.misses", "schedule memo-cache misses across banks", func() float64 {
-			_, m, _ := c.schedCacheTotals()
-			return float64(m)
-		})
-		reg.GaugeFunc("tetris.sched_cache.entries", "live schedule memo-cache entries across banks", func() float64 {
-			_, _, e := c.schedCacheTotals()
-			return float64(e)
-		})
-		reg.GaugeFunc("tetris.sched_cache.hit_rate", "schedule memo-cache hit fraction", func() float64 {
-			h, m, _ := c.schedCacheTotals()
-			if h+m == 0 {
-				return 0
-			}
-			return float64(h) / float64(h+m)
-		})
-	}
-
 	// Scheme-exported counters (schemes.StatProvider), summed across the
 	// per-bank scheme instances: the adaptive meta-scheme's switch and
 	// cost trackers, the remap/flipmin/mlc decorator counters. The series
@@ -166,26 +141,6 @@ func (c *Controller) RegisterMetrics(reg *telemetry.Registry) {
 	reg.GaugeFunc("power.budget_util", "charge-pump budget utilization: pulse current-time integral over elapsed time x rank budget", func() float64 {
 		return c.budgetUtilization()
 	})
-}
-
-// schedCacheStatser is the memo-cache counter surface of a scheme (the
-// Tetris scheme implements it); memctrl only ever discovers it through
-// this assertion, so non-caching schemes cost nothing.
-type schedCacheStatser interface {
-	SchedCacheStats() (hits, misses, entries int64)
-}
-
-// schedCacheTotals sums the memo-cache counters over every bank's scheme.
-func (c *Controller) schedCacheTotals() (hits, misses, entries int64) {
-	for _, b := range c.banks {
-		if s, ok := b.scheme.(schedCacheStatser); ok {
-			h, m, e := s.SchedCacheStats()
-			hits += h
-			misses += m
-			entries += e
-		}
-	}
-	return hits, misses, entries
 }
 
 // budgetUtilization integrates the current-time product of every pulse

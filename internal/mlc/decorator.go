@@ -88,12 +88,6 @@ func (s *cellMode) ObserveQueues(reads, writes int) {
 	}
 }
 
-// ServiceFloor implements schemes.ServiceFloorer: the staircase only
-// ever extends the inner plan's write phase, so the inner bound holds.
-func (s *cellMode) ServiceFloor(changed bool) units.Duration {
-	return schemes.FloorOf(s.inner, s.dev, changed)
-}
-
 // SchemeStats implements schemes.StatProvider.
 func (s *cellMode) SchemeStats(emit func(name string, value float64)) {
 	emit("scheme.mlc.pv_pulses", float64(s.stats.pvPulses))

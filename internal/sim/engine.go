@@ -21,11 +21,6 @@ type event struct {
 	seq  uint64 // insertion order, breaks ties deterministically
 	fn   func()
 	next *event // intrusive slot-list link (timing wheel only)
-
-	// resolve, when non-nil, marks a lazily-timed event (AtLazy): at is a
-	// conservative lower bound and resolve is consulted when the event
-	// reaches the head of the queue to learn the final (time, callback).
-	resolve func() (units.Time, func())
 }
 
 // eventHeap is a binary min-heap ordered by (at, seq). It backs the
@@ -166,40 +161,7 @@ func (e *Engine) At(t units.Time, fn func()) {
 	} else {
 		ev = new(event)
 	}
-	ev.at, ev.seq, ev.fn, ev.next, ev.resolve = t, e.seq, fn, nil, nil
-	e.queue().push(ev)
-}
-
-// AtLazy schedules an event whose final time is not yet known: t is a
-// conservative lower bound, and resolve is called when the event reaches
-// the head of the queue to produce the final (time, callback) pair. If
-// the final time is later than t the event is transparently re-queued at
-// it, keeping its original sequence number, without advancing the clock
-// or the processed-event count; if equal, the callback runs immediately
-// in the same Step. A final time earlier than t panics — the bound was
-// not conservative, and silently reordering would corrupt determinism.
-//
-// resolve may block (the parallel controller uses it to join a worker
-// goroutine) but must not touch the engine. AtLazy consumes a sequence
-// number exactly like At, so a run that replaces an At with an AtLazy of
-// a sound lower bound replays bit-identically.
-func (e *Engine) AtLazy(t units.Time, resolve func() (units.Time, func())) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: event scheduled at %v, before now %v", t, e.now))
-	}
-	if resolve == nil {
-		panic("sim: AtLazy with nil resolve")
-	}
-	e.seq++
-	var ev *event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-	} else {
-		ev = new(event)
-	}
-	ev.at, ev.seq, ev.fn, ev.next, ev.resolve = t, e.seq, nil, nil, resolve
+	ev.at, ev.seq, ev.fn, ev.next = t, e.seq, fn, nil
 	e.queue().push(ev)
 }
 
@@ -212,33 +174,11 @@ func (e *Engine) After(d units.Duration, fn func()) {
 }
 
 // Step runs the single earliest event. It reports false when the queue
-// is empty. A lazily-timed event (AtLazy) whose final time lands beyond
-// its bound is re-queued instead of run; Step still reports true but
-// neither the clock nor the processed count advances — the resolution is
-// invisible to watchdog budgets and Result counters.
+// is empty.
 func (e *Engine) Step() bool {
 	ev := e.queue().pop()
 	if ev == nil {
 		return false
-	}
-	if ev.resolve != nil {
-		at, fn := ev.resolve()
-		ev.resolve = nil
-		if at < ev.at {
-			panic(fmt.Sprintf("sim: lazy event resolved to %v, before its bound %v", at, ev.at))
-		}
-		if at > ev.at {
-			// Re-queue at the final time under the original seq. The
-			// level-0 wheel tick is one time unit, so a strictly later
-			// time can never land in the already-drained ready buffer.
-			ev.at, ev.fn, ev.next = at, fn, nil
-			e.queue().push(ev)
-			return true
-		}
-		// Equal to the bound: must run in this same Step — re-queueing an
-		// equal-time event behind the wheel's drained ready buffer would
-		// order it after same-tick events with higher seq.
-		ev.fn = fn
 	}
 	e.now = ev.at
 	e.events++

@@ -101,11 +101,6 @@ func (e *Engine) RunContext(ctx context.Context, wd Watchdog) error {
 	if wd.MaxSimTime > 0 {
 		deadline = e.now.Add(wd.MaxSimTime)
 	}
-	// Count executed events as a delta of the engine's processed counter
-	// rather than counting Step calls: a Step that merely resolves a lazy
-	// event (AtLazy re-queue) does not advance e.events, so budgets,
-	// heartbeats and cancellation polls fire at exactly the same points
-	// whether or not lazy events are in play.
 	start := e.events
 	var lastBeat uint64
 	q := e.queue()

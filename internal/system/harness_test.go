@@ -3,6 +3,7 @@ package system
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"tetriswrite/internal/pcm"
@@ -59,6 +60,41 @@ func TestRunCtxEventBudget(t *testing.T) {
 		if cs.Finished {
 			t.Error("a core claims to have finished inside a 5000-event budget")
 		}
+	}
+}
+
+// TestRunCtxCancelMidRun: a cancellation landing mid-run, fired from a
+// heartbeat, ends the run with a fingerprinted *RunError and the
+// partial statistics gathered so far, and lands at the same point on
+// every rerun.
+func TestRunCtxCancelMidRun(t *testing.T) {
+	prof, _ := workload.ProfileByName("vips")
+	run := func() (Result, error) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		cfg := smallConfig()
+		cfg.Heartbeat = func(p sim.Progress) {
+			if p.Events >= 4_000 {
+				cancel()
+			}
+		}
+		return RunCtx(ctx, prof, schemes.NewDCW, cfg)
+	}
+	res, err := run()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled in chain", err)
+	}
+	var re *RunError
+	if !errors.As(err, &re) || re.Fp.Workload != "vips" || re.Fp.Cycle <= 0 {
+		t.Fatalf("run error lacks a fingerprint with an abort cycle: %v", err)
+	}
+	if res.Ctrl.Writes == 0 {
+		t.Error("no writes before the cancellation; the test exercised nothing")
+	}
+	again, err2 := run()
+	var re2 *RunError
+	if !errors.As(err2, &re2) || re2.Fp != re.Fp || !reflect.DeepEqual(again, res) {
+		t.Errorf("rerun aborted differently: %+v vs %+v", re2, re.Fp)
 	}
 }
 

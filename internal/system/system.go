@@ -113,17 +113,6 @@ type Config struct {
 	// heap stays selectable for exactly that A/B purpose.
 	EngineQueue sim.QueueKind
 
-	// EngineMode selects serial (the default, also chosen by the empty
-	// string) or parallel execution: with sim.EngineParallel the
-	// controller plans each bank's writes on per-bank worker goroutines
-	// under conservative-lookahead completion events. Results are
-	// bit-identical either way — the cross-check sweep proves it over
-	// every workload x scheme composition — so the mode is purely a
-	// wall-clock optimization. Controller features that reshape plans
-	// after issue (write pausing/cancellation, idle PreSET, verify,
-	// crash hooks, deep guard checks) silently run serial regardless.
-	EngineMode sim.EngineMode
-
 	// MaxEvents and MaxSimTime bound the engine run (see sim.Watchdog):
 	// 0 means unlimited. When a budget trips, the run returns a
 	// *RunError wrapping the *sim.BudgetError together with the partial
@@ -390,10 +379,6 @@ func RunCtx(ctx context.Context, prof workload.Profile, factory schemes.Factory,
 	if !cfg.EngineQueue.Valid() {
 		return Result{}, fmt.Errorf("system: unknown engine queue %q", cfg.EngineQueue)
 	}
-	if !cfg.EngineMode.Valid() {
-		return Result{}, fmt.Errorf("system: unknown engine mode %q", cfg.EngineMode)
-	}
-	cfg.Ctrl.ParallelBanks = cfg.EngineMode.Parallel()
 	eng := sim.NewEngine(cfg.EngineQueue)
 	fp := guard.Fingerprint{Seed: cfg.Seed, Workload: prof.Name, Scheme: factory(cfg.Params).Name()}
 	defer recoverRun(&err, eng, fp)
@@ -416,10 +401,6 @@ func RunCtx(ctx context.Context, prof workload.Profile, factory schemes.Factory,
 	}
 
 	ctrl := memctrl.New(eng, dev, factory, cfg.Ctrl)
-	// Join the parallel controller's bank workers even when the run
-	// panics out: recoverRun (registered earlier, so running later)
-	// then reports a run with no goroutines left behind.
-	defer ctrl.Close()
 	ctrl.SetFingerprint(fp)
 	cinj, err := attachCrash(eng, dev, ctrl, cfg, inj != nil)
 	if err != nil {
@@ -539,10 +520,6 @@ func RunCtx(ctx context.Context, prof workload.Profile, factory schemes.Factory,
 		})
 	}
 	runErr := runEngine(ctx, eng, cfg, fp, sampler)
-	// An aborted parallel run may hold write plans still in flight on
-	// bank workers; Close commits them in issue order so the partial
-	// statistics match what the serial engine would have accumulated.
-	ctrl.Close()
 	res = collectResult(prof.Name, fp.Scheme, cfg, lastFinish, parts{
 		eng: eng, ctrl: ctrl, cores: cores, hier: hier, wear: wear,
 		remap: remap, inj: inj, spare: spare, sampler: sampler, guard: g,
@@ -577,10 +554,6 @@ func RunTraceCtx(ctx context.Context, label string, recs []trace.Record, cores i
 	if !cfg.EngineQueue.Valid() {
 		return Result{}, fmt.Errorf("system: unknown engine queue %q", cfg.EngineQueue)
 	}
-	if !cfg.EngineMode.Valid() {
-		return Result{}, fmt.Errorf("system: unknown engine mode %q", cfg.EngineMode)
-	}
-	cfg.Ctrl.ParallelBanks = cfg.EngineMode.Parallel()
 	eng := sim.NewEngine(cfg.EngineQueue)
 	fp := guard.Fingerprint{Seed: cfg.Seed, Workload: label, Scheme: factory(cfg.Params).Name()}
 	defer recoverRun(&err, eng, fp)
@@ -600,8 +573,6 @@ func RunTraceCtx(ctx context.Context, label string, recs []trace.Record, cores i
 	}
 
 	ctrl := memctrl.New(eng, dev, factory, cfg.Ctrl)
-	// Same bank-worker lifecycle as RunCtx: join on panic unwind too.
-	defer ctrl.Close()
 	ctrl.SetFingerprint(fp)
 	cinj, err := attachCrash(eng, dev, ctrl, cfg, inj != nil)
 	if err != nil {
@@ -672,7 +643,6 @@ func RunTraceCtx(ctx context.Context, label string, recs []trace.Record, cores i
 		})
 	}
 	runErr := runEngine(ctx, eng, cfg, fp, sampler)
-	ctrl.Close()
 	res = collectResult(label+" (trace)", fp.Scheme, cfg, lastFinish, parts{
 		eng: eng, ctrl: ctrl, cores: cpuCores, hier: hier,
 		inj: inj, spare: spare, sampler: sampler, guard: g,

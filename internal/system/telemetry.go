@@ -58,10 +58,6 @@ func attachTelemetry(eng *sim.Engine, cfg Config, parts telemetryParts) *telemet
 		return float64(eng.Pending())
 	})
 	s := telemetry.NewSampler(eng, reg, cfg.Epoch, cfg.MetricsRing)
-	// Quiesce the parallel controller's in-flight bank workers before
-	// each snapshot so every metric closure sees a consistent cut. A
-	// cheap no-op in serial mode.
-	s.OnSample(parts.ctrl.Sync)
 	s.Start()
 	return s
 }

@@ -31,12 +31,6 @@ type Sampler struct {
 	epoch units.Duration
 	ring  int
 
-	// preSample, when set, runs at the top of every snapshot (epoch
-	// ticks and Finalize alike), before any metric closure is read. The
-	// parallel controller registers its barrier here so the sampler
-	// always observes a consistent cross-bank cut.
-	preSample func()
-
 	mu      sync.Mutex
 	stopped bool
 	names   []string     // metric order captured at Start
@@ -61,13 +55,6 @@ func NewSampler(eng *sim.Engine, reg *Registry, epoch units.Duration, ringSize i
 
 // Registry returns the registry the sampler snapshots.
 func (s *Sampler) Registry() *Registry { return s.reg }
-
-// OnSample registers fn to run at the start of every snapshot, before
-// the first metric closure is evaluated. Use it to quiesce concurrent
-// producers (the parallel controller's in-flight bank workers) so each
-// epoch row is a consistent cut. Call before Start; only one hook is
-// held, a later call replaces the earlier.
-func (s *Sampler) OnSample(fn func()) { s.preSample = fn }
 
 // EpochDuration returns the sampling interval.
 func (s *Sampler) EpochDuration() units.Duration { return s.epoch }
@@ -145,9 +132,6 @@ func (s *Sampler) tick() {
 
 // sample records one snapshot row at time t.
 func (s *Sampler) sample(t units.Time) {
-	if s.preSample != nil {
-		s.preSample()
-	}
 	metrics := s.reg.Metrics()
 	byName := make(map[string]*Metric, len(metrics))
 	for _, m := range metrics {

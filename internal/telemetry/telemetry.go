@@ -216,12 +216,11 @@ func (r *Registry) Histogram(name, help string) *Histogram {
 // simulation engine) and must be cheap and side-effect-free.
 //
 // Closures reading single-writer simulation state (scheme statistics,
-// controller counters — plain fields, not atomics, by design) stay
-// race-free because the sampler's preSample hook quiesces the parallel
-// controller's bank workers before any closure runs; see
-// Sampler.OnSample. The direct Counter/Gauge types use single atomic
-// words (no striping) — per-run metric rates are far below contention
-// territory, and a torn read would be a correctness bug, not just noise.
+// controller counters — plain fields, not atomics, by design) run on
+// the engine goroutine that owns that state. The direct Counter/Gauge
+// types use single atomic words (no striping) — per-run metric rates
+// are far below contention territory, and a torn read would be a
+// correctness bug, not just noise.
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	r.register(&Metric{Name: name, Kind: KindCounter, Help: help, fn: fn})
 }

@@ -49,7 +49,6 @@ type scheme struct {
 	maskBuf  []uint16 // per chip
 	pack     Scratch
 	emitBuf  []emission
-	cache    schedCache
 
 	schemes.PulseArena
 }
@@ -91,18 +90,6 @@ func (s *scheme) FlipTags(addr pcm.LineAddr) uint64 {
 	return 0
 }
 func (s *scheme) NeedsReadBeforeWrite() bool { return true }
-
-// ServiceFloor implements schemes.ServiceFloorer. Tetris compresses the
-// write phase by content, so only the fixed read and analysis stages —
-// plus one minimum-length pulse when the line changes — can be promised
-// ahead of planning.
-func (s *scheme) ServiceFloor(changed bool) units.Duration {
-	f := s.par.TRead + s.par.MemClock.Cycles(int64(s.opt.AnalysisCycles))
-	if changed {
-		f += s.par.TReset
-	}
-	return f
-}
 
 func (s *scheme) flipBit(c, u int) uint64 { return 1 << uint(u*s.par.NumChips+c) }
 
@@ -259,17 +246,7 @@ func (s *scheme) PlanWrite(addr pcm.LineAddr, old, new []byte) schemes.Plan {
 			Cost0:        s.par.CurrentReset,
 			MinResult:    minResult,
 		}
-		// Memo cache: many lines (SET-dominant zero fills, repeated
-		// stores) reduce to the same packing problem, so the count
-		// vector memoizes the whole analysis stage. Pack is a pure
-		// function of (pk, in1, in0) and the key covers every varying
-		// field, so a hit is bit-identical to repacking. Misses fall
-		// through to the scratch arena.
-		sched, hit := s.cache.lookup(pk, in1, in0)
-		if !hit {
-			sched = pk.PackInto(&s.pack, in1, in0)
-			s.cache.store(pk, in1, in0, sched)
-		}
+		sched := pk.PackInto(&s.pack, in1, in0)
 
 		// Flip-cell RESET riders only need a Treset-long span.
 		for u := 0; u < nu; u++ {

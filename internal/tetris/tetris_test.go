@@ -622,3 +622,26 @@ func TestPackerGuardsImpossibleBudget(t *testing.T) {
 	pk := Packer{Budget: 1, K: 8, Cost1: 1, Cost0: 2}
 	pk.Pack([]int{0}, []int{2})
 }
+
+// Steady-state Tetris planning must be allocation-free: scratch arenas
+// carry the packing state and recycled plans supply the pulse buffer.
+func TestTetrisPlanWriteZeroAllocsSteadyState(t *testing.T) {
+	par := pcm.DefaultParams()
+	s := New(par)
+	rec := s.(schemes.PlanRecycler)
+	old := make([]byte, par.LineBytes)
+	data := make([]byte, par.LineBytes)
+	for i := range data {
+		data[i] = byte(i * 37)
+	}
+	addr := pcm.LineAddr(5)
+	for i := 0; i < 4; i++ {
+		rec.RecyclePlan(s.PlanWrite(addr, old, data))
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		rec.RecyclePlan(s.PlanWrite(addr, old, data))
+	})
+	if allocs != 0 {
+		t.Fatalf("tetris PlanWrite allocates %v objects/op in steady state, want 0", allocs)
+	}
+}
