@@ -1,0 +1,132 @@
+package system
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sync"
+	"testing"
+
+	"tetriswrite/internal/registry"
+	"tetriswrite/internal/schemes"
+	"tetriswrite/internal/tetris"
+	"tetriswrite/internal/workload"
+)
+
+var update = flag.Bool("update", false, "rewrite golden files")
+
+// serialGoldenNames is the composition set the serial-engine golden
+// sweeps: every base scheme plus one instance of each decorator and the
+// adaptive meta-scheme.
+var serialGoldenNames = []string{
+	"conventional", "dcw", "fnw", "twostage", "threestage", "tetris",
+	"dcw+flipmin", "dcw+remap", "tetris+remap", "dcw+mlc", "adaptive",
+}
+
+func serialGoldenFactory(t *testing.T, name string) schemes.Factory {
+	t.Helper()
+	switch name {
+	case "conventional":
+		return schemes.NewConventional
+	case "dcw":
+		return schemes.NewDCW
+	case "fnw":
+		return schemes.NewFlipNWrite
+	case "twostage":
+		return schemes.NewTwoStage
+	case "threestage":
+		return schemes.NewThreeStage
+	case "tetris":
+		return tetris.New
+	}
+	e, err := registry.Default().Resolve(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e.Factory
+}
+
+// resultDigest hashes the complete %+v rendering of a Result: every
+// exported and unexported statistic, latency histograms included (fmt
+// prints map keys sorted). The optional pointer sections must be nil —
+// fmt would print their addresses — which holds for a default Config.
+func resultDigest(t *testing.T, r Result) string {
+	t.Helper()
+	if r.Wear != nil || r.Remap != nil || r.Fault != nil || r.Spare != nil || r.Telemetry != nil || r.Guard != nil {
+		t.Fatalf("resultDigest needs a Result without optional sections: %+v", r)
+	}
+	sum := sha256.Sum256([]byte(fmt.Sprintf("%+v", r)))
+	return hex.EncodeToString(sum[:])
+}
+
+// TestEngineModeCrossCheck pins the one simulation engine to
+// testdata/serial_golden.json over the full 8-workload sweep and every
+// scheme composition. The digests were recorded when the simulator still
+// had a second, per-bank parallel engine mode, on runs where the serial
+// and parallel modes produced bit-identical Results; the test keeps its
+// name from that serial-vs-parallel gate. The remaining engine must
+// reproduce those Results exactly, so a change to event order, stat
+// accumulation or scheme planning anywhere in the full system shows up
+// here. Rerun with -update only for an intended change of results.
+func TestEngineModeCrossCheck(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full workload x scheme sweep")
+	}
+	golden := filepath.Join("testdata", "serial_golden.json")
+	want := map[string]string{}
+	if !*update {
+		b, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatalf("%v (run with -update to create it)", err)
+		}
+		if err := json.Unmarshal(b, &want); err != nil {
+			t.Fatalf("%s: %v", golden, err)
+		}
+		if n := len(workload.Profiles()) * len(serialGoldenNames); len(want) != n {
+			t.Errorf("%s has %d cells, the sweep runs %d (rerun with -update if intended)", golden, len(want), n)
+		}
+	}
+	var mu sync.Mutex
+	got := map[string]string{}
+	if *update {
+		t.Cleanup(func() {
+			b, err := json.MarshalIndent(got, "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.MkdirAll("testdata", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(golden, append(b, '\n'), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, prof := range workload.Profiles() {
+		for _, name := range serialGoldenNames {
+			prof, name := prof, name
+			cell := prof.Name + "/" + name
+			t.Run(cell, func(t *testing.T) {
+				t.Parallel()
+				res, err := Run(prof, serialGoldenFactory(t, name), Config{InstrBudget: 60_000, Seed: 7})
+				if err != nil {
+					t.Fatal(err)
+				}
+				d := resultDigest(t, res)
+				if *update {
+					mu.Lock()
+					got[cell] = d
+					mu.Unlock()
+					return
+				}
+				if want[cell] != d {
+					t.Errorf("Result drifted from %s: got %s, want %s\nresult: %+v", golden, d, want[cell], res)
+				}
+			})
+		}
+	}
+}
