@@ -3,10 +3,11 @@
 GO ?= go
 FUZZTIME ?= 10s
 # The gated hot-path benchmarks: per-write planning cost (base and
-# registry-composed schemes), one full system simulation end to end,
+# registry-composed schemes, one fixed line pair and a captured vips
+# write stream), one full system simulation end to end,
 # the long-trace event-engine sweep (timing wheel vs the seed binary
 # heap across pending populations), and workload synthesis alone.
-BENCHFILTER ?= BenchmarkSchemePlanWrite|BenchmarkComposedSchemePlanWrite|BenchmarkSchemePlanWriteDense|BenchmarkArrayFlipCount|BenchmarkCacheHit|BenchmarkFullSystemSingle|BenchmarkEngineLongTrace|BenchmarkGeneratorNext
+BENCHFILTER ?= BenchmarkSchemePlanWrite|BenchmarkComposedSchemePlanWrite|BenchmarkSchemePlanWriteDense|BenchmarkSchemePlanStream|BenchmarkArrayFlipCount|BenchmarkCacheHit|BenchmarkFullSystemSingle|BenchmarkEngineLongTrace|BenchmarkGeneratorNext
 BENCHCOUNT ?= 3
 
 # Build stamping for `<binary> -version`: ldflags override the
@@ -43,6 +44,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReader -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzParseTrace -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzPack -fuzztime=$(FUZZTIME) ./internal/tetris
+	$(GO) test -run='^$$' -fuzz=FuzzPlanWritePulseOrder -fuzztime=$(FUZZTIME) ./internal/tetris
 	$(GO) test -run='^$$' -fuzz=FuzzSourceMatchesMathRand -fuzztime=$(FUZZTIME) ./internal/workload
 
 # Run the gated benchmarks and leave the output in bench_new.txt for

@@ -2,8 +2,9 @@ package tetriswrite
 
 // Micro-benchmarks for the three layers the structure-of-arrays rewrite
 // targets (see DESIGN.md, Performance): the word-parallel cell store,
-// the batched pulse emission and the flat cache hit path — plus the
-// workload generator that feeds them (DESIGN.md, Workload RNG kernel).
+// the batched pulse emission and the flat cache hit path — plus scheme
+// planning over a captured write stream and the workload generator that
+// feeds them (DESIGN.md, Workload RNG kernel).
 // They are part of the gated set (Makefile BENCHFILTER, ci.yml bench-gate) so the
 // fast paths cannot silently fall back to the scalar code — a fallback
 // shows up as an ns/op and allocs/op cliff.
@@ -97,6 +98,79 @@ func BenchmarkSchemePlanWriteDense(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkSchemePlanStream measures per-write planning cost over a
+// captured stream of real (old, new) line pairs: the first 4096 writes
+// of one vips core, each paired with the line's contents at the time.
+// Unlike BenchmarkSchemePlanWrite, which rewrites one fixed pair, every
+// op plans a different write with the workload's own transition counts,
+// and the stream is captured before the timer so generation is
+// excluded. Plans are recycled, so 0 allocs/op.
+func BenchmarkSchemePlanStream(b *testing.B) {
+	par := pcm.DefaultParams()
+	stream := captureWriteStream(b, "vips", 4096, par)
+	for _, name := range []string{"dcw", "fnw", "tetris"} {
+		b.Run(name, func(b *testing.B) {
+			s, err := NewScheme(name, DefaultParams())
+			if err != nil {
+				b.Fatal(err)
+			}
+			rec, _ := s.(schemes.PlanRecycler)
+			cycle := func(i int) {
+				w := &stream[i%len(stream)]
+				plan := s.PlanWrite(w.addr, w.old, w.new)
+				_ = plan.ServiceTime()
+				if rec != nil {
+					rec.RecyclePlan(plan)
+				}
+			}
+			// One full pass registers every line's coding state and
+			// grows the scratch arenas to the stream's high-water mark.
+			for i := range stream {
+				cycle(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cycle(i)
+			}
+		})
+	}
+}
+
+// linePair is one captured write: the line's contents before and after.
+type linePair struct {
+	addr     pcm.LineAddr
+	old, new []byte
+}
+
+// captureWriteStream returns the first n writes of core 0 of the named
+// workload (seed 1), each paired with the line's prior contents: the
+// program's initial image on first touch, the previous write after.
+func captureWriteStream(b *testing.B, profile string, n int, par pcm.Params) []linePair {
+	prof, err := workload.ProfileByName(profile)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog := workload.NewProgram(prof, 1, 1, par)
+	g := prog.Generator(0)
+	lines := map[pcm.LineAddr][]byte{}
+	out := make([]linePair, 0, n)
+	for len(out) < n {
+		op := g.Next()
+		if !op.Write {
+			continue
+		}
+		old, ok := lines[op.Addr]
+		if !ok {
+			old = prog.InitialContents(op.Addr)
+		}
+		next := append([]byte(nil), op.Data...)
+		out = append(out, linePair{addr: op.Addr, old: old, new: next})
+		lines[op.Addr] = next
+	}
+	return out
 }
 
 // BenchmarkCacheHit measures the L1 hit path of the cache hierarchy:

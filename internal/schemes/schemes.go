@@ -25,6 +25,7 @@ package schemes
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"tetriswrite/internal/pcm"
@@ -64,7 +65,7 @@ type Pulse struct {
 // Bits returns the number of cells pulsed by this record, including the
 // flip cell. This is the energy-accounting count.
 func (p Pulse) Bits() int {
-	n := popcount16(p.Mask)
+	n := bits.OnesCount16(p.Mask)
 	if p.FlipCell {
 		n++
 	}
@@ -77,15 +78,7 @@ func (p Pulse) Bits() int {
 // against the budget of 32), the flip-bit drivers sit outside the data
 // budget — in the prototype the 8 flip bits per 128 data bits have their
 // own driver column.
-func (p Pulse) DataBits() int { return popcount16(p.Mask) }
-
-func popcount16(x uint16) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
-}
+func (p Pulse) DataBits() int { return bits.OnesCount16(p.Mask) }
 
 // Plan is the full schedule of one cache-line write.
 type Plan struct {
@@ -210,7 +203,9 @@ func (p Plan) Validate(par pcm.Params) error {
 // a total order — Plan.Validate forbids two pulses identical in every
 // field — so the sorted order is unique regardless of input order or sort
 // algorithm, which is what lets the scratch-arena path and the
-// fresh-allocation path produce bit-identical plans.
+// fresh-allocation path produce bit-identical plans. It is the definition
+// of a plan's pulse order: Tetris Write emits this order by construction
+// and calls SortPulses only when its sub-slots do not share one pitch.
 //
 // The common case packs the whole comparator key into one uint64 per
 // pulse — Start(36) Chip(4) Unit(6) Kind(1) FlipCell(1) Mask(16), in

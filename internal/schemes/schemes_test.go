@@ -1,6 +1,7 @@
 package schemes
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -320,7 +321,7 @@ func TestSplitMaskByBits(t *testing.T) {
 			t.Fatal("chunks overlap")
 		}
 		union |= c
-		total += popcount16(c)
+		total += bits.OnesCount16(c)
 	}
 	if union != 0xFFFF || total != 16 {
 		t.Fatalf("chunks do not partition the mask: union=%#x total=%d", union, total)

@@ -46,9 +46,17 @@ type scheme struct {
 	workBuf  []UnitCounts // nc*nu entries, unit-major (index u*nc+c)
 	domains  []packDomain
 	in1, in0 []int
-	maskBuf  []uint16 // per chip
+	maskBuf  []uint16 // per domain chip: cells of the pulse being built
+	srcBuf   []uint16 // per domain chip: cells the cursor has yet to hand out
 	pack     Scratch
 	emitBuf  []emission
+
+	// Counting-sort scratch (see finishEmission): the emitter's key
+	// buffer, the bucket histogram, and the buffer swapped in as the
+	// sorted plan.
+	keys   []uint32
+	counts []int32
+	sorted []schemes.Pulse
 
 	schemes.PulseArena
 }
@@ -193,32 +201,14 @@ func (s *scheme) PlanWrite(addr pcm.LineAddr, old, new []byte) schemes.Plan {
 	}
 	flipSlot[0] = flipWord
 
-	// Analysis stage: pack each power domain. Under a GCP the whole bank
-	// is one domain; otherwise each chip packs against its own pump.
-	if s.domains == nil {
-		if s.par.GlobalChargePump {
-			all := make([]int, nc)
-			for c := range all {
-				all[c] = c
-			}
-			s.domains = []packDomain{{chips: all, budget: s.par.BankBudget()}}
-		} else {
-			for c := 0; c < nc; c++ {
-				s.domains = append(s.domains, packDomain{chips: []int{c}, budget: s.par.ChipBudget})
-			}
-		}
-	}
-	domains := s.domains
+	// Analysis stage: pack each power domain.
+	domains := s.packDomains()
 
 	maxResult, maxSub := 0, 0
 	emissions := s.emitBuf[:0]
 	s.pack.Reset() // reclaims the schedules of the previous write
-	if len(s.in1) != nu {
-		s.in1 = make([]int, nu)
-		s.in0 = make([]int, nu)
-	}
+	in1, in0 := s.unitNeeds(nu)
 	for _, dom := range domains {
-		in1, in0 := s.in1, s.in0
 		for u := 0; u < nu; u++ {
 			in1[u], in0[u] = 0, 0
 			for _, c := range dom.chips {
@@ -268,16 +258,130 @@ func (s *scheme) PlanWrite(addr pcm.LineAddr, old, new []byte) schemes.Plan {
 	}
 	s.emitBuf = emissions // keep the grown backing array for the next write
 
-	// Sub-slot pitch: Tset/K, so Equation 5 holds exactly and a RESET
-	// pulse (Treset <= Tset/K) always fits its sub-slot.
+	e := s.startEmission(&p, maxResult, maxSub)
+	for i := range emissions {
+		em := &emissions[i]
+		e.domain(&em.sched, em.dom.chips, work)
+	}
+	s.finishEmission(&p, &e, maxResult*k+maxSub)
+	return p
+}
+
+// packDomains returns the power domains the packer runs over, built on
+// first use: under a GCP the whole bank is one domain; otherwise each
+// chip packs against its own pump.
+func (s *scheme) packDomains() []packDomain {
+	if s.domains == nil {
+		nc := s.par.NumChips
+		if s.par.GlobalChargePump {
+			all := make([]int, nc)
+			for c := range all {
+				all[c] = c
+			}
+			s.domains = []packDomain{{chips: all, budget: s.par.BankBudget()}}
+		} else {
+			for c := 0; c < nc; c++ {
+				s.domains = append(s.domains, packDomain{chips: []int{c}, budget: s.par.ChipBudget})
+			}
+		}
+	}
+	return s.domains
+}
+
+// unitNeeds returns the per-unit write-1 and write-0 need buffers, nu
+// entries each; callers overwrite every entry.
+func (s *scheme) unitNeeds(nu int) (in1, in0 []int) {
+	if len(s.in1) != nu {
+		s.in1 = make([]int, nu)
+		s.in0 = make([]int, nu)
+	}
+	return s.in1, s.in0
+}
+
+// startEmission sets the plan's write span from the largest domain
+// schedule and returns an emitter for its pulses. Sub-slot pitch is
+// Tset/K, so Equation 5 holds exactly and a RESET pulse
+// (Treset <= Tset/K) always fits its sub-slot.
+func (s *scheme) startEmission(p *schemes.Plan, maxResult, maxSub int) emitter {
+	nc := s.par.NumChips
+	k := s.par.K()
 	pitch := s.par.TSet / units.Duration(k)
 	p.Write = units.Duration(maxResult)*s.par.TSet + units.Duration(maxSub)*pitch
-
-	for _, em := range emissions {
-		s.emitDomain(&p, em.sched, em.dom.chips, work, pitch)
+	if len(s.maskBuf) != nc {
+		s.maskBuf = make([]uint16, nc)
+		s.srcBuf = make([]uint16, nc)
 	}
-	p.SortPulses()
-	return p
+	return emitter{
+		pulses: p.Pulses,
+		keys:   s.keys[:0],
+		src:    s.srcBuf,
+		masks:  s.maskBuf,
+		clk:    slotClock{k: k, tset: s.par.TSet, pitch: pitch, exact: pitch*units.Duration(k) == s.par.TSet},
+		nc:     nc,
+		cost1:  s.par.CurrentSet,
+		cost0:  s.par.CurrentReset,
+	}
+}
+
+// finishEmission puts the emitted pulses in SortPulses order as the
+// plan's pulses; slots bounds every pulse's global sub-slot index.
+//
+// When K divides Tset, global sub-slot i starts at i*pitch in every
+// domain whatever its result, so ordering pulses by (sub-slot, chip)
+// orders them by (start, chip). The emitter breaks the remaining ties
+// the way SortPulses does (see emitter), so a stable counting sort over
+// the emission keys yields the SortPulses order without comparing
+// pulses. The sorted pulses land in a scheme-owned buffer that is
+// swapped with the emission buffer instead of copied back. Otherwise
+// SortPulses orders the plan.
+func (s *scheme) finishEmission(p *schemes.Plan, e *emitter, slots int) {
+	p.Pulses = e.pulses
+	s.keys = e.keys // keep the grown backing array for the next write
+	n := len(p.Pulses)
+	if !e.clk.exact {
+		p.SortPulses()
+		return
+	}
+	if n < 2 {
+		return
+	}
+	nb := slots * e.nc
+	if cap(s.counts) < nb+1 {
+		s.counts = make([]int32, nb+1)
+	}
+	counts := s.counts[:nb+1]
+	clear(counts)
+	for _, key := range e.keys {
+		counts[key+1]++
+	}
+	for b := 1; b < nb; b++ {
+		counts[b] += counts[b-1]
+	}
+	if cap(s.sorted) < n {
+		s.sorted = make([]schemes.Pulse, n, cap(p.Pulses))
+	}
+	sorted := s.sorted[:n]
+	for i, key := range e.keys {
+		sorted[counts[key]] = p.Pulses[i]
+		counts[key]++
+	}
+	s.sorted = p.Pulses[:0]
+	p.Pulses = sorted
+}
+
+// slotClock converts one domain's global sub-slot indices into
+// write-phase offsets. Write unit j is sub-slot j*K.
+type slotClock struct {
+	result, k   int
+	tset, pitch units.Duration
+	exact       bool // K divides Tset: sub-slot i starts at i*pitch
+}
+
+func (clk *slotClock) start(i int) units.Duration {
+	if clk.exact {
+		return units.Duration(i) * clk.pitch
+	}
+	return subSlotStart(i, clk.result, clk.k, clk.tset, clk.pitch)
 }
 
 // subSlotStart converts a global sub-slot index into a write-phase offset
@@ -289,119 +393,122 @@ func subSlotStart(i, result, k int, tset, pitch units.Duration) units.Duration {
 	return units.Duration(result)*tset + units.Duration(i-result*k)*pitch
 }
 
-// emitDomain turns one domain's schedule into pulse records.
-func (s *scheme) emitDomain(p *schemes.Plan, sched Schedule, chips []int, work []UnitCounts, pitch units.Duration) {
-	nu := s.par.DataUnits()
-	nc := s.par.NumChips
-	k := sched.K
-	tset := s.par.TSet
-	if len(s.maskBuf) != nc {
-		s.maskBuf = make([]uint16, nc)
+// firstSlot returns the slot of a unit's first allocation, or 0 when it
+// has none: where the unit's zero-budget flip-cell riders go.
+func firstSlot(allocs []Alloc) int {
+	if len(allocs) == 0 {
+		return 0
 	}
-	masks := s.maskBuf
+	return allocs[0].Slot
+}
 
-	for u := 0; u < nu; u++ {
-		// Write-1s: distribute the domain's SET cells (chip-major, bit
-		// order) across the unit's write-unit allocations. The cursor
-		// (ci, rem) walks the per-chip transition masks directly —
-		// popcount and lowest-bit clearing replace the old per-bit scan
-		// through a materialized cell list, but consume cells in the
-		// identical chip-major ascending-bit order.
-		ci, rem := -1, uint16(0)
-		for _, a := range sched.Write1[u] {
-			n := a.Amount / s.par.CurrentSet
-			for n > 0 {
-				for rem == 0 {
-					ci++
-					rem = work[u*nc+chips[ci]].Tr.Sets
-				}
-				avail := bits.OnesCount16(rem)
-				if avail <= n {
-					masks[chips[ci]] |= rem
-					n -= avail
-					rem = 0
-					continue
-				}
-				rest := rem
-				for j := 0; j < n; j++ {
-					rest &= rest - 1 // clear lowest set bit
-				}
-				masks[chips[ci]] |= rem &^ rest
-				rem = rest
-				n = 0
-			}
-			for _, c := range chips {
-				if m := masks[c]; m != 0 {
-					p.Pulses = append(p.Pulses, schemes.Pulse{
-						Chip: c, Unit: u, Kind: schemes.Set,
-						Start: units.Duration(a.Slot) * tset, Mask: m,
-					})
-					masks[c] = 0
-				}
-			}
-		}
+// emitter builds one plan's pulse list, keying every pulse for the
+// counting sort by its global sub-slot index times NumChips plus its
+// chip.
+//
+// Each unit's pulses are emitted data SETs, flip-cell SET riders, data
+// RESETs, flip-cell RESET riders, and units in ascending order within a
+// domain. A unit has at most one pulse per (start, chip, kind, flip
+// cell) and a chip belongs to one domain, so inside a (start, chip)
+// bucket this is SortPulses' tie order: unit, then kind, then flip-cell
+// flag.
+type emitter struct {
+	pulses       []schemes.Pulse
+	keys         []uint32
+	src, masks   []uint16 // per domain chip: cells not yet handed out, cells of the pulse being built
+	clk          slotClock
+	nc           int
+	cost1, cost0 int // per-cell SET and RESET currents
+}
 
-		// Write-0s: same, across sub-slot allocations.
-		ci, rem = -1, 0
-		for _, a := range sched.Write0[u] {
-			n := a.Amount / s.par.CurrentReset
-			for n > 0 {
-				for rem == 0 {
-					ci++
-					rem = work[u*nc+chips[ci]].Tr.Resets
-				}
-				avail := bits.OnesCount16(rem)
-				if avail <= n {
-					masks[chips[ci]] |= rem
-					n -= avail
-					rem = 0
-					continue
-				}
-				rest := rem
-				for j := 0; j < n; j++ {
-					rest &= rest - 1
-				}
-				masks[chips[ci]] |= rem &^ rest
-				rem = rest
-				n = 0
-			}
-			start := subSlotStart(a.Slot, sched.Result, k, tset, pitch)
-			for _, c := range chips {
-				if m := masks[c]; m != 0 {
-					p.Pulses = append(p.Pulses, schemes.Pulse{
-						Chip: c, Unit: u, Kind: schemes.Reset,
-						Start: start, Mask: m,
-					})
-					masks[c] = 0
-				}
-			}
-		}
+func (e *emitter) emit(pl schemes.Pulse, idx int) {
+	e.pulses = append(e.pulses, pl)
+	e.keys = append(e.keys, uint32(idx*e.nc+pl.Chip))
+}
 
-		// Flip cells: zero-budget riders placed in the unit's first slot
-		// of the matching kind, or the domain's first slot if the unit
-		// has no data pulses of that kind.
+// domain emits one packed domain's write schedule.
+func (e *emitter) domain(sched *Schedule, chips []int, work []UnitCounts) {
+	e.clk.result = sched.Result
+	k := e.clk.k
+	for u, w1 := range sched.Write1 {
+		row := work[u*e.nc : (u+1)*e.nc]
+		w0 := sched.Write0[u]
+		flipSet, flipReset := false, false
 		for _, c := range chips {
-			uc := work[u*nc+c]
-			if uc.FlipSet {
-				slot := 0
-				if len(sched.Write1[u]) > 0 {
-					slot = sched.Write1[u][0].Slot
-				}
-				p.Pulses = append(p.Pulses, schemes.Pulse{
-					Chip: c, Unit: u, Kind: schemes.Set,
-					Start: units.Duration(slot) * tset, FlipCell: true,
-				})
+			flipSet = flipSet || row[c].FlipSet
+			flipReset = flipReset || row[c].FlipReset
+		}
+		if len(w1) > 0 {
+			e.cells(chips, u, row, schemes.Set, w1, e.cost1, k)
+		}
+		if flipSet {
+			e.riders(chips, u, row, schemes.Set, firstSlot(w1)*k)
+		}
+		if len(w0) > 0 {
+			e.cells(chips, u, row, schemes.Reset, w0, e.cost0, 1)
+		}
+		if flipReset {
+			e.riders(chips, u, row, schemes.Reset, firstSlot(w0))
+		}
+	}
+}
+
+// cells emits one unit's data pulses of one kind: one pulse per
+// allocation and domain chip that receives cells. A cursor hands the
+// unit's cells (row, indexed by chip) to the allocations in the order
+// the packer assumed — chip-major in domain order, ascending bit within
+// a chip — consuming whole chip slices with a popcount and splitting
+// one by clearing lowest set bits. cost is the per-cell current and
+// scale maps an allocation's slot to its global sub-slot index (K for
+// write units, 1 for sub-slots).
+func (e *emitter) cells(chips []int, u int, row []UnitCounts, kind schemes.PulseKind, allocs []Alloc, cost, scale int) {
+	src, masks := e.src[:len(chips)], e.masks[:len(chips)]
+	for ci, c := range chips {
+		if kind == schemes.Set {
+			src[ci] = row[c].Tr.Sets
+		} else {
+			src[ci] = row[c].Tr.Resets
+		}
+	}
+	ci := 0
+	for _, a := range allocs {
+		for n := a.Amount / cost; n > 0; {
+			for src[ci] == 0 {
+				ci++
 			}
-			if uc.FlipReset {
-				var start units.Duration
-				if len(sched.Write0[u]) > 0 {
-					start = subSlotStart(sched.Write0[u][0].Slot, sched.Result, k, tset, pitch)
-				}
-				p.Pulses = append(p.Pulses, schemes.Pulse{
-					Chip: c, Unit: u, Kind: schemes.Reset,
-					Start: start, FlipCell: true,
-				})
+			rem := src[ci]
+			if avail := bits.OnesCount16(rem); avail <= n {
+				masks[ci] |= rem
+				src[ci] = 0
+				n -= avail
+				continue
 			}
+			rest := rem
+			for ; n > 0; n-- {
+				rest &= rest - 1 // clear lowest set bit
+			}
+			masks[ci] |= rem &^ rest
+			src[ci] = rest
+		}
+		idx := a.Slot * scale
+		start := e.clk.start(idx)
+		for mi, c := range chips {
+			if m := masks[mi]; m != 0 {
+				e.emit(schemes.Pulse{Chip: c, Unit: u, Kind: kind, Start: start, Mask: m}, idx)
+				masks[mi] = 0
+			}
+		}
+	}
+}
+
+// riders emits one unit's flip-cell pulses of one kind at global
+// sub-slot idx: zero-budget riders in the unit's first slot of the
+// matching kind, or the domain's first slot when it has none.
+func (e *emitter) riders(chips []int, u int, row []UnitCounts, kind schemes.PulseKind, idx int) {
+	start := e.clk.start(idx)
+	for _, c := range chips {
+		if kind == schemes.Set && row[c].FlipSet || kind == schemes.Reset && row[c].FlipReset {
+			e.emit(schemes.Pulse{Chip: c, Unit: u, Kind: kind, Start: start, FlipCell: true}, idx)
 		}
 	}
 }

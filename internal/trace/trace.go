@@ -133,7 +133,16 @@ type Reader struct {
 	r   *bufio.Reader
 	hdr Header
 	n   int64 // records decoded so far, for error positions
+
+	// slab is the unused tail of the block write payloads are carved
+	// from: one allocation per slabBytes of payload instead of one per
+	// record.
+	slab []byte
 }
+
+// slabBytes sizes the payload blocks; a line larger than this gets a
+// block of its own.
+const slabBytes = 64 << 10
 
 // NewReader validates the header and returns a decoder. Header fields
 // are bounds-checked here so every later allocation is sized by a
@@ -235,7 +244,7 @@ func (r *Reader) next() (Record, error) {
 		},
 	}
 	if rec.Op.Write {
-		rec.Op.Data = make([]byte, r.hdr.LineBytes)
+		rec.Op.Data = r.payload()
 		if _, err := io.ReadFull(r.r, rec.Op.Data); err != nil {
 			return Record{}, fmt.Errorf("truncated payload: %w", noEOF(err))
 		}
@@ -243,20 +252,60 @@ func (r *Reader) next() (Record, error) {
 	return rec, nil
 }
 
+// payload carves the next write payload from the slab. Its capacity is
+// capped at the line size, so appending to one record's Data reallocates
+// instead of running into the next record's payload.
+func (r *Reader) payload() []byte {
+	lb := int(r.hdr.LineBytes)
+	if len(r.slab) < lb {
+		r.slab = make([]byte, max(lb, slabBytes/lb*lb))
+	}
+	data := r.slab[:lb:lb]
+	r.slab = r.slab[lb:]
+	return data
+}
+
 // ReadAll decodes the whole stream. On error it returns the records
 // decoded before the failure alongside the error.
+//
+// Records accumulate in fixed-size blocks that are copied once into an
+// exactly sized result: appending to one slice would reallocate, zero
+// and copy a multi-megabyte trace many times over as it grows.
 func (r *Reader) ReadAll() ([]Record, error) {
-	var out []Record
+	const blockRecords = 1024
+	var full [][]Record
+	block := make([]Record, 0, blockRecords)
 	for {
 		rec, err := r.Next()
-		if err == io.EOF {
-			return out, nil
-		}
 		if err != nil {
-			return out, err
+			if err == io.EOF {
+				err = nil
+			}
+			return concat(full, block), err
 		}
-		out = append(out, rec)
+		if len(block) == cap(block) {
+			full = append(full, block)
+			block = make([]Record, 0, blockRecords)
+		}
+		block = append(block, rec)
 	}
+}
+
+// concat joins full blocks and a final partial one into one slice, nil
+// when there are no records.
+func concat(full [][]Record, last []Record) []Record {
+	n := len(last)
+	for _, b := range full {
+		n += len(b)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Record, 0, n)
+	for _, b := range full {
+		out = append(out, b...)
+	}
+	return append(out, last...)
 }
 
 // Parse decodes an entire trace stream: header validation, then every
@@ -283,7 +332,13 @@ type CoreSource struct {
 
 // NewCoreSource filters records for one core.
 func NewCoreSource(recs []Record, core int) *CoreSource {
-	s := &CoreSource{}
+	n := 0
+	for _, r := range recs {
+		if r.Core == core {
+			n++
+		}
+	}
+	s := &CoreSource{ops: make([]workload.Op, 0, n)}
 	for _, r := range recs {
 		if r.Core == core {
 			s.ops = append(s.ops, r.Op)

@@ -143,3 +143,44 @@ func TestGenerateDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestPayloadsDoNotAlias pins the slab-carved payloads: every write
+// record's Data is capacity-capped at the line size, so appending to one
+// record's payload reallocates it and leaves the next record's payload
+// untouched.
+func TestPayloadsDoNotAlias(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, 1, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		data := bytes.Repeat([]byte{byte(i + 1)}, 8)
+		if err := w.Write(Record{Op: workload.Op{Addr: pcm.LineAddr(i), Write: true, Data: data}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	_, recs, err := Parse(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 3 {
+		t.Fatalf("parsed %d records, want 3", len(recs))
+	}
+	for i, r := range recs {
+		if len(r.Op.Data) != 8 || cap(r.Op.Data) != 8 {
+			t.Fatalf("record %d payload len %d cap %d, want 8 and 8", i, len(r.Op.Data), cap(r.Op.Data))
+		}
+	}
+	grown := append(recs[0].Op.Data, 0xEE, 0xEE)
+	grown[0] = 0xEE
+	for i, r := range recs {
+		want := bytes.Repeat([]byte{byte(i + 1)}, 8)
+		if !bytes.Equal(r.Op.Data, want) {
+			t.Fatalf("record %d payload %v after appending to record 0, want %v", i, r.Op.Data, want)
+		}
+	}
+}
