@@ -1,0 +1,250 @@
+package tetris_test
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"hash"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"tetriswrite/internal/pcm"
+	"tetriswrite/internal/registry"
+	"tetriswrite/internal/schemes"
+	"tetriswrite/internal/tetris"
+	"tetriswrite/internal/workload"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/plan_stream_golden.json")
+
+const planStreamGolden = "testdata/plan_stream_golden.json"
+
+// planStreamWrites is the length of the captured vips write stream each
+// configuration replays.
+const planStreamWrites = 2048
+
+// presetEvery makes every presetEvery-th write of a Presetter scheme
+// preset the line first, so the stream also covers writes over
+// all-ones lines.
+const presetEvery = 16
+
+// linePair is one captured write: the line's contents before and after.
+type linePair struct {
+	addr     pcm.LineAddr
+	old, new []byte
+}
+
+// captureVips returns the first n writes of vips core 0 (seed 1), each
+// paired with the line's prior contents: the program's initial image on
+// first touch, the previous write after.
+func captureVips(t *testing.T, n int) []linePair {
+	par := pcm.DefaultParams()
+	prof, err := workload.ProfileByName("vips")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := workload.NewProgram(prof, 1, 1, par)
+	g := prog.Generator(0)
+	lines := map[pcm.LineAddr][]byte{}
+	out := make([]linePair, 0, n)
+	for len(out) < n {
+		op := g.Next()
+		if !op.Write {
+			continue
+		}
+		old, ok := lines[op.Addr]
+		if !ok {
+			old = prog.InitialContents(op.Addr)
+		}
+		next := append([]byte(nil), op.Data...)
+		out = append(out, linePair{addr: op.Addr, old: old, new: next})
+		lines[op.Addr] = next
+	}
+	return out
+}
+
+// planStreamConfig is one scheme the plan-stream golden replays.
+type planStreamConfig struct {
+	name string
+	new  func() schemes.Scheme
+}
+
+// planStreamConfigs returns every registry composition the golden
+// covers — each base, each base with each decorator it accepts, and the
+// multi-decorator stacks the registry tests drive — followed by the
+// Tetris pulse-order configurations (GCP off, small budgets, every
+// Options variant, x8 chips, a Tset that K does not divide).
+func planStreamConfigs(t *testing.T) []planStreamConfig {
+	reg := registry.Default()
+	var names []string
+	for _, b := range reg.Bases() {
+		names = append(names, b)
+		for _, d := range reg.Decorators() {
+			if _, err := reg.Resolve(b + "+" + d); err == nil {
+				names = append(names, b+"+"+d)
+			}
+		}
+	}
+	names = append(names, "dcw+flipmin+remap", "dcw+flipmin+mlc", "tetris+remap+mlc")
+	var out []planStreamConfig
+	par := pcm.DefaultParams()
+	for _, name := range names {
+		e, err := reg.Resolve(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, planStreamConfig{
+			name: "registry/" + name,
+			new:  func() schemes.Scheme { return e.Factory(par) },
+		})
+	}
+	for _, c := range tetris.OrderConfigs() {
+		out = append(out, planStreamConfig{
+			name: "tetris/" + c.Name,
+			new:  func() schemes.Scheme { return tetris.NewWithOptions(c.Par, c.Opt) },
+		})
+	}
+	return out
+}
+
+// planHasher writes plans into a hash field by field, in a fixed order
+// and fixed width, so the digest depends on values only — not on struct
+// layout or formatting.
+type planHasher struct {
+	h   hash.Hash
+	buf []byte
+}
+
+func (ph *planHasher) int(v int64) {
+	ph.buf = binary.LittleEndian.AppendUint64(ph.buf, uint64(v))
+}
+
+func (ph *planHasher) bool(v bool) {
+	if v {
+		ph.buf = append(ph.buf, 1)
+	} else {
+		ph.buf = append(ph.buf, 0)
+	}
+}
+
+// plan hashes a record tag, every Plan field, every Pulse field of every
+// pulse in plan order, and the line's flip tags after the plan.
+func (ph *planHasher) plan(tag byte, p schemes.Plan, flipTags uint64) {
+	ph.buf = append(ph.buf[:0], tag)
+	ph.int(int64(p.Read))
+	ph.int(int64(p.Analysis))
+	ph.int(int64(p.Write))
+	ph.int(int64(p.TSet))
+	ph.int(int64(p.TReset))
+	ph.int(int64(p.CurrentSet))
+	ph.int(int64(p.CurrentReset))
+	ph.int(int64(len(p.Pulses)))
+	for _, pl := range p.Pulses {
+		ph.int(int64(pl.Chip))
+		ph.int(int64(pl.Unit))
+		ph.int(int64(pl.Kind))
+		ph.int(int64(pl.Start))
+		ph.int(int64(pl.Mask))
+		ph.bool(pl.FlipCell)
+	}
+	ph.int(int64(flipTags))
+	ph.h.Write(ph.buf)
+}
+
+// replayDigest plans the stream on a fresh scheme, recycling every plan,
+// and returns the SHA-256 of all plans and flip tags.
+func replayDigest(s schemes.Scheme, stream []linePair, lineBytes int) string {
+	rec, _ := s.(schemes.PlanRecycler)
+	pre, _ := s.(schemes.Presetter)
+	tags, _ := s.(schemes.FlipTagReader)
+	flipTags := func(addr pcm.LineAddr) uint64 {
+		if tags == nil {
+			return 0
+		}
+		return tags.FlipTags(addr)
+	}
+	ph := &planHasher{h: sha256.New()}
+	mem := map[pcm.LineAddr][]byte{}
+	for i, w := range stream {
+		old, ok := mem[w.addr]
+		if !ok {
+			old = w.old
+		}
+		if pre != nil && i%presetEvery == presetEvery-1 {
+			p := pre.PlanPreset(w.addr, old)
+			ph.plan('P', p, flipTags(w.addr))
+			if rec != nil {
+				rec.RecyclePlan(p)
+			}
+			old = make([]byte, lineBytes)
+			for j := range old {
+				old[j] = 0xFF
+			}
+		}
+		p := s.PlanWrite(w.addr, old, w.new)
+		ph.plan('W', p, flipTags(w.addr))
+		if rec != nil {
+			rec.RecyclePlan(p)
+		}
+		mem[w.addr] = w.new
+	}
+	return hex.EncodeToString(ph.h.Sum(nil))
+}
+
+// TestPlanStreamGolden pins every plan a captured vips write stream
+// produces, presets included, across every registry composition and the
+// Tetris geometry and option corners, to SHA-256 digests recorded in
+// testdata. A planner rewrite must leave every digest unchanged; run
+// with -update only for a reviewed behaviour change.
+func TestPlanStreamGolden(t *testing.T) {
+	// The digest writes every field explicitly; a new field must be
+	// added to planHasher.plan before this guard is relaxed.
+	if n := reflect.TypeOf(schemes.Plan{}).NumField(); n != 8 {
+		t.Fatalf("schemes.Plan has %d fields, planHasher hashes 8", n)
+	}
+	if n := reflect.TypeOf(schemes.Pulse{}).NumField(); n != 6 {
+		t.Fatalf("schemes.Pulse has %d fields, planHasher hashes 6", n)
+	}
+	stream := captureVips(t, planStreamWrites)
+	got := map[string]string{}
+	for _, c := range planStreamConfigs(t) {
+		got[c.name] = replayDigest(c.new(), stream, pcm.DefaultParams().LineBytes)
+	}
+	if *update {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(planStreamGolden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(planStreamGolden, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(planStreamGolden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to record)", err)
+	}
+	var want map[string]string
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	for name, d := range got {
+		if w, ok := want[name]; !ok {
+			t.Errorf("%s: no golden digest (run with -update to record)", name)
+		} else if d != w {
+			t.Errorf("%s: plan-stream digest %s, golden %s", name, d, w)
+		}
+	}
+	for name := range want {
+		if _, ok := got[name]; !ok {
+			t.Errorf("%s: golden digest for a configuration no longer replayed", name)
+		}
+	}
+}
