@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"tetriswrite/internal/bitutil"
 	"tetriswrite/internal/pcm"
@@ -379,3 +380,12 @@ func BenchmarkPlanWrite(b *testing.B) {
 }
 
 var _ = bitutil.PopCount64 // silence unused-import drift during refactors
+
+// TestPulseSize pins the Pulse record at 32 bytes: every pass over a
+// plan's pulses (emission, sorting, Plan.Counts, the power oracle) moves
+// this many bytes per record.
+func TestPulseSize(t *testing.T) {
+	if n := unsafe.Sizeof(Pulse{}); n != 32 {
+		t.Fatalf("unsafe.Sizeof(Pulse{}) = %d bytes, want 32", n)
+	}
+}

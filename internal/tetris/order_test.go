@@ -135,24 +135,28 @@ func FuzzPlanWritePulseOrder(f *testing.F) {
 }
 
 // TestPlanPresetZeroAllocsSteadyState pins the preset path to the write
-// path's scratch: with plans recycled, PlanPreset allocates nothing.
+// path's scratch: with plans recycled, PlanPreset allocates nothing, in
+// every pulse-order configuration.
 func TestPlanPresetZeroAllocsSteadyState(t *testing.T) {
-	par := pcm.DefaultParams()
-	s := New(par)
-	rec := s.(schemes.PlanRecycler)
-	pre := s.(schemes.Presetter)
-	old := make([]byte, par.LineBytes)
-	for i := range old {
-		old[i] = byte(i * 37)
-	}
-	addr := pcm.LineAddr(5)
-	for i := 0; i < 4; i++ {
-		rec.RecyclePlan(pre.PlanPreset(addr, old))
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		rec.RecyclePlan(pre.PlanPreset(addr, old))
-	})
-	if allocs != 0 {
-		t.Fatalf("tetris PlanPreset allocates %v objects/op in steady state, want 0", allocs)
+	for _, c := range orderConfigs() {
+		t.Run(c.name, func(t *testing.T) {
+			s := NewWithOptions(c.par, c.opt)
+			rec := s.(schemes.PlanRecycler)
+			pre := s.(schemes.Presetter)
+			old := make([]byte, c.par.LineBytes)
+			for i := range old {
+				old[i] = byte(i * 37)
+			}
+			addr := pcm.LineAddr(5)
+			for i := 0; i < 4; i++ {
+				rec.RecyclePlan(pre.PlanPreset(addr, old))
+			}
+			allocs := testing.AllocsPerRun(100, func() {
+				rec.RecyclePlan(pre.PlanPreset(addr, old))
+			})
+			if allocs != 0 {
+				t.Fatalf("tetris PlanPreset allocates %v objects/op in steady state, want 0", allocs)
+			}
+		})
 	}
 }

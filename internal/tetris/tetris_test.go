@@ -625,23 +625,28 @@ func TestPackerGuardsImpossibleBudget(t *testing.T) {
 
 // Steady-state Tetris planning must be allocation-free: scratch arenas
 // carry the packing state and recycled plans supply the pulse buffer.
+// Every pulse-order configuration is covered: each geometry and option
+// sizes its scratch differently.
 func TestTetrisPlanWriteZeroAllocsSteadyState(t *testing.T) {
-	par := pcm.DefaultParams()
-	s := New(par)
-	rec := s.(schemes.PlanRecycler)
-	old := make([]byte, par.LineBytes)
-	data := make([]byte, par.LineBytes)
-	for i := range data {
-		data[i] = byte(i * 37)
-	}
-	addr := pcm.LineAddr(5)
-	for i := 0; i < 4; i++ {
-		rec.RecyclePlan(s.PlanWrite(addr, old, data))
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		rec.RecyclePlan(s.PlanWrite(addr, old, data))
-	})
-	if allocs != 0 {
-		t.Fatalf("tetris PlanWrite allocates %v objects/op in steady state, want 0", allocs)
+	for _, c := range orderConfigs() {
+		t.Run(c.name, func(t *testing.T) {
+			s := NewWithOptions(c.par, c.opt)
+			rec := s.(schemes.PlanRecycler)
+			old := make([]byte, c.par.LineBytes)
+			data := make([]byte, c.par.LineBytes)
+			for i := range data {
+				data[i] = byte(i * 37)
+			}
+			addr := pcm.LineAddr(5)
+			for i := 0; i < 4; i++ {
+				rec.RecyclePlan(s.PlanWrite(addr, old, data))
+			}
+			allocs := testing.AllocsPerRun(100, func() {
+				rec.RecyclePlan(s.PlanWrite(addr, old, data))
+			})
+			if allocs != 0 {
+				t.Fatalf("tetris PlanWrite allocates %v objects/op in steady state, want 0", allocs)
+			}
+		})
 	}
 }
