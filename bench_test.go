@@ -211,19 +211,16 @@ func benchPlanWrite(b *testing.B, name string) {
 }
 
 // benchEngineLongTrace drives the bare event engine through the steady
-// state of a long trace replay: a large in-flight event population where
+// state of a trace replay: a fixed in-flight event population where
 // every popped event reschedules itself with a delay drawn from the
 // memory system's mix (same-cycle follow-ups, device-timing delays in
 // the tens of ns to tens of us, rare far-future maintenance work). One
-// op is one event, so the default 1 s bench time processes well over
-// 10M events — the scale at which the seed engine's O(log n) heap and
-// its pointer-chasing comparisons dominate, and the regime the ROADMAP's
-// million-user traces live in.
-func benchEngineLongTrace(b *testing.B, kind sim.QueueKind, population int) {
+// op is one event.
+func benchEngineLongTrace(b *testing.B, population int) {
 	// The delay stream is precomputed so the measured loop is queue cost,
-	// not random-number generation; both variants replay the same table.
+	// not random-number generation.
 	delays := longTraceDelays(1 << 16)
-	eng := sim.NewEngine(kind)
+	eng := &sim.Engine{}
 	pos := 0
 	var fn func()
 	fn = func() {
@@ -244,7 +241,7 @@ func benchEngineLongTrace(b *testing.B, kind sim.QueueKind, population int) {
 // system's event mix: 10% same-cycle follow-ups (queue drains, callback
 // chains), 75% device-timing delays (tRead up to a long write), 14%
 // scheduling-horizon delays up to 100 us, and 1% far-future maintenance
-// work beyond the wheel span (exercising the overflow heap).
+// work far beyond every other pending event.
 func longTraceDelays(n int) []units.Duration {
 	rng := uint64(1)
 	next := func() uint64 {
@@ -271,21 +268,17 @@ func longTraceDelays(n int) []units.Duration {
 	return out
 }
 
-// BenchmarkEngineLongTrace compares the timing-wheel engine (the
-// default) against the seed binary heap on the long-trace event pattern,
-// across pending-population sizes: 4Ki ≈ a loaded single-rank
-// configuration, 32Ki ≈ a deep multi-bank write queue plus every
-// outstanding read and wear-leveling timer, 128Ki ≈ the ROADMAP's
-// million-user trace regime. The two variants replay the identical
-// deterministic schedule; the ns/op gap is pure data-structure cost, and
-// the heap's O(log n) comparisons widen it as the population grows.
+// BenchmarkEngineLongTrace measures the event engine on the long-trace
+// event pattern across pending-population sizes. 4 and 16 bracket what
+// full-system runs keep pending (2-12 events on the Table II platform,
+// mostly 4); 4Ki and 32Ki are the large-population tail, where the
+// heap's O(log n) sift grows and a bucketed queue would win.
 func BenchmarkEngineLongTrace(b *testing.B) {
 	for _, pop := range []struct {
 		name string
 		n    int
-	}{{"4Ki", 1 << 12}, {"32Ki", 1 << 15}, {"128Ki", 1 << 17}} {
-		b.Run("wheel-"+pop.name, func(b *testing.B) { benchEngineLongTrace(b, sim.QueueWheel, pop.n) })
-		b.Run("heap-"+pop.name, func(b *testing.B) { benchEngineLongTrace(b, sim.QueueHeap, pop.n) })
+	}{{"4", 4}, {"16", 16}, {"4Ki", 1 << 12}, {"32Ki", 1 << 15}} {
+		b.Run("pending-"+pop.name, func(b *testing.B) { benchEngineLongTrace(b, pop.n) })
 	}
 }
 

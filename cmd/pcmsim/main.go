@@ -31,7 +31,6 @@ import (
 	"tetriswrite/internal/prof"
 	"tetriswrite/internal/registry"
 	"tetriswrite/internal/schemes"
-	"tetriswrite/internal/sim"
 	"tetriswrite/internal/system"
 	"tetriswrite/internal/trace"
 	"tetriswrite/internal/units"
@@ -87,7 +86,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		guardOn    = fs.Bool("guard", false, "enable the runtime invariant guard (power, coverage, queues, clock)")
 		deepChecks = fs.Bool("deep-checks", false, "with -guard, replay every plan on a shadow cell array (exhaustive)")
 
-		engine     = fs.String("engine", "", "event queue implementation: wheel (default) or heap; results are bit-identical")
 		useCaches  = fs.Bool("caches", false, "interpose the Table II cache hierarchy between cores and memory")
 		epochStr   = fs.String("epoch", "", "telemetry sampling interval, e.g. 10us (off when empty)")
 		metricsOut = fs.String("metrics-out", "", "directory for telemetry exports: per-series CSV, epochs.jsonl, metrics.prom (needs -epoch)")
@@ -135,10 +133,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 
 	if *deepChecks && !*guardOn {
 		return fmt.Errorf("-deep-checks needs -guard")
-	}
-	queueKind := sim.QueueKind(*engine)
-	if !queueKind.Valid() {
-		return fmt.Errorf("-engine %q: want wheel or heap", *engine)
 	}
 	if *runTO < 0 {
 		return fmt.Errorf("-run-timeout %v: cannot be negative", *runTO)
@@ -224,7 +218,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		Guard:       guard.Config{Enabled: *guardOn, DeepChecks: *deepChecks},
 		MaxEvents:   *maxEvents,
 		MaxSimTime:  maxSim,
-		EngineQueue: queueKind,
 	}
 
 	if *runTO > 0 {

@@ -31,7 +31,6 @@ import (
 	"tetriswrite/internal/mlc"
 	"tetriswrite/internal/pcm"
 	"tetriswrite/internal/prof"
-	"tetriswrite/internal/sim"
 	"tetriswrite/internal/stats"
 	"tetriswrite/internal/units"
 	"tetriswrite/internal/version"
@@ -62,7 +61,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		seq        = fs.Bool("sequential", false, "disable parallel simulation")
 		par        = fs.Int("parallel", 0, "concurrent full-system simulations (0 = all CPUs; tables are bit-identical at any value)")
 		runTO      = fs.Duration("run-timeout", 0, "wall-clock limit per full-system simulation, e.g. 5m (0 = none)")
-		engine     = fs.String("engine", "", "event queue implementation: wheel (default) or heap; tables are bit-identical")
 		schemeList = fs.String("schemes", "", "comma-separated scheme names for the full-system figures (registry names, composable with +, e.g. baseline,tetris,dcw+flipmin,adaptive); empty = the paper set; the first is the normalization baseline")
 		energy     = fs.Bool("energy", false, "also print the energy-per-write table with the full-system figures")
 		sweep      = fs.String("sweep", "", "extra sweep beyond the paper: 'line' (64/128/256 B) or 'budget' (32..4)")
@@ -113,9 +111,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 	if *runTO < 0 {
 		return fmt.Errorf("-run-timeout %v: cannot be negative", *runTO)
 	}
-	if !sim.QueueKind(*engine).Valid() {
-		return fmt.Errorf("-engine %q: want wheel or heap", *engine)
-	}
 	opt := exp.Options{
 		Writes:      *writes,
 		InstrBudget: *instr,
@@ -124,7 +119,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		Sequential:  *seq,
 		Parallel:    *par,
 		RunTimeout:  *runTO,
-		EngineQueue: sim.QueueKind(*engine),
 	}
 	if *schemeList != "" {
 		for _, n := range strings.Split(*schemeList, ",") {

@@ -199,7 +199,7 @@ func runCrashCell(prof workload.Profile, nf NamedFactory, opt CrashSweepOptions)
 
 	// Oracle run: a disabled injector rides along purely as a boundary
 	// counter and ack-contract checker; it never perturbs the run.
-	eng := sim.NewEngine(opt.EngineQueue)
+	eng := &sim.Engine{}
 	dev := pcm.MustNewDevice(opt.Params)
 	ctrl := memctrl.New(eng, dev, nf.Factory, crashCtrlConfig())
 	counter, err := crash.New(crash.Config{}, opt.Params)
@@ -259,7 +259,7 @@ func cutPoints(total, every int64, maxCuts int) []int64 {
 // and asserts the three contracts against the crash-free oracle.
 func runOneCut(prof workload.Profile, nf NamedFactory, opt CrashSweepOptions,
 	ops []crashOp, final map[pcm.LineAddr][]byte, cut int64, cell *CrashCell) error {
-	eng := sim.NewEngine(opt.EngineQueue)
+	eng := &sim.Engine{}
 	dev := pcm.MustNewDevice(opt.Params)
 	ctrl := memctrl.New(eng, dev, nf.Factory, crashCtrlConfig())
 	cinj, err := crash.New(crash.Config{AtPulse: cut}, opt.Params)
@@ -327,7 +327,7 @@ func runOneCut(prof workload.Profile, nf NamedFactory, opt CrashSweepOptions,
 	for k := range ops {
 		skip[k] = acked[k] || k < lastAcked[ops[k].addr]
 	}
-	eng2 := sim.NewEngine(opt.EngineQueue)
+	eng2 := &sim.Engine{}
 	ctrl2 := memctrl.NewWithSchemes(eng2, img.Dev, img.Schemes, crashCtrlConfig())
 	g := guard.New(opt.Params, guard.Config{Enabled: true, DeepChecks: true})
 	g.AdoptShadow(img.Shadow)

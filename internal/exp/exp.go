@@ -17,7 +17,6 @@ import (
 	"tetriswrite/internal/pcm"
 	"tetriswrite/internal/runner"
 	"tetriswrite/internal/schemes"
-	"tetriswrite/internal/sim"
 	"tetriswrite/internal/stats"
 	"tetriswrite/internal/system"
 	"tetriswrite/internal/tetris"
@@ -84,11 +83,6 @@ type Options struct {
 	// full-system run; a violation aborts that cell and surfaces in
 	// FullResults.Errs.
 	Guard guard.Config
-	// EngineQueue selects the simulation engine's event-queue backend
-	// for every full-system cell (sim.QueueWheel, the default, or
-	// sim.QueueHeap). Results are bit-identical either way; the knob
-	// exists for A/B benchmarking and cross-checking.
-	EngineQueue sim.QueueKind
 }
 
 // Normalize fills defaults.
@@ -345,7 +339,6 @@ func RunFullSystemCtx(ctx context.Context, opt Options) (*FullResults, error) {
 						Ctrl:        memctrl.Config{},
 						Epoch:       opt.Epoch,
 						Guard:       opt.Guard,
-						EngineQueue: opt.EngineQueue,
 					}
 					return system.RunCtx(ctx, fr.Profiles[w], fr.Schemes[s].Factory, cfg)
 				},

@@ -51,8 +51,10 @@ type SweepSpec struct {
 
 	// Instr is the per-core instruction budget (default 1M, matching
 	// tetrisbench); Cores the core count (default 4); LineBytes the
-	// cache line size (default 64); Engine the event-queue backend
-	// ("wheel" or "heap", default wheel).
+	// cache line size (default 64). Engine is the name of the event
+	// queue ("wheel" or "heap", default wheel): the simulator has one
+	// queue and both names select it, but the field stays in the wire
+	// format and in shard fingerprints.
 	Instr     int64  `json:"instr,omitempty"`
 	Cores     int    `json:"cores,omitempty"`
 	LineBytes int    `json:"line,omitempty"`
@@ -237,7 +239,6 @@ func RunShard(ctx context.Context, sh ShardSpec) (system.Summary, error) {
 		Cores:       sh.Cores,
 		InstrBudget: sh.Instr,
 		Seed:        sh.Seed,
-		EngineQueue: sim.QueueKind(sh.Engine),
 	}
 	res, err := system.RunCtx(ctx, prof, schemes[0].Factory, cfg)
 	if err != nil {

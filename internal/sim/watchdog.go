@@ -103,15 +103,14 @@ func (e *Engine) RunContext(ctx context.Context, wd Watchdog) error {
 	}
 	start := e.events
 	var lastBeat uint64
-	q := e.queue()
 	for {
 		if e.stopErr != nil {
 			return e.stopErr
 		}
-		at, ok := q.peek()
-		if !ok {
+		if len(e.q) == 0 {
 			return nil
 		}
+		at := e.q[0].at
 		executed := e.events - start
 		if wd.MaxEvents > 0 && executed >= wd.MaxEvents {
 			return &BudgetError{Events: executed, MaxEvents: wd.MaxEvents, Now: e.now}
@@ -124,7 +123,7 @@ func (e *Engine) RunContext(ctx context.Context, wd Watchdog) error {
 		if executed != lastBeat && executed%checkEvery == 0 {
 			lastBeat = executed
 			if wd.Heartbeat != nil {
-				wd.Heartbeat(Progress{Events: executed, Now: e.now, Pending: q.len()})
+				wd.Heartbeat(Progress{Events: executed, Now: e.now, Pending: len(e.q)})
 			}
 			if err := ctx.Err(); err != nil {
 				return err

@@ -1,13 +1,13 @@
 package system
 
 import (
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"tetriswrite/internal/guard"
 	"tetriswrite/internal/registry"
 	"tetriswrite/internal/schemes"
-	"tetriswrite/internal/sim"
 	"tetriswrite/internal/workload"
 )
 
@@ -30,9 +30,9 @@ func composedFactory(t *testing.T, name string) schemes.Factory {
 
 // TestComposedSchemeCrossCheck extends the engine cross-check gate to
 // registry-composed schemes: over the full 8-workload sweep, each
-// composition must produce a Result bit-identical between the heap and
-// wheel engines AND bit-identical across two runs of the same engine
-// (replay determinism). The second property is what the adaptive
+// composition must reproduce its testdata/serial_golden.json digest
+// where the golden has the cell, and must be bit-identical across two
+// runs (replay determinism). The second property is what the adaptive
 // meta-scheme could most easily break — its epoch decisions read live
 // queue depths, so they must be a pure function of the simulated event
 // order, never of host scheduling.
@@ -40,32 +40,31 @@ func TestComposedSchemeCrossCheck(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workload x composed-scheme sweep")
 	}
+	golden := filepath.Join("testdata", "serial_golden.json")
+	want := loadGolden(t, golden)
 	for _, prof := range workload.Profiles() {
 		for _, name := range composedNames {
 			prof, name := prof, name
-			t.Run(prof.Name+"/"+name, func(t *testing.T) {
+			cell := prof.Name + "/" + name
+			t.Run(cell, func(t *testing.T) {
 				t.Parallel()
 				factory := composedFactory(t, name)
 				cfg := Config{InstrBudget: 60_000, Seed: 7}
-				cfg.EngineQueue = sim.QueueHeap
-				heap, err := Run(prof, factory, cfg)
+				first, err := Run(prof, factory, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				cfg.EngineQueue = sim.QueueWheel
-				wheel, err := Run(prof, factory, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(heap, wheel) {
-					t.Errorf("heap and wheel engines diverged:\nheap:  %+v\nwheel: %+v", heap, wheel)
+				if w, ok := want[cell]; ok {
+					if d := resultDigest(t, first); d != w {
+						t.Errorf("Result drifted from %s: got %s, want %s", golden, d, w)
+					}
 				}
 				again, err := Run(prof, factory, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(wheel, again) {
-					t.Errorf("same-engine replay diverged:\nfirst:  %+v\nsecond: %+v", wheel, again)
+				if !reflect.DeepEqual(first, again) {
+					t.Errorf("replay diverged:\nfirst:  %+v\nsecond: %+v", first, again)
 				}
 			})
 		}

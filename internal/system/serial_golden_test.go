@@ -63,6 +63,20 @@ func resultDigest(t *testing.T, r Result) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// loadGolden reads a committed map of cell name to Result digest.
+func loadGolden(t *testing.T, path string) map[string]string {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	want := map[string]string{}
+	if err := json.Unmarshal(b, &want); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return want
+}
+
 // TestEngineModeCrossCheck pins the one simulation engine to
 // testdata/serial_golden.json over the full 8-workload sweep and every
 // scheme composition. The digests were recorded when the simulator still
@@ -79,13 +93,7 @@ func TestEngineModeCrossCheck(t *testing.T) {
 	golden := filepath.Join("testdata", "serial_golden.json")
 	want := map[string]string{}
 	if !*update {
-		b, err := os.ReadFile(golden)
-		if err != nil {
-			t.Fatalf("%v (run with -update to create it)", err)
-		}
-		if err := json.Unmarshal(b, &want); err != nil {
-			t.Fatalf("%s: %v", golden, err)
-		}
+		want = loadGolden(t, golden)
 		if n := len(workload.Profiles()) * len(serialGoldenNames); len(want) != n {
 			t.Errorf("%s has %d cells, the sweep runs %d (rerun with -update if intended)", golden, len(want), n)
 		}

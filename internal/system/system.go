@@ -105,14 +105,6 @@ type Config struct {
 	// bit-identical to an unguarded one.
 	Guard guard.Config
 
-	// EngineQueue selects the event-queue implementation behind the
-	// simulation engine: sim.QueueWheel (the default, also chosen by the
-	// empty string) or sim.QueueHeap. Both pop events in the identical
-	// (time, sequence) order, so every Result is bit-identical whichever
-	// backs the run — the cross-check tests sweep both to prove it. The
-	// heap stays selectable for exactly that A/B purpose.
-	EngineQueue sim.QueueKind
-
 	// MaxEvents and MaxSimTime bound the engine run (see sim.Watchdog):
 	// 0 means unlimited. When a budget trips, the run returns a
 	// *RunError wrapping the *sim.BudgetError together with the partial
@@ -376,10 +368,7 @@ func RunCtx(ctx context.Context, prof workload.Profile, factory schemes.Factory,
 	if verr := cfg.Params.Validate(); verr != nil {
 		return Result{}, fmt.Errorf("system: %w", verr)
 	}
-	if !cfg.EngineQueue.Valid() {
-		return Result{}, fmt.Errorf("system: unknown engine queue %q", cfg.EngineQueue)
-	}
-	eng := sim.NewEngine(cfg.EngineQueue)
+	eng := &sim.Engine{}
 	fp := guard.Fingerprint{Seed: cfg.Seed, Workload: prof.Name, Scheme: factory(cfg.Params).Name()}
 	defer recoverRun(&err, eng, fp)
 
@@ -551,10 +540,7 @@ func RunTraceCtx(ctx context.Context, label string, recs []trace.Record, cores i
 	if verr := cfg.Params.Validate(); verr != nil {
 		return Result{}, fmt.Errorf("system: %w", verr)
 	}
-	if !cfg.EngineQueue.Valid() {
-		return Result{}, fmt.Errorf("system: unknown engine queue %q", cfg.EngineQueue)
-	}
-	eng := sim.NewEngine(cfg.EngineQueue)
+	eng := &sim.Engine{}
 	fp := guard.Fingerprint{Seed: cfg.Seed, Workload: label, Scheme: factory(cfg.Params).Name()}
 	defer recoverRun(&err, eng, fp)
 
