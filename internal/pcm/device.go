@@ -3,7 +3,6 @@ package pcm
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"tetriswrite/internal/linestore"
 )
@@ -33,20 +32,17 @@ type FaultModel interface {
 // eight word XORs instead of sixty-four byte operations and the line
 // state costs the garbage collector nothing per line.
 //
-// Device is safe for concurrent use; the full-system simulator services
-// several banks from one device, and parallel experiment sweeps share
-// read-only parameters but never a Device.
+// Device is not safe for concurrent use: it has a single writer, the
+// goroutine that runs the simulation owning it (see the package doc).
 type Device struct {
 	params Params
 
-	mu    sync.Mutex
 	lines *linestore.Store
 	stats DeviceStats
 	wear  *WearTracker // optional per-line wear accounting
 	fault FaultModel   // optional cell-failure model (nil = ideal device)
 
-	// scratch buffers for the byte-facing fault-model bridge; guarded by
-	// mu like the store itself.
+	// scratch buffers for the byte-facing fault-model bridge.
 	oldBuf, newBuf []byte
 }
 
@@ -97,8 +93,6 @@ func (d *Device) checkAddr(addr LineAddr) {
 // StoreOccupancy reports the line store's footprint for telemetry:
 // distinct lines stored, slot capacity, and load factor.
 func (d *Device) StoreOccupancy() (lines, capacity int, load float64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.lines.Len(), d.lines.Capacity(), d.lines.LoadFactor()
 }
 
@@ -113,8 +107,6 @@ func (d *Device) ReserveLines(n int64) {
 	if n <= 0 || n > int64(1)<<31 {
 		return
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.lines.Reserve(int(n))
 }
 
@@ -125,10 +117,8 @@ func (d *Device) ReadLine(addr LineAddr, dst []byte) {
 	if len(dst) != d.params.LineBytes {
 		panic("pcm: ReadLine buffer size mismatch")
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.stats.LineReads++
-	d.peekLocked(addr, dst)
+	d.peek(addr, dst)
 }
 
 // PeekLine is ReadLine without the statistics side effect, for checkers
@@ -138,12 +128,10 @@ func (d *Device) PeekLine(addr LineAddr, dst []byte) {
 	if len(dst) != d.params.LineBytes {
 		panic("pcm: PeekLine buffer size mismatch")
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.peekLocked(addr, dst)
+	d.peek(addr, dst)
 }
 
-func (d *Device) peekLocked(addr LineAddr, dst []byte) {
+func (d *Device) peek(addr LineAddr, dst []byte) {
 	if stored := d.lines.Get(int64(addr)); stored != nil {
 		linestore.UnpackLine(dst, stored)
 	} else {
@@ -174,8 +162,6 @@ func (d *Device) WriteLine(addr LineAddr, data []byte) (sets, resets int) {
 	if len(data) != d.params.LineBytes {
 		panic("pcm: WriteLine buffer size mismatch")
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	stored := d.lines.Ensure(int64(addr))
 	if d.fault == nil {
 		// Common case: diff and store entirely in words. The loop is
@@ -228,8 +214,6 @@ func (d *Device) WriteLine(addr LineAddr, data []byte) (sets, resets int) {
 // AttachWear routes per-line bit-write counts into a wear tracker — the
 // raw material of endurance experiments. Pass nil to detach.
 func (d *Device) AttachWear(w *WearTracker) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.wear = w
 }
 
@@ -237,8 +221,6 @@ func (d *Device) AttachWear(w *WearTracker) {
 // write paths. Pass nil to restore the ideal device. Attach before the
 // first write: the model sees only transitions that happen after it.
 func (d *Device) AttachFaults(f FaultModel) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.fault = f
 }
 
@@ -254,22 +236,16 @@ func (d *Device) Preload(addr LineAddr, data []byte) {
 	if len(data) != d.params.LineBytes {
 		panic("pcm: Preload buffer size mismatch")
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	linestore.PackLine(d.lines.Ensure(int64(addr)), data)
 }
 
 // Stats returns a snapshot of the device counters.
 func (d *Device) Stats() DeviceStats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.stats
 }
 
 // TouchedLines reports how many distinct lines have ever been written,
 // i.e. the sparse footprint of the device.
 func (d *Device) TouchedLines() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.lines.Len()
 }

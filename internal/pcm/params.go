@@ -12,6 +12,13 @@
 //   - power: a RESET pulse draws ~2x the current of a SET pulse;
 //   - count: real workloads change few bits per 64-bit data unit and most
 //     changed bits are SETs.
+//
+// Single-writer contract: a Device belongs to one simulation, and one
+// goroutine runs that simulation's event engine, so every Device method
+// (reads, writes, preloads and the telemetry polls of its counters) runs
+// on that goroutine and the Device takes no locks. Parallel sweeps run
+// independent simulations, each with its own Device; nothing in the
+// package is shared between them.
 package pcm
 
 import (

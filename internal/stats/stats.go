@@ -9,27 +9,13 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"unsafe"
 
 	"tetriswrite/internal/units"
 )
 
-// latencyLocks stripes goroutine-safety across Latency values. Latency
-// cannot embed a mutex — it must stay copyable, because controller stats
-// structs containing it are snapshotted by value (and `go vet` rightly
-// rejects copying locks) — so each value locks the stripe its address
-// hashes to. Distinct values on the same stripe merely contend; they
-// never corrupt each other.
-var latencyLocks [64]sync.Mutex
-
-func (l *Latency) lock() *sync.Mutex {
-	return &latencyLocks[(uintptr(unsafe.Pointer(l))>>4)%uintptr(len(latencyLocks))]
-}
-
-// Latency accumulates a stream of durations. All methods are
-// goroutine-safe, so parallel experiment runs can share one accumulator;
-// copying a Latency while another goroutine is adding to it is still a
-// race (copy from the owning goroutine, as the simulators do).
+// Latency accumulates a stream of durations. It is not safe for
+// concurrent use: it has one writer, the goroutine of the simulation
+// that owns it (see the package doc).
 type Latency struct {
 	count    int64
 	sum      float64 // in picoseconds
@@ -39,9 +25,6 @@ type Latency struct {
 
 // Add records one sample.
 func (l *Latency) Add(d units.Duration) {
-	mu := l.lock()
-	mu.Lock()
-	defer mu.Unlock()
 	if l.count == 0 || d < l.min {
 		l.min = d
 	}
@@ -55,17 +38,11 @@ func (l *Latency) Add(d units.Duration) {
 
 // Count returns the number of samples.
 func (l *Latency) Count() int64 {
-	mu := l.lock()
-	mu.Lock()
-	defer mu.Unlock()
 	return l.count
 }
 
 // Mean returns the average sample, or 0 with no samples.
 func (l *Latency) Mean() units.Duration {
-	mu := l.lock()
-	mu.Lock()
-	defer mu.Unlock()
 	if l.count == 0 {
 		return 0
 	}
@@ -74,17 +51,11 @@ func (l *Latency) Mean() units.Duration {
 
 // Min returns the smallest sample, or 0 with no samples.
 func (l *Latency) Min() units.Duration {
-	mu := l.lock()
-	mu.Lock()
-	defer mu.Unlock()
 	return l.min
 }
 
 // Max returns the largest sample.
 func (l *Latency) Max() units.Duration {
-	mu := l.lock()
-	mu.Lock()
-	defer mu.Unlock()
 	return l.max
 }
 
@@ -92,9 +63,6 @@ func (l *Latency) Max() units.Duration {
 // log-scale histogram; the estimate is exact to within the bucket
 // resolution (~7% with the default 10-buckets-per-decade layout).
 func (l *Latency) Percentile(p float64) units.Duration {
-	mu := l.lock()
-	mu.Lock()
-	defer mu.Unlock()
 	return units.Duration(l.hist.Percentile(p))
 }
 
