@@ -105,6 +105,32 @@ func TestSubmitWriteZeroAllocsSteadyState(t *testing.T) {
 	}
 }
 
+// A read served by store-to-load forwarding allocates nothing in steady
+// state: its completion event and payload snapshot are recycled.
+func TestForwardedReadZeroAllocs(t *testing.T) {
+	eng, c, _ := testController(Config{})
+	data := make([]byte, 64)
+	data[5] = 0x5a
+	var got byte
+	onDone := func(_ units.Time, d []byte) { got = d[5] }
+	eng.At(0, func() { c.SubmitWrite(8, data, nil) }) // stays queued (no drain)
+	eng.Run()
+	read := func() {
+		if !c.SubmitRead(8, onDone) {
+			t.Fatal("forwarded read rejected")
+		}
+		eng.Run()
+	}
+	read() // warm the event and payload freelists
+	allocs := testing.AllocsPerRun(50, read)
+	if allocs != 0 {
+		t.Fatalf("forwarded read allocates %v objects/op, want 0", allocs)
+	}
+	if got != 0x5a || c.Stats().ForwardedReads != 52 {
+		t.Fatalf("forwarded %#x over %d reads, want 0x5a over 52", got, c.Stats().ForwardedReads)
+	}
+}
+
 // Full write cycles (enqueue, plan, execute, complete) recycle requests,
 // payloads, plans, and packer state; what remains is the engine's event
 // closures. Pin a small empirical ceiling so hot-path regressions (a new

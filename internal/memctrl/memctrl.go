@@ -260,11 +260,12 @@ type Controller struct {
 	// into it synchronously and handed to the callback, which must copy
 	// if it retains (every in-tree caller consumes it in place).
 	readBuf []byte
-	// readEvFree/writeEvFree recycle completion event structs, each
-	// carrying its own prebound fire closure so arming a read or write
-	// completion costs no allocation.
+	// readEvFree, writeEvFree and fwdEvFree recycle completion event
+	// structs, each carrying its own prebound fire closure so arming a
+	// read, write or forwarded-read completion costs no allocation.
 	readEvFree  []*readEvent
 	writeEvFree []*writeEvent
+	fwdEvFree   []*forwardEvent
 }
 
 // SetWearTracker attaches per-line pulse accounting.
@@ -489,13 +490,12 @@ func (c *Controller) SubmitRead(addr pcm.LineAddr, onDone func(at units.Time, da
 	// Store-to-load forwarding: the freshest matching write wins.
 	if d := c.forwardData(addr); d != nil {
 		c.stats.ForwardedReads++
-		at := c.eng.Now().Add(c.cfg.ForwardLatency)
-		payload := append([]byte(nil), d...)
-		lat := c.cfg.ForwardLatency
-		c.eng.At(at, func() {
-			c.stats.ReadLatency.Add(lat)
-			onDone(at, payload)
-		})
+		ev := c.newForwardEvent()
+		ev.at = c.eng.Now().Add(c.cfg.ForwardLatency)
+		ev.data = c.newData()
+		copy(ev.data, d)
+		ev.onDone = onDone
+		c.eng.At(ev.at, ev.fire)
 		return true
 	}
 	req := c.newRequest()
@@ -755,6 +755,40 @@ func (ev *readEvent) run() {
 	b.reads[sub] = nil
 	b.nreads--
 	c.finish(req, done)
+}
+
+// forwardEvent is one armed forwarded-read completion, recycled like
+// readEvent. Its payload is a snapshot of the forwarding write's data in
+// a buffer from the payload freelist, returned there once the callback
+// has consumed it.
+type forwardEvent struct {
+	c      *Controller
+	at     units.Time
+	data   []byte
+	onDone func(at units.Time, data []byte)
+	fire   func()
+}
+
+func (c *Controller) newForwardEvent() *forwardEvent {
+	if n := len(c.fwdEvFree); n > 0 {
+		ev := c.fwdEvFree[n-1]
+		c.fwdEvFree[n-1] = nil
+		c.fwdEvFree = c.fwdEvFree[:n-1]
+		return ev
+	}
+	ev := &forwardEvent{c: c}
+	ev.fire = ev.run
+	return ev
+}
+
+func (ev *forwardEvent) run() {
+	c, at, data, onDone := ev.c, ev.at, ev.data, ev.onDone
+	// Recycle before the callback, which may forward further reads.
+	ev.data, ev.onDone = nil, nil
+	c.fwdEvFree = append(c.fwdEvFree, ev)
+	c.stats.ReadLatency.Add(c.cfg.ForwardLatency)
+	onDone(at, data)
+	c.dataFree = append(c.dataFree, data)
 }
 
 func (c *Controller) startRead(b *bank, req *request) {

@@ -139,7 +139,7 @@ func TestStoreForwarding(t *testing.T) {
 	var fwdAt units.Time
 	eng.At(0, func() {
 		c.SubmitWrite(2, data, nil) // sits in the write queue (no drain)
-		c.SubmitRead(2, func(at units.Time, d []byte) { fwd, fwdAt = d, at })
+		c.SubmitRead(2, func(at units.Time, d []byte) { fwd, fwdAt = append([]byte(nil), d...), at })
 	})
 	eng.RunUntil(units.Time(10 * units.Microsecond))
 	if fwd == nil {
