@@ -190,10 +190,11 @@ func BenchmarkCacheHit(b *testing.B) {
 	eng.At(0, func() { h.SubmitWrite(5, data, nil) })
 	eng.Run()
 	hits := 0
+	onDone := func(units.Time, []byte) { hits++ }
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.SubmitRead(5, func(units.Time, []byte) { hits++ })
+		h.SubmitRead(5, onDone)
 		eng.Run()
 	}
 	b.StopTimer()

@@ -73,6 +73,10 @@ func (s Stats) HitRate() float64 {
 // the rank vectors (tags plus way indices — 9 bytes per line) while the
 // line data stays put in its slot, so a hit is a single set-indexed
 // probe over contiguous tags and a promotion never moves line payloads.
+//
+// The arrays are allocated on the level's first insert: a 32 MB L3
+// costs tens of megabytes to allocate and zero, which a run that never
+// reaches the level should not pay. Until then every lookup misses.
 type level struct {
 	cfg   LevelConfig
 	nsets int
@@ -98,18 +102,23 @@ func newLevel(cfg LevelConfig) (*level, error) {
 		return nil, fmt.Errorf("cache %s: more than 255 ways", cfg.Name)
 	}
 	nsets := cfg.SizeBytes / (cfg.LineBytes * cfg.Ways)
-	slots := nsets * cfg.Ways
-	return &level{
-		cfg:       cfg,
-		nsets:     nsets,
-		tags:      make([]int64, slots),
-		way:       make([]uint8, slots),
-		used:      make([]uint8, nsets),
-		dirty:     make([]bool, slots),
-		data:      make([]byte, slots*cfg.LineBytes),
-		victimBuf: make([]byte, cfg.LineBytes),
-	}, nil
+	return &level{cfg: cfg, nsets: nsets}, nil
 }
+
+// allocate builds the level's arrays; insert calls it on first use.
+func (l *level) allocate() {
+	slots := l.nsets * l.cfg.Ways
+	l.tags = make([]int64, slots)
+	l.way = make([]uint8, slots)
+	l.used = make([]uint8, l.nsets)
+	l.dirty = make([]bool, slots)
+	l.data = make([]byte, slots*l.cfg.LineBytes)
+	l.victimBuf = make([]byte, l.cfg.LineBytes)
+}
+
+// empty reports whether the level has never held a line (its arrays are
+// not allocated yet).
+func (l *level) empty() bool { return l.used == nil }
 
 func (l *level) setOf(addr pcm.LineAddr) int   { return int(int64(addr) % int64(l.nsets)) }
 func (l *level) tagOf(addr pcm.LineAddr) int64 { return int64(addr) / int64(l.nsets) }
@@ -125,6 +134,10 @@ func (l *level) slotData(si int, w uint8) []byte {
 // set's contiguous rank-ordered tag window — one bounds check, no
 // pointer chasing.
 func (l *level) lookup(addr pcm.LineAddr) (si int, w uint8, ok bool) {
+	if l.empty() {
+		l.st.Misses++
+		return 0, 0, false
+	}
 	si = l.setOf(addr)
 	tag := l.tagOf(addr)
 	base := si * l.cfg.Ways
@@ -151,6 +164,9 @@ func (l *level) lookup(addr pcm.LineAddr) (si int, w uint8, ok bool) {
 // evicted victim is reported with its payload moved to the level's
 // victim buffer (valid until the next insert on this level).
 func (l *level) insert(addr pcm.LineAddr, data []byte, dirty bool) (victimAddr pcm.LineAddr, victimData []byte, victimDirty, evicted bool) {
+	if l.empty() {
+		l.allocate()
+	}
 	si := l.setOf(addr)
 	base := si * l.cfg.Ways
 	n := int(l.used[si])
@@ -190,6 +206,9 @@ type Hierarchy struct {
 	wbMax    int
 	retrying bool
 	waiters  []func()
+
+	// readFree recycles read records (see readEvent).
+	readFree []*readEvent
 
 	// OnDirty, if set, is invoked whenever a store makes a line dirty
 	// that was not dirty before — the hook PreSET hint generation hangs
@@ -249,6 +268,10 @@ func (h *Hierarchy) LevelStats() []Stats {
 // SubmitRead walks the hierarchy. Hits complete after the cumulative
 // latency of the levels touched; misses go to memory and fill every
 // level on the way back.
+//
+// The data slice handed to onDone is only valid for the duration of the
+// callback — the hierarchy reuses the buffer for later reads — so
+// callers that retain it must copy.
 func (h *Hierarchy) SubmitRead(addr pcm.LineAddr, onDone func(at units.Time, data []byte)) bool {
 	var lat units.Duration
 	for i, l := range h.levels {
@@ -256,12 +279,13 @@ func (h *Hierarchy) SubmitRead(addr pcm.LineAddr, onDone func(at units.Time, dat
 		if si, w, ok := l.lookup(addr); ok {
 			// Fill the levels above (inclusive-ish: keeps upper levels
 			// warm like the common inclusive hierarchy).
-			data := append([]byte(nil), l.slotData(si, w)...)
+			ev := h.newReadEvent(onDone)
+			copy(ev.data, l.slotData(si, w))
 			for j := i - 1; j >= 0; j-- {
-				h.fill(j, addr, data, false)
+				h.fill(j, addr, ev.data, false)
 			}
-			at := h.eng.Now().Add(lat)
-			h.eng.At(at, func() { onDone(at, data) })
+			ev.at = h.eng.Now().Add(lat)
+			h.eng.At(ev.at, ev.fire)
 			return true
 		}
 	}
@@ -271,23 +295,78 @@ func (h *Hierarchy) SubmitRead(addr pcm.LineAddr, onDone func(at units.Time, dat
 	// has exactly one home.
 	for i, wb := range h.wbBuf {
 		if wb.addr == addr {
-			data := append([]byte(nil), wb.data...)
+			ev := h.newReadEvent(onDone)
+			copy(ev.data, wb.data)
 			h.wbBuf = append(h.wbBuf[:i], h.wbBuf[i+1:]...)
-			at := h.eng.Now().Add(lat)
-			h.eng.At(at, func() { onDone(at, data) })
-			h.fillAll(addr, data, true)
+			ev.at = h.eng.Now().Add(lat)
+			h.eng.At(ev.at, ev.fire)
+			h.fillAll(addr, ev.data, true)
 			h.drainWaiters()
 			return true
 		}
 	}
-	return h.mem.SubmitRead(addr, func(at units.Time, data []byte) {
-		// The controller's buffer is only valid for this callback; the
-		// copy feeds both the fills and the deferred completion.
-		data = append([]byte(nil), data...)
-		h.fillAll(addr, data, false)
-		done := at.Add(lat)
-		h.eng.At(done, func() { onDone(done, data) })
-	})
+	ev := h.newReadEvent(onDone)
+	ev.addr, ev.lat = addr, lat
+	if !h.mem.SubmitRead(addr, ev.memDone) {
+		ev.recycle()
+		return false
+	}
+	return true
+}
+
+// readEvent is one read in flight through the hierarchy: it owns a
+// line buffer holding the data the read returns, and prebound closures
+// for the memory completion (a miss) and the read's own completion.
+// Records are recycled through the hierarchy's freelist, so a read
+// costs no allocation in steady state.
+type readEvent struct {
+	h      *Hierarchy
+	addr   pcm.LineAddr
+	lat    units.Duration // a miss's cumulative lookup latency
+	at     units.Time     // completion time
+	data   []byte
+	onDone func(at units.Time, data []byte)
+
+	fire    func()
+	memDone func(at units.Time, data []byte)
+}
+
+func (h *Hierarchy) newReadEvent(onDone func(at units.Time, data []byte)) *readEvent {
+	var ev *readEvent
+	if n := len(h.readFree); n > 0 {
+		ev = h.readFree[n-1]
+		h.readFree[n-1] = nil
+		h.readFree = h.readFree[:n-1]
+	} else {
+		ev = &readEvent{h: h, data: make([]byte, h.levels[0].cfg.LineBytes)}
+		ev.fire = ev.run
+		ev.memDone = ev.filled
+	}
+	ev.onDone = onDone
+	return ev
+}
+
+func (ev *readEvent) recycle() {
+	ev.onDone = nil
+	ev.h.readFree = append(ev.h.readFree, ev)
+}
+
+// filled is a miss's memory completion. The controller's buffer is only
+// valid for this callback; the copy feeds both the fills and the
+// deferred completion.
+func (ev *readEvent) filled(at units.Time, data []byte) {
+	copy(ev.data, data)
+	ev.h.fillAll(ev.addr, ev.data, false)
+	ev.at = at.Add(ev.lat)
+	ev.h.eng.At(ev.at, ev.fire)
+}
+
+// run completes the read. The record goes back to the freelist only
+// after the callback, which may issue reads of its own while it still
+// reads ev.data.
+func (ev *readEvent) run() {
+	ev.onDone(ev.at, ev.data)
+	ev.recycle()
 }
 
 // SubmitWrite is a full-line store: write-allocate into L1 (no fetch
@@ -416,6 +495,9 @@ func (h *Hierarchy) drainWaiters() {
 // memory copy.
 func (h *Hierarchy) IsDirty(addr pcm.LineAddr) bool {
 	for _, l := range h.levels {
+		if l.empty() {
+			continue
+		}
 		si := l.setOf(addr)
 		tag := l.tagOf(addr)
 		base := si * l.cfg.Ways
@@ -445,6 +527,9 @@ func (h *Hierarchy) Flush(force func(addr pcm.LineAddr, data []byte)) int {
 	// addresses already flushed.
 	seen := linestore.NewSet()
 	for _, l := range h.levels {
+		if l.empty() {
+			continue
+		}
 		for si := 0; si < l.nsets; si++ {
 			base := si * l.cfg.Ways
 			for r := 0; r < int(l.used[si]); r++ {

@@ -58,7 +58,7 @@ func TestReadYourWrite(t *testing.T) {
 	var got []byte
 	eng.At(0, func() {
 		h.SubmitWrite(3, data, nil)
-		h.SubmitRead(3, func(_ units.Time, d []byte) { got = d })
+		h.SubmitRead(3, func(_ units.Time, d []byte) { got = append([]byte(nil), d...) })
 	})
 	eng.Run()
 	if got == nil || got[0] != 0x5A {
@@ -228,8 +228,8 @@ func TestRepeatReadStable(t *testing.T) {
 	var first, second []byte
 	eng.At(0, func() {
 		h.SubmitRead(31, func(_ units.Time, d []byte) {
-			first = d
-			h.SubmitRead(31, func(_ units.Time, d2 []byte) { second = d2 })
+			first = append([]byte(nil), d...)
+			h.SubmitRead(31, func(_ units.Time, d2 []byte) { second = append([]byte(nil), d2...) })
 		})
 	})
 	eng.Run()
@@ -311,7 +311,7 @@ func TestCapacityNeverExceeded(t *testing.T) {
 			h.SubmitRead(addr, func(units.Time, []byte) {})
 		}
 		for _, l := range h.levels {
-			for si := 0; si < l.nsets; si++ {
+			for si := range l.used { // empty until the level's first insert
 				if int(l.used[si]) > l.cfg.Ways {
 					t.Fatalf("%s set %d holds %d lines, ways=%d", l.cfg.Name, si, l.used[si], l.cfg.Ways)
 				}
@@ -321,4 +321,51 @@ func TestCapacityNeverExceeded(t *testing.T) {
 	}
 	eng.At(0, step)
 	eng.Run()
+}
+
+// Levels allocate their arrays on first insert: a fresh hierarchy holds
+// none, lookups on an empty level miss, and a miss fills every level.
+func TestLevelsAllocateOnFirstInsert(t *testing.T) {
+	eng, h, _, _ := testHierarchy(t, tinyLevels())
+	for _, l := range h.levels {
+		if !l.empty() || l.data != nil {
+			t.Fatalf("%s allocated before any access", l.cfg.Name)
+		}
+	}
+	if h.IsDirty(9) {
+		t.Fatal("empty hierarchy reports a dirty line")
+	}
+	eng.At(0, func() { h.SubmitRead(9, func(units.Time, []byte) {}) })
+	eng.Run()
+	for i, l := range h.levels {
+		if l.empty() {
+			t.Fatalf("%s still empty after a miss filled it", l.cfg.Name)
+		}
+		if st := h.LevelStats()[i]; st.Misses != 1 || st.Hits != 0 {
+			t.Errorf("%s stats %+v, want one miss", l.cfg.Name, st)
+		}
+	}
+}
+
+// Read hits allocate nothing in steady state: the completion record and
+// its line buffer are recycled.
+func TestReadHitZeroAllocs(t *testing.T) {
+	eng, h, _, _ := testHierarchy(t, tinyLevels())
+	data := make([]byte, 64)
+	data[1] = 0x77
+	eng.At(0, func() { h.SubmitWrite(5, data, nil) })
+	eng.Run()
+	var got byte
+	onDone := func(_ units.Time, d []byte) { got = d[1] }
+	read := func() {
+		h.SubmitRead(5, onDone)
+		eng.Run()
+	}
+	read()
+	if allocs := testing.AllocsPerRun(50, read); allocs != 0 {
+		t.Fatalf("read hit allocates %v objects/op, want 0", allocs)
+	}
+	if got != 0x77 {
+		t.Fatalf("hit returned %#x, want 0x77", got)
+	}
 }
