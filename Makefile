@@ -5,8 +5,9 @@ FUZZTIME ?= 10s
 # The gated hot-path benchmarks: per-write planning cost (base and
 # registry-composed schemes, one fixed line pair and a captured vips
 # write stream), one full system simulation end to end,
-# the long-trace event-engine sweep (timing wheel vs the seed binary
-# heap across pending populations), and workload synthesis alone.
+# the event engine on the long-trace pattern (at the 4-16 events a
+# full-system run keeps pending, and at a 4Ki-32Ki tail), and workload
+# synthesis alone.
 BENCHFILTER ?= BenchmarkSchemePlanWrite|BenchmarkComposedSchemePlanWrite|BenchmarkSchemePlanWriteDense|BenchmarkSchemePlanStream|BenchmarkArrayFlipCount|BenchmarkCacheHit|BenchmarkFullSystemSingle|BenchmarkEngineLongTrace|BenchmarkGeneratorNext
 BENCHCOUNT ?= 3
 
@@ -47,6 +48,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzPlanWritePulseOrder -fuzztime=$(FUZZTIME) ./internal/tetris
 	$(GO) test -run='^$$' -fuzz=FuzzReadStageMasks -fuzztime=$(FUZZTIME) ./internal/tetris
 	$(GO) test -run='^$$' -fuzz=FuzzSourceMatchesMathRand -fuzztime=$(FUZZTIME) ./internal/workload
+	$(GO) test -run='^$$' -fuzz=FuzzEnginePopOrder -fuzztime=$(FUZZTIME) ./internal/sim
 
 # Run the gated benchmarks and leave the output in bench_new.txt for
 # benchgate. -count=$(BENCHCOUNT): benchgate takes the best run per
