@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -41,6 +42,27 @@ func TestSpecNormalizeRejectsBadInputs(t *testing.T) {
 		if err := s.Normalize(); err == nil {
 			t.Errorf("case %d (%+v): Normalize accepted a bad spec", i, s)
 		}
+	}
+}
+
+// The simulator has one event queue. The wire format still names two,
+// and both names (and the empty default) must select it: a shard gives
+// the same Summary under either.
+func TestSpecEngineNamesSelectOneQueue(t *testing.T) {
+	var sums []string
+	for _, engine := range []string{"", "wheel", "heap"} {
+		s := SweepSpec{Workloads: []string{"vips"}, Schemes: []string{"tetris"}, Instr: 2000, Cores: 2, Engine: engine}
+		if err := s.Normalize(); err != nil {
+			t.Fatalf("engine %q: %v", engine, err)
+		}
+		sum, err := RunShard(context.Background(), s.Shards()[0])
+		if err != nil {
+			t.Fatalf("engine %q: %v", engine, err)
+		}
+		sums = append(sums, fmt.Sprintf("%+v", sum))
+	}
+	if sums[0] != sums[1] || sums[1] != sums[2] {
+		t.Errorf("engine names select different runs:\n%s", strings.Join(sums, "\n"))
 	}
 }
 
