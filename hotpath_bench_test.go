@@ -3,13 +3,15 @@ package tetriswrite
 // Micro-benchmarks for the three layers the structure-of-arrays rewrite
 // targets (see DESIGN.md, Performance): the word-parallel cell store,
 // the batched pulse emission and the flat cache hit path — plus scheme
-// planning over a captured write stream and the workload generator that
-// feeds them (DESIGN.md, Workload RNG kernel).
+// planning over a captured write stream, the workload generator that
+// feeds them (DESIGN.md, Workload RNG kernel) and trace ingestion
+// (DESIGN.md, Trace ingestion).
 // They are part of the gated set (Makefile BENCHFILTER, ci.yml bench-gate) so the
 // fast paths cannot silently fall back to the scalar code — a fallback
 // shows up as an ns/op and allocs/op cliff.
 
 import (
+	"bytes"
 	"math/bits"
 	"math/rand"
 	"testing"
@@ -19,6 +21,7 @@ import (
 	"tetriswrite/internal/pcm"
 	"tetriswrite/internal/schemes"
 	"tetriswrite/internal/sim"
+	"tetriswrite/internal/trace"
 	"tetriswrite/internal/units"
 	"tetriswrite/internal/workload"
 )
@@ -222,5 +225,54 @@ func BenchmarkGeneratorNext(b *testing.B) {
 				_ = g.Next()
 			}
 		})
+	}
+}
+
+// BenchmarkTraceParse measures trace ingestion the way a replay pays
+// for it: trace.Parse of the 300k-record, 4-core vips trace the
+// benchmark's vips_trace_tetris workload replays, then one
+// trace.CoreSource per core drained to its last operation. One op is
+// one whole trace; allocs/op counts the allocations of one ingestion.
+func BenchmarkTraceParse(b *testing.B) {
+	const cores, records = 4, 300_000
+	par := pcm.DefaultParams()
+	prof, err := workload.ProfileByName("vips")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	w, err := trace.NewWriter(&buf, cores, par.LineBytes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var perCore [cores]int
+	for _, rec := range trace.Generate(prof, cores, 1, par, records) {
+		if err := w.Write(rec); err != nil {
+			b.Fatal(err)
+		}
+		perCore[rec.Core]++
+	}
+	if err := w.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, recs, err := trace.Parse(bytes.NewReader(data))
+		if err != nil || len(recs) != records {
+			b.Fatalf("parsed %d records, err %v", len(recs), err)
+		}
+		for c, n := range perCore {
+			src := trace.NewCoreSource(recs, c)
+			for ; n > 0; n-- {
+				src.Next()
+			}
+			// Drained: the source now idles the core.
+			if op := src.Next(); op.Think < 1<<40 {
+				b.Fatalf("core %d: operation past the trace's last, think %d", c, op.Think)
+			}
+		}
 	}
 }

@@ -15,7 +15,11 @@ import (
 	"tetriswrite/internal/workload"
 )
 
-// OpSource supplies a core's instruction stream.
+// OpSource supplies a core's instruction stream. A write's Data is
+// read-only to the core and everything below it: a source may hand out
+// payloads it shares with other sources or with later replays (a
+// trace.CoreSource returns subslices of the parsed trace), so the
+// memory ports copy the data they keep.
 type OpSource interface {
 	Next() workload.Op
 }

@@ -8,7 +8,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 
 	"tetriswrite/internal/units"
 )
@@ -178,41 +177,6 @@ func (h *Histogram) Clone() Histogram {
 		}
 	}
 	return c
-}
-
-// Counter is a named monotonic counter group. It is goroutine-safe, so
-// parallel experiment runs can share one group.
-type Counter struct {
-	mu     sync.Mutex
-	names  []string
-	counts map[string]int64
-}
-
-// Inc adds n to the named counter.
-func (c *Counter) Inc(name string, n int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.counts == nil {
-		c.counts = make(map[string]int64)
-	}
-	if _, ok := c.counts[name]; !ok {
-		c.names = append(c.names, name)
-	}
-	c.counts[name] += n
-}
-
-// Get returns the named counter's value.
-func (c *Counter) Get(name string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.counts[name]
-}
-
-// Names returns the counters in first-increment order.
-func (c *Counter) Names() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]string(nil), c.names...)
 }
 
 // Table renders rows of labelled numeric series as aligned plain text —

@@ -96,23 +96,6 @@ func TestHistogramEmpty(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc("reads", 5)
-	c.Inc("writes", 2)
-	c.Inc("reads", 1)
-	if c.Get("reads") != 6 || c.Get("writes") != 2 {
-		t.Error("counter values wrong")
-	}
-	names := c.Names()
-	if len(names) != 2 || names[0] != "reads" || names[1] != "writes" {
-		t.Errorf("Names = %v", names)
-	}
-	if c.Get("missing") != 0 {
-		t.Error("missing counter not 0")
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("Figure X", "workload", "value")
 	tb.AddRow("blackscholes", 1.23456)
@@ -323,36 +306,10 @@ func TestLatencyConcurrent(t *testing.T) {
 	}
 }
 
-func TestCounterConcurrent(t *testing.T) {
-	var c Counter
-	var wg sync.WaitGroup
-	const workers, perWorker = 8, 1000
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				c.Inc("ops", 1)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := c.Get("ops"); got != workers*perWorker {
-		t.Errorf("ops = %d, want %d", got, workers*perWorker)
-	}
-}
-
 func BenchmarkLatencyAdd(b *testing.B) {
 	var l Latency
 	for i := 0; i < b.N; i++ {
 		l.Add(units.Duration(i))
-	}
-}
-
-func BenchmarkCounterInc(b *testing.B) {
-	var c Counter
-	for i := 0; i < b.N; i++ {
-		c.Inc("ops", 1)
 	}
 }
 

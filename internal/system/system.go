@@ -135,6 +135,19 @@ func (c *Config) Normalize() {
 	}
 }
 
+// check rejects a normalized configuration the platform cannot be
+// assembled from. Run and RunTrace both call it before building
+// anything.
+func (c *Config) check() error {
+	if err := c.Params.Validate(); err != nil {
+		return fmt.Errorf("system: %w", err)
+	}
+	if c.Ctrl.IdlePreset && !c.UseCaches {
+		return errors.New("system: IdlePreset requires UseCaches (hints come from LLC dirtiness)")
+	}
+	return nil
+}
+
 // watchdog builds the engine watchdog from the config budgets.
 func (c *Config) watchdog() sim.Watchdog {
 	return sim.Watchdog{MaxEvents: c.MaxEvents, MaxSimTime: c.MaxSimTime, Heartbeat: c.Heartbeat}
@@ -365,8 +378,8 @@ func Run(prof workload.Profile, factory schemes.Factory, cfg Config) (Result, er
 // partial statistics and finalized telemetry gathered up to that point.
 func RunCtx(ctx context.Context, prof workload.Profile, factory schemes.Factory, cfg Config) (res Result, err error) {
 	cfg.Normalize()
-	if verr := cfg.Params.Validate(); verr != nil {
-		return Result{}, fmt.Errorf("system: %w", verr)
+	if verr := cfg.check(); verr != nil {
+		return Result{}, verr
 	}
 	eng := &sim.Engine{}
 	fp := guard.Fingerprint{Seed: cfg.Seed, Workload: prof.Name, Scheme: factory(cfg.Params).Name()}
@@ -480,8 +493,6 @@ func RunCtx(ctx context.Context, prof workload.Profile, factory schemes.Factory,
 				ctrl.PresetHint(addr)
 			}
 		}
-	} else if cfg.Ctrl.IdlePreset {
-		return Result{}, fmt.Errorf("system: IdlePreset requires UseCaches (hints come from LLC dirtiness)")
 	}
 
 	cores := make([]*cpu.Core, cfg.Cores)
@@ -528,6 +539,10 @@ func RunCtx(ctx context.Context, prof workload.Profile, factory schemes.Factory,
 // workload name is only a label; data contents come from the trace
 // payloads (the device starts zeroed, as traces carry absolute line
 // images).
+//
+// recs is read-only: the run shares the write payloads with the records
+// and never writes to them, so one parsed trace can be replayed any
+// number of times, and by concurrent runs.
 func RunTrace(label string, recs []trace.Record, cores int, factory schemes.Factory, cfg Config) (Result, error) {
 	return RunTraceCtx(context.Background(), label, recs, cores, factory, cfg)
 }
@@ -537,8 +552,8 @@ func RunTrace(label string, recs []trace.Record, cores int, factory schemes.Fact
 func RunTraceCtx(ctx context.Context, label string, recs []trace.Record, cores int, factory schemes.Factory, cfg Config) (res Result, err error) {
 	cfg.Cores = cores
 	cfg.Normalize()
-	if verr := cfg.Params.Validate(); verr != nil {
-		return Result{}, fmt.Errorf("system: %w", verr)
+	if verr := cfg.check(); verr != nil {
+		return Result{}, verr
 	}
 	eng := &sim.Engine{}
 	fp := guard.Fingerprint{Seed: cfg.Seed, Workload: label, Scheme: factory(cfg.Params).Name()}
@@ -600,8 +615,6 @@ func RunTraceCtx(ctx context.Context, label string, recs []trace.Record, cores i
 			hier.OnDirty = ctrl.PresetHint
 		}
 		port = hier
-	} else if cfg.Ctrl.IdlePreset {
-		return Result{}, fmt.Errorf("system: IdlePreset requires UseCaches (hints come from LLC dirtiness)")
 	}
 
 	cpuCores := make([]*cpu.Core, cfg.Cores)

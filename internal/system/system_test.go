@@ -180,12 +180,33 @@ func TestRunWithCaches(t *testing.T) {
 	}
 }
 
+// TestIdlePresetRequiresCaches: both entry points reject PreSET without
+// the cache hierarchy its hints come from, with the same message, and
+// accept it with the hierarchy.
 func TestIdlePresetRequiresCaches(t *testing.T) {
 	prof, _ := workload.ProfileByName("vips")
-	cfg := smallConfig()
-	cfg.Ctrl.IdlePreset = true
-	if _, err := Run(prof, tetris.New, cfg); err == nil {
-		t.Error("IdlePreset without caches accepted")
+	recs := trace.Generate(prof, 2, 7, pcm.DefaultParams(), 200)
+	entries := []struct {
+		name string
+		run  func(Config) error
+	}{
+		{"Run", func(cfg Config) error { _, err := Run(prof, tetris.New, cfg); return err }},
+		{"RunTrace", func(cfg Config) error { _, err := RunTrace("vips", recs, 2, tetris.New, cfg); return err }},
+	}
+	const want = "system: IdlePreset requires UseCaches (hints come from LLC dirtiness)"
+	for _, e := range entries {
+		t.Run(e.name, func(t *testing.T) {
+			cfg := smallConfig()
+			cfg.InstrBudget = 2_000
+			cfg.Ctrl.IdlePreset = true
+			if err := e.run(cfg); err == nil || err.Error() != want {
+				t.Errorf("IdlePreset without caches: err = %v, want %q", err, want)
+			}
+			cfg.UseCaches = true
+			if err := e.run(cfg); err != nil {
+				t.Errorf("IdlePreset with caches: %v", err)
+			}
+		})
 	}
 }
 

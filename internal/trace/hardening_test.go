@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"tetriswrite/internal/pcm"
 	"tetriswrite/internal/workload"
@@ -181,7 +183,10 @@ func TestParseRoundTrip(t *testing.T) {
 
 // FuzzParseTrace: the one-call ingestion path must never panic, never
 // allocate unboundedly, and always either decode whole valid records or
-// fail with a record-numbered error.
+// fail with a record-numbered error. It must also agree with the
+// streaming path, NewReader plus Next, fed one byte per read: the same
+// records field for field and byte for byte, the same error text, and
+// the same record count.
 func FuzzParseTrace(f *testing.F) {
 	f.Add(validTrace(f, 2, 5))
 	f.Add(header(Version, 2, 64))
@@ -189,9 +194,12 @@ func FuzzParseTrace(f *testing.F) {
 	f.Add(header(Version, 2, 1<<31))
 	f.Add([]byte("TWTRACE1 garbage"))
 	f.Add([]byte{})
+	f.Add(varintOverflowTrace())
+	f.Add(varintTruncatedTrace())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		hdr, recs, err := Parse(bytes.NewReader(data))
+		checkStreamAgrees(t, data, hdr, recs, err)
 		if err != nil {
 			if len(recs) > 0 && !strings.Contains(err.Error(), "record ") {
 				t.Fatalf("record-level error without position: %v", err)
@@ -210,4 +218,97 @@ func FuzzParseTrace(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkStreamAgrees decodes data record by record through a source that
+// returns one byte per read, and fails unless it yields exactly what
+// Parse gave.
+func checkStreamAgrees(t *testing.T, data []byte, hdr Header, recs []Record, parseErr error) {
+	t.Helper()
+	r, err := NewReader(iotest.OneByteReader(bytes.NewReader(data)))
+	if err != nil {
+		if parseErr == nil || err.Error() != parseErr.Error() || len(recs) > 0 {
+			t.Fatalf("header: streaming error %v, Parse error %v with %d records", err, parseErr, len(recs))
+		}
+		return
+	}
+	if r.Header() != hdr {
+		t.Fatalf("header: streaming %+v, Parse %+v", r.Header(), hdr)
+	}
+	// Collect every record before comparing, so a payload the reader
+	// overwrote after returning it shows up as a difference.
+	var got []Record
+	for {
+		rec, err := r.Next()
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			if fmt.Sprint(err) != fmt.Sprint(parseErr) {
+				t.Fatalf("after %d records: streaming error %v, Parse error %v", len(got), err, parseErr)
+			}
+			break
+		}
+		got = append(got, rec)
+	}
+	if len(got) != len(recs) || r.Records() != int64(len(recs)) {
+		t.Fatalf("streaming decoded %d records (Records() = %d), Parse %d", len(got), r.Records(), len(recs))
+	}
+	for i, rec := range got {
+		want := recs[i]
+		if rec.Core != want.Core || rec.Op.Think != want.Op.Think || rec.Op.Addr != want.Op.Addr ||
+			rec.Op.Write != want.Op.Write || !bytes.Equal(rec.Op.Data, want.Op.Data) {
+			t.Fatalf("record %d: streaming %+v, Parse %+v", i+1, rec, want)
+		}
+	}
+}
+
+// varintOverflowTrace holds one read whose think is an 11-byte varint:
+// ten continuation bytes, more than 64 bits can hold.
+func varintOverflowTrace() []byte {
+	data := append(header(Version, 1, 64), 0, kindRead)
+	data = append(data, bytes.Repeat([]byte{0x80}, binary.MaxVarintLen64)...)
+	return append(data, 0x01, 0x00)
+}
+
+// varintTruncatedTrace ends inside a read record's think varint.
+func varintTruncatedTrace() []byte {
+	return append(header(Version, 1, 64), 0, kindRead, 0x80, 0x80)
+}
+
+// TestVarintOverflowIsNotTruncation: a varint too long for 64 bits and
+// a varint cut off by the end of the stream are different faults, and
+// both decoders report them as such. Ten continuation bytes ending the
+// stream are an overflow, as binary.ReadUvarint reports them.
+func TestVarintOverflowIsNotTruncation(t *testing.T) {
+	tenAtEnd := append(header(Version, 1, 64), 0, kindRead)
+	tenAtEnd = append(tenAtEnd, bytes.Repeat([]byte{0x80}, binary.MaxVarintLen64)...)
+	cases := []struct {
+		name      string
+		data      []byte
+		truncated bool
+		want      string
+	}{
+		{"eleven-bytes", varintOverflowTrace(), false, "trace: record 1: truncated think: binary: varint overflows a 64-bit integer"},
+		{"ten-continuations-at-end", tenAtEnd, false, "trace: record 1: truncated think: binary: varint overflows a 64-bit integer"},
+		{"cut-at-end", varintTruncatedTrace(), true, "trace: record 1: truncated think: unexpected EOF"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, perr := Parse(bytes.NewReader(tc.data))
+			r, err := NewReader(bytes.NewReader(tc.data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, nerr := r.Next()
+			for _, err := range []error{perr, nerr} {
+				if err == nil || err.Error() != tc.want {
+					t.Fatalf("err = %v, want %q", err, tc.want)
+				}
+				if errors.Is(err, io.ErrUnexpectedEOF) != tc.truncated {
+					t.Fatalf("err %v: errors.Is(io.ErrUnexpectedEOF) = %v, want %v", err, !tc.truncated, tc.truncated)
+				}
+			}
+		})
+	}
 }

@@ -10,12 +10,13 @@
 //	record := core uint8, kind uint8, think varint, addr varint, [payload]
 //
 // kind 0 is a read; kind 1 is a write followed by LineBytes of payload.
-// Multi-core traces interleave records in generation order; Reader can
-// filter one core's stream.
+// Multi-core traces interleave records in generation order; CoreSource
+// replays one core's records.
 package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -130,19 +131,15 @@ func (w *Writer) Flush() error {
 
 // Reader decodes a trace stream.
 type Reader struct {
-	r   *bufio.Reader
+	src io.Reader     // the stream after the header
+	r   *bufio.Reader // buffers src for Next
 	hdr Header
 	n   int64 // records decoded so far, for error positions
-
-	// slab is the unused tail of the block write payloads are carved
-	// from: one allocation per slabBytes of payload instead of one per
-	// record.
-	slab []byte
 }
 
-// slabBytes sizes the payload blocks; a line larger than this gets a
-// block of its own.
-const slabBytes = 64 << 10
+// recordOverhead is the longest encoding of a record before its
+// payload: core, kind and two varints.
+const recordOverhead = 2 + 2*binary.MaxVarintLen64
 
 // NewReader validates the header and returns a decoder. Header fields
 // are bounds-checked here so every later allocation is sized by a
@@ -150,16 +147,15 @@ const slabBytes = 64 << 10
 // descriptive error instead of driving the decoder into huge
 // allocations or nonsense records.
 func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReader(r)
 	var m [8]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
+	if _, err := io.ReadFull(r, m[:]); err != nil {
 		return nil, fmt.Errorf("trace: reading magic: %w", noEOF(err))
 	}
 	if m != magic {
 		return nil, errors.New("trace: bad magic; not a trace stream")
 	}
 	var hdr Header
-	if err := binary.Read(br, binary.LittleEndian, &hdr); err != nil {
+	if err := binary.Read(r, binary.LittleEndian, &hdr); err != nil {
 		return nil, fmt.Errorf("trace: reading header: %w", noEOF(err))
 	}
 	if hdr.Version != Version {
@@ -171,7 +167,9 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if hdr.LineBytes == 0 || hdr.LineBytes > MaxLineBytes {
 		return nil, fmt.Errorf("trace: header line size %d outside [1, %d]", hdr.LineBytes, MaxLineBytes)
 	}
-	return &Reader{r: br, hdr: hdr}, nil
+	// The buffer holds the longest record, so Next can Peek it whole.
+	br := bufio.NewReaderSize(r, max(4096, recordOverhead+int(hdr.LineBytes)))
+	return &Reader{src: r, r: br, hdr: hdr}, nil
 }
 
 // noEOF rewrites a bare io.EOF as io.ErrUnexpectedEOF: inside a header
@@ -189,129 +187,149 @@ func (r *Reader) Header() Header { return r.hdr }
 // Records returns how many records have been decoded so far.
 func (r *Reader) Records() int64 { return r.n }
 
+// errOverflow is encoding/binary's error for a varint over 64 bits.
+var errOverflow = errors.New("binary: varint overflows a 64-bit integer")
+
+// uvarint decodes a varint from the front of b as binary.ReadUvarint
+// would from a stream holding b: a varint cut short by the end of b is
+// io.ErrUnexpectedEOF, and one longer than 64 bits is errOverflow.
+func uvarint(b []byte) (uint64, int, error) {
+	v, n := binary.Uvarint(b)
+	switch {
+	case n > 0:
+		return v, n, nil
+	case n < 0 || len(b) >= binary.MaxVarintLen64:
+		return 0, 0, errOverflow
+	}
+	return 0, 0, io.ErrUnexpectedEOF
+}
+
+// decode decodes the record at the front of b into rec and returns its
+// encoded length. It owns the record grammar and every check on it: an
+// empty b is the clean end of the stream (io.EOF), a record cut short
+// is io.ErrUnexpectedEOF, and a malformed one is an error saying what
+// is wrong. A write's payload is a subslice of b, capacity-capped at
+// the line size so appending to it reallocates.
+func (h Header) decode(b []byte, rec *Record) (int, error) {
+	if len(b) == 0 {
+		return 0, io.EOF
+	}
+	core := b[0]
+	if uint16(core) >= h.Cores {
+		return 0, fmt.Errorf("core %d out of range (trace has %d)", core, h.Cores)
+	}
+	if len(b) < 2 {
+		return 0, fmt.Errorf("truncated record: %w", io.ErrUnexpectedEOF)
+	}
+	kind := b[1]
+	if kind != kindRead && kind != kindWrite {
+		return 0, fmt.Errorf("unknown record kind %d", kind)
+	}
+	think, n, err := uvarint(b[2:])
+	if err != nil {
+		return 0, fmt.Errorf("truncated think: %w", err)
+	}
+	if think > math.MaxInt64 {
+		return 0, fmt.Errorf("think %d overflows int64", think)
+	}
+	i := 2 + n
+	addr, n, err := uvarint(b[i:])
+	if err != nil {
+		return 0, fmt.Errorf("truncated addr: %w", err)
+	}
+	if addr > math.MaxInt64 {
+		return 0, fmt.Errorf("addr %d overflows int64", addr)
+	}
+	i += n
+	*rec = Record{Core: int(core), Op: workload.Op{Think: int64(think), Addr: pcm.LineAddr(addr), Write: kind == kindWrite}}
+	if rec.Op.Write {
+		j := i + int(h.LineBytes)
+		if j > len(b) {
+			return 0, fmt.Errorf("truncated payload: %w", io.ErrUnexpectedEOF)
+		}
+		rec.Op.Data = b[i:j:j]
+		i = j
+	}
+	return i, nil
+}
+
+// fail positions a decode error: io.EOF, the clean end, passes through;
+// a truncation the source caused by failing is reported as the source's
+// error, readErr; anything else names the 1-based number of the record
+// it hit, so a corrupt multi-gigabyte trace pinpoints its bad record.
+func (r *Reader) fail(err, readErr error) error {
+	if readErr != nil && readErr != io.EOF && (err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF)) {
+		err = readErr
+	}
+	if err == io.EOF {
+		return io.EOF
+	}
+	return fmt.Errorf("trace: record %d: %w", r.n+1, err)
+}
+
 // Next decodes one record. It returns io.EOF at a clean end of stream;
 // any other failure — truncation mid-record, an out-of-range core, an
-// unknown kind — is an error naming the 1-based record number, so a
-// corrupt multi-gigabyte trace pinpoints its bad record instead of
-// reporting a bare "unexpected EOF".
+// unknown kind — is an error naming the 1-based record number. A write
+// record's payload is a copy the caller owns.
 func (r *Reader) Next() (Record, error) {
-	rec, err := r.next()
+	b, readErr := r.r.Peek(recordOverhead + int(r.hdr.LineBytes))
+	var rec Record
+	n, err := r.hdr.decode(b, &rec)
 	if err != nil {
-		if err == io.EOF {
-			return Record{}, io.EOF
-		}
-		return Record{}, fmt.Errorf("trace: record %d: %w", r.n+1, err)
+		return Record{}, r.fail(err, readErr)
 	}
+	if rec.Op.Write {
+		rec.Op.Data = bytes.Clone(rec.Op.Data) // b is the buffer's, reused by the next read
+	}
+	r.r.Discard(n)
 	r.n++
 	return rec, nil
 }
 
-func (r *Reader) next() (Record, error) {
-	core, err := r.r.ReadByte()
-	if err != nil {
-		return Record{}, err // io.EOF here is the clean end of stream
-	}
-	if int(core) >= int(r.hdr.Cores) {
-		return Record{}, fmt.Errorf("core %d out of range (trace has %d)", core, r.hdr.Cores)
-	}
-	kind, err := r.r.ReadByte()
-	if err != nil {
-		return Record{}, fmt.Errorf("truncated record: %w", noEOF(err))
-	}
-	if kind != kindRead && kind != kindWrite {
-		return Record{}, fmt.Errorf("unknown record kind %d", kind)
-	}
-	think, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		return Record{}, fmt.Errorf("truncated think: %w", noEOF(err))
-	}
-	if think > math.MaxInt64 {
-		return Record{}, fmt.Errorf("think %d overflows int64", think)
-	}
-	addr, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		return Record{}, fmt.Errorf("truncated addr: %w", noEOF(err))
-	}
-	if addr > math.MaxInt64 {
-		return Record{}, fmt.Errorf("addr %d overflows int64", addr)
-	}
-	rec := Record{
-		Core: int(core),
-		Op: workload.Op{
-			Think: int64(think),
-			Addr:  pcm.LineAddr(addr),
-			Write: kind == kindWrite,
-		},
-	}
-	if rec.Op.Write {
-		rec.Op.Data = r.payload()
-		if _, err := io.ReadFull(r.r, rec.Op.Data); err != nil {
-			return Record{}, fmt.Errorf("truncated payload: %w", noEOF(err))
-		}
-	}
-	return rec, nil
-}
-
-// payload carves the next write payload from the slab. Its capacity is
-// capped at the line size, so appending to one record's Data reallocates
-// instead of running into the next record's payload.
-func (r *Reader) payload() []byte {
-	lb := int(r.hdr.LineBytes)
-	if len(r.slab) < lb {
-		r.slab = make([]byte, max(lb, slabBytes/lb*lb))
-	}
-	data := r.slab[:lb:lb]
-	r.slab = r.slab[lb:]
-	return data
-}
-
-// ReadAll decodes the whole stream. On error it returns the records
-// decoded before the failure alongside the error.
+// ReadAll decodes the rest of the stream. On error it returns the
+// records decoded before the failure alongside the error.
 //
-// Records accumulate in fixed-size blocks that are copied once into an
-// exactly sized result: appending to one slice would reallocate, zero
-// and copy a multi-megabyte trace many times over as it grows.
+// The rest of the stream is read into one buffer, sized up front when
+// the source reports its remaining length (as bytes.Reader does). A
+// first pass over the buffer validates and counts the records before
+// the first error; a second decodes them into an exactly sized slice.
+// Write payloads alias the buffer, which the records share read-only.
 func (r *Reader) ReadAll() ([]Record, error) {
-	const blockRecords = 1024
-	var full [][]Record
-	block := make([]Record, 0, blockRecords)
-	for {
-		rec, err := r.Next()
-		if err != nil {
-			if err == io.EOF {
-				err = nil
-			}
-			return concat(full, block), err
-		}
-		if len(block) == cap(block) {
-			full = append(full, block)
-			block = make([]Record, 0, blockRecords)
-		}
-		block = append(block, rec)
+	var buf bytes.Buffer
+	if l, ok := r.src.(interface{ Len() int }); ok {
+		// MinRead: ReadFrom wants that much room for the read that ends.
+		buf.Grow(r.r.Buffered() + l.Len() + bytes.MinRead)
 	}
-}
+	_, readErr := buf.ReadFrom(r.r)
+	b := buf.Bytes()
 
-// concat joins full blocks and a final partial one into one slice, nil
-// when there are no records.
-func concat(full [][]Record, last []Record) []Record {
-	n := len(last)
-	for _, b := range full {
-		n += len(b)
+	var rec Record
+	count, off := 0, 0
+	n, err := r.hdr.decode(b, &rec)
+	for ; err == nil; n, err = r.hdr.decode(b[off:], &rec) {
+		off += n
+		count++
 	}
-	if n == 0 {
-		return nil
+	recs := make([]Record, count)
+	for i, off := 0, 0; i < count; i++ {
+		n, _ := r.hdr.decode(b[off:], &recs[i])
+		off += n
 	}
-	out := make([]Record, 0, n)
-	for _, b := range full {
-		out = append(out, b...)
+	r.n += int64(count)
+	if err = r.fail(err, readErr); err == io.EOF {
+		err = nil
 	}
-	return append(out, last...)
+	return recs, err
 }
 
 // Parse decodes an entire trace stream: header validation, then every
 // record. It is the one-call ingestion path the tools use; errors carry
 // the failing record number and the successfully decoded prefix is
 // returned even on failure.
+//
+// The records are read-only. Write payloads alias one buffer holding
+// the whole stream, so writing into one record's Data would change what
+// every later replay of the trace sees; appending to it reallocates.
 func Parse(r io.Reader) (Header, []Record, error) {
 	tr, err := NewReader(r)
 	if err != nil {
@@ -322,40 +340,44 @@ func Parse(r io.Reader) (Header, []Record, error) {
 }
 
 // CoreSource adapts one core's records from a fully decoded trace into a
-// cpu.OpSource. When the trace runs dry the source repeats its last
-// operation with a huge think gap, letting the core idle out its
-// instruction budget deterministically.
+// cpu.OpSource. When the trace runs dry the source idles the core with
+// a huge think gap, letting it run out its instruction budget
+// deterministically.
+//
+// The source reads recs in place and copies nothing: the operations it
+// returns share their payloads with recs, and neither it nor its caller
+// may write to them. Sources of different cores may share one recs.
 type CoreSource struct {
-	ops []workload.Op
-	i   int
+	recs []Record
+	core int
+	i    int // next record to examine
 }
 
-// NewCoreSource filters records for one core.
+// NewCoreSource returns the source of one core's records.
 func NewCoreSource(recs []Record, core int) *CoreSource {
-	n := 0
-	for _, r := range recs {
-		if r.Core == core {
-			n++
-		}
-	}
-	s := &CoreSource{ops: make([]workload.Op, 0, n)}
-	for _, r := range recs {
-		if r.Core == core {
-			s.ops = append(s.ops, r.Op)
-		}
-	}
-	return s
+	return &CoreSource{recs: recs, core: core}
 }
 
 // Len returns the number of operations for the core.
-func (s *CoreSource) Len() int { return len(s.ops) }
+func (s *CoreSource) Len() int {
+	n := 0
+	for i := range s.recs {
+		if s.recs[i].Core == s.core {
+			n++
+		}
+	}
+	return n
+}
 
-// Next returns the next operation.
+// Next returns the core's next operation, skipping other cores'
+// records.
 func (s *CoreSource) Next() workload.Op {
-	if s.i < len(s.ops) {
-		op := s.ops[s.i]
+	for s.i < len(s.recs) {
+		r := &s.recs[s.i]
 		s.i++
-		return op
+		if r.Core == s.core {
+			return r.Op
+		}
 	}
 	return workload.Op{Think: 1 << 40, Addr: 0}
 }
