@@ -24,7 +24,6 @@ package fault
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"tetriswrite/internal/pcm"
 )
@@ -79,12 +78,13 @@ type Stats struct {
 
 // Injector implements pcm.FaultModel: it sits under the device's write
 // and read paths, records per-cell wear, and decides which pulses land.
-// It is safe for concurrent use (the device serializes calls anyway, but
-// parallel sweeps construct one injector per device).
+// An injector belongs to one device, and so to the one engine goroutine
+// that drives it; it takes no locks (parallel sweeps build one injector
+// per device). Read its state from that goroutine or after the run has
+// returned.
 type Injector struct {
 	cfg Config
 
-	mu    sync.Mutex
 	wear  map[pcm.LineAddr][]uint32     // attempted pulses per cell
 	stuck map[pcm.LineAddr]map[int]byte // cell index -> stuck value (0 or 1)
 	stats Stats
@@ -116,8 +116,6 @@ func (in *Injector) Config() Config { return in.cfg }
 
 // Stats returns a snapshot of the counters.
 func (in *Injector) Stats() Stats {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	return in.stats
 }
 
@@ -174,8 +172,6 @@ func (in *Injector) limit(addr pcm.LineAddr, cell int) int64 {
 // fails the pulse if the cell is (or just became) stuck, or if the
 // transient draw fails.
 func (in *Injector) ApplyWrite(addr pcm.LineAddr, old, want []byte) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	var wear []uint32
 	stuckLine := in.stuck[addr]
 	for i := range want {
@@ -232,8 +228,6 @@ func (in *Injector) ApplyWrite(addr pcm.LineAddr, old, want []byte) {
 // this only matters for paths that bypass the write fault mask (e.g.
 // Preload over a worn line).
 func (in *Injector) ApplyRead(addr pcm.LineAddr, data []byte) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	stuckLine := in.stuck[addr]
 	if len(stuckLine) == 0 {
 		return
@@ -248,8 +242,6 @@ func (in *Injector) ApplyRead(addr pcm.LineAddr, data []byte) {
 
 // CellWear returns the attempted-pulse count of one cell, for tests.
 func (in *Injector) CellWear(addr pcm.LineAddr, cell int) int64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	w := in.wear[addr]
 	if cell >= len(w) {
 		return 0
@@ -259,8 +251,6 @@ func (in *Injector) CellWear(addr pcm.LineAddr, cell int) int64 {
 
 // StuckAt reports whether a cell is stuck and at which value.
 func (in *Injector) StuckAt(addr pcm.LineAddr, cell int) (value byte, stuck bool) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	sv, ok := in.stuck[addr][cell]
 	return sv, ok
 }

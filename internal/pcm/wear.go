@@ -1,7 +1,5 @@
 package pcm
 
-import "sync"
-
 // WearTracker records per-line bit-write counts, the quantity PCM
 // endurance is measured in. The paper's Table I claims Tetris Write, like
 // Flip-N-Write and Three-Stage-Write, reduces energy *and* wear because it
@@ -10,8 +8,11 @@ import "sync"
 //
 // Tracking is sparse and optional: attach one to the write path only when
 // an experiment asks for endurance numbers.
+//
+// A tracker belongs to one simulation, whose engine goroutine records
+// into it, so it takes no locks: read it from that goroutine or after
+// the run has returned.
 type WearTracker struct {
-	mu    sync.Mutex
 	wear  map[LineAddr]int64
 	total int64
 }
@@ -26,8 +27,6 @@ func (w *WearTracker) Record(addr LineAddr, bitWrites int) {
 	if bitWrites == 0 {
 		return
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	w.wear[addr] += int64(bitWrites)
 	w.total += int64(bitWrites)
 }
@@ -42,8 +41,6 @@ type WearSummary struct {
 
 // Summary computes the current wear distribution.
 func (w *WearTracker) Summary() WearSummary {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	s := WearSummary{TotalBitWrites: w.total, TouchedLines: len(w.wear)}
 	for _, v := range w.wear {
 		if v > s.MaxLineWear {
@@ -58,7 +55,5 @@ func (w *WearTracker) Summary() WearSummary {
 
 // LineWear returns the wear of one line.
 func (w *WearTracker) LineWear(addr LineAddr) int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	return w.wear[addr]
 }

@@ -13,15 +13,11 @@ import (
 // attachCrash builds, binds and attaches the power-failure injector
 // when Config.Crash is armed. It returns nil with no side effects for
 // the zero config, keeping the zero-crash run bit-identical to the
-// seed. faultsOn reports whether the fault model is active — the two
-// substrates are mutually exclusive, because injected cell failures
-// make the device drift from the crash shadow's pulse-train model.
-func attachCrash(eng *sim.Engine, dev *pcm.Device, ctrl *memctrl.Controller, cfg Config, faultsOn bool) (*crash.Injector, error) {
+// seed. Config.check has already rejected crash injection together with
+// the fault model.
+func attachCrash(eng *sim.Engine, dev *pcm.Device, ctrl *memctrl.Controller, cfg Config) (*crash.Injector, error) {
 	if !cfg.Crash.Enabled() {
 		return nil, nil
-	}
-	if faultsOn {
-		return nil, fmt.Errorf("system: crash injection is incompatible with the fault model")
 	}
 	cinj, err := crash.New(cfg.Crash, cfg.Params)
 	if err != nil {

@@ -1,9 +1,11 @@
 package system
 
 import (
+	"errors"
 	"testing"
 
 	"tetriswrite/internal/cache"
+	"tetriswrite/internal/crash"
 	"tetriswrite/internal/pcm"
 	"tetriswrite/internal/schemes"
 	"tetriswrite/internal/tetris"
@@ -180,33 +182,98 @@ func TestRunWithCaches(t *testing.T) {
 	}
 }
 
-// TestIdlePresetRequiresCaches: both entry points reject PreSET without
-// the cache hierarchy its hints come from, with the same message, and
-// accept it with the hierarchy.
+// TestIdlePresetRequiresCaches: both entry points share one config
+// check. It rejects PreSET without the cache hierarchy its hints come
+// from, crash injection together with the fault model, and (on traces,
+// which have no profile to size the resident region) Start-Gap wear
+// leveling, each with one exact message and before building anything;
+// the same config with the conflict resolved runs.
 func TestIdlePresetRequiresCaches(t *testing.T) {
 	prof, _ := workload.ProfileByName("vips")
 	recs := trace.Generate(prof, 2, 7, pcm.DefaultParams(), 200)
 	entries := []struct {
-		name string
-		run  func(Config) error
+		name  string
+		trace bool
+		run   func(Config) error
 	}{
-		{"Run", func(cfg Config) error { _, err := Run(prof, tetris.New, cfg); return err }},
-		{"RunTrace", func(cfg Config) error { _, err := RunTrace("vips", recs, 2, tetris.New, cfg); return err }},
+		{"Run", false, func(cfg Config) error { _, err := Run(prof, tetris.New, cfg); return err }},
+		{"RunTrace", true, func(cfg Config) error { _, err := RunTrace("vips", recs, 2, tetris.New, cfg); return err }},
 	}
-	const want = "system: IdlePreset requires UseCaches (hints come from LLC dirtiness)"
+	rejections := []struct {
+		name      string
+		conflict  func(*Config)
+		resolve   func(*Config)
+		want      string
+		traceOnly bool // Run accepts the conflicting setting
+	}{
+		{
+			name:     "idle-preset-without-caches",
+			conflict: func(c *Config) { c.Ctrl.IdlePreset = true },
+			resolve:  func(c *Config) { c.UseCaches = true },
+			want:     "system: IdlePreset requires UseCaches (hints come from LLC dirtiness)",
+		},
+		{
+			name: "crash-with-fault-model",
+			conflict: func(c *Config) {
+				c.Fault = faultConfig().Fault
+				c.Crash = crash.Config{AtPulse: 100}
+			},
+			resolve: func(c *Config) { c.Crash = crash.Config{} },
+			want:    "system: crash injection is incompatible with the fault model",
+		},
+		{
+			name:      "wear-leveling-on-trace",
+			conflict:  func(c *Config) { c.WearLevelPsi = 50 },
+			resolve:   func(c *Config) { c.WearLevelPsi = 0 },
+			want:      "system: WearLevelPsi needs a workload profile to size the resident region; a trace has none",
+			traceOnly: true,
+		},
+	}
 	for _, e := range entries {
 		t.Run(e.name, func(t *testing.T) {
-			cfg := smallConfig()
-			cfg.InstrBudget = 2_000
-			cfg.Ctrl.IdlePreset = true
-			if err := e.run(cfg); err == nil || err.Error() != want {
-				t.Errorf("IdlePreset without caches: err = %v, want %q", err, want)
-			}
-			cfg.UseCaches = true
-			if err := e.run(cfg); err != nil {
-				t.Errorf("IdlePreset with caches: %v", err)
+			for _, r := range rejections {
+				cfg := smallConfig()
+				cfg.InstrBudget = 2_000
+				r.conflict(&cfg)
+				err := e.run(cfg)
+				if r.traceOnly && !e.trace {
+					if err != nil {
+						t.Errorf("%s: %v", r.name, err)
+					}
+					continue
+				}
+				if err == nil || err.Error() != r.want {
+					t.Errorf("%s: err = %v, want %q", r.name, err, r.want)
+				}
+				r.resolve(&cfg)
+				if err := e.run(cfg); err != nil {
+					t.Errorf("%s resolved: %v", r.name, err)
+				}
 			}
 		})
+	}
+}
+
+// TestRunTraceRejectsOutOfRangeAddress: a record addressing a line
+// outside the device is a validation error naming the record, found in
+// one pass before the platform is built, not a panic from the device.
+func TestRunTraceRejectsOutOfRangeAddress(t *testing.T) {
+	for _, tc := range []struct {
+		addr pcm.LineAddr
+		want string
+	}{
+		{1 << 40, "system: trace record 1: line address 1099511627776 out of range [0, 67108864)"},
+		{-1, "system: trace record 1: line address -1 out of range [0, 67108864)"},
+	} {
+		recs := []trace.Record{{Core: 0, Op: workload.Op{Think: 10, Addr: tc.addr}}}
+		_, err := RunTrace("crafted", recs, 1, tetris.New, smallConfig())
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("err = %v, want %q", err, tc.want)
+		}
+		var pe *PanicError
+		if errors.As(err, &pe) {
+			t.Errorf("out-of-range record panicked: %v", pe)
+		}
 	}
 }
 

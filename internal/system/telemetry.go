@@ -1,65 +1,45 @@
 package system
 
 import (
-	"tetriswrite/internal/cache"
 	"tetriswrite/internal/cpu"
-	"tetriswrite/internal/crash"
 	"tetriswrite/internal/fault"
-	"tetriswrite/internal/memctrl"
-	"tetriswrite/internal/pcm"
 	"tetriswrite/internal/sim"
 	"tetriswrite/internal/telemetry"
 	"tetriswrite/internal/units"
-	"tetriswrite/internal/wearlevel"
 )
 
-// telemetryParts collects the pipeline components a simulation actually
-// assembled; nil members are simply not instrumented.
-type telemetryParts struct {
-	ctrl  *memctrl.Controller
-	dev   *pcm.Device
-	hier  *cache.Hierarchy
-	remap *wearlevel.Remapper
-	inj   *fault.Injector
-	spare *fault.SpareRemapper
-	crash *crash.Injector
-	cores []*cpu.Core
-	clock units.Clock
-}
-
-// attachTelemetry builds the run's registry, registers every layer
-// (registration order is the exporters' emission order: cpu, cache,
-// memctrl+power, pcm, wearlevel, fault) and starts the epoch sampler.
-// Called only when cfg.Epoch > 0: a run without telemetry allocates
-// nothing and replays bit-identically.
-func attachTelemetry(eng *sim.Engine, cfg Config, parts telemetryParts) *telemetry.Sampler {
+// attachTelemetry builds the run's registry, registers every layer the
+// platform assembled (registration order is the exporters' emission
+// order: cpu, cache, memctrl+power, pcm, wearlevel, fault) and starts
+// the epoch sampler. Called only when cfg.Epoch > 0: a run without
+// telemetry allocates nothing and replays bit-identically.
+func (p *platform) attachTelemetry(cfg Config) {
 	reg := telemetry.NewRegistry()
-	registerCoreMetrics(reg, eng, parts.clock, parts.cores)
-	if parts.hier != nil {
-		parts.hier.RegisterMetrics(reg)
+	registerCoreMetrics(reg, p.eng, cfg.CPUClock, p.cores)
+	if p.hier != nil {
+		p.hier.RegisterMetrics(reg)
 	}
-	parts.ctrl.RegisterMetrics(reg)
-	parts.dev.RegisterMetrics(reg)
-	parts.dev.RegisterStoreMetrics(reg)
-	if parts.remap != nil {
-		parts.remap.RegisterMetrics(reg)
+	p.ctrl.RegisterMetrics(reg)
+	p.dev.RegisterMetrics(reg)
+	p.dev.RegisterStoreMetrics(reg)
+	if p.remap != nil {
+		p.remap.RegisterMetrics(reg)
 	}
-	if parts.inj != nil {
-		registerFaultMetrics(reg, parts.inj, parts.spare)
+	if p.inj != nil {
+		registerFaultMetrics(reg, p.inj, p.spare)
 	}
-	if parts.crash != nil {
-		registerCrashMetrics(reg, parts.crash)
+	if p.crash != nil {
+		registerCrashMetrics(reg, p.crash)
 	}
 	// Engine queue depth: the one signal that distinguishes a simulation
 	// falling behind (depth growing epoch over epoch) from one that is
 	// simply long. Registered last so existing exporter column order is
 	// unchanged.
 	reg.GaugeFunc("sim.pending_events", "events waiting in the engine queue", func() float64 {
-		return float64(eng.Pending())
+		return float64(p.eng.Pending())
 	})
-	s := telemetry.NewSampler(eng, reg, cfg.Epoch, cfg.MetricsRing)
-	s.Start()
-	return s
+	p.sampler = telemetry.NewSampler(p.eng, reg, cfg.Epoch, cfg.MetricsRing)
+	p.sampler.Start()
 }
 
 // registerCoreMetrics registers cpu.* aggregates over all cores: retired

@@ -3,6 +3,7 @@ package system
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -23,8 +24,10 @@ import (
 // the records it was given byte-identical (write payloads alias the
 // parsed stream, so a layer that wrote into one would corrupt every
 // later replay), and must give the same Result and error when repeated
-// on the same records. A trace whose addresses all fit the device must
-// run without error. The input picks the scheme and whether the cache
+// on the same records. No input may end in a *PanicError: a trace
+// whose addresses all fit the device must run without error, and one
+// that addresses a line outside it must be rejected before the run
+// starts. The input picks the scheme and whether the cache
 // hierarchy is in front, so the corpus covers both ports a core writes
 // through.
 func FuzzRunTrace(f *testing.F) {
@@ -74,8 +77,15 @@ func FuzzRunTrace(f *testing.F) {
 		if after := hashRecords(recs); after != before {
 			t.Fatalf("%s: the run changed the records it replayed", mk.name)
 		}
+		var pe *PanicError
+		if errors.As(err1, &pe) {
+			t.Fatalf("%s: the run panicked: %v\n%s", mk.name, pe, pe.Stack)
+		}
 		if fits && err1 != nil {
 			t.Fatalf("%s: in-range trace failed: %v", mk.name, err1)
+		}
+		if !fits && err1 == nil {
+			t.Fatalf("%s: a trace addressing lines outside the device ran", mk.name)
 		}
 		again, err2 := RunTrace("fuzz", recs, int(hdr.Cores), mk.factory, cfg)
 		if fmt.Sprint(err1) != fmt.Sprint(err2) {

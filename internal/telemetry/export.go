@@ -114,9 +114,8 @@ func (s *Sampler) WriteJSONLines(w io.Writer) error {
 	names := s.SeriesNames()
 	first := s.FirstEpoch()
 	enc := json.NewEncoder(w)
-	for i := 0; i < s.Epochs(); i++ {
-		t, row := s.row(i)
-		rec := EpochRecord{Epoch: first + i, TimePs: int64(t), Metrics: make(map[string]float64, len(names))}
+	for i, row := range s.rows {
+		rec := EpochRecord{Epoch: first + i, TimePs: int64(s.times[i]), Metrics: make(map[string]float64, len(names))}
 		for j, name := range names {
 			rec.Metrics[name] = row[j]
 		}
@@ -128,8 +127,7 @@ func (s *Sampler) WriteJSONLines(w io.Writer) error {
 }
 
 // WritePrometheus renders the registry's current values in the
-// Prometheus text exposition format (final-state scrape). Histogram
-// metrics emit count plus p50/p95/p99 quantile gauges.
+// Prometheus text exposition format (final-state scrape).
 func WritePrometheus(w io.Writer, reg *Registry) error {
 	for _, m := range reg.Metrics() {
 		name := sanitizeName(m.Name)
@@ -138,24 +136,8 @@ func WritePrometheus(w io.Writer, reg *Registry) error {
 				return err
 			}
 		}
-		typ := m.Kind.String()
-		if m.Kind == KindHistogram {
-			typ = "summary"
-		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", name, typ); err != nil {
+		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", name, m.Kind); err != nil {
 			return err
-		}
-		if h := m.Histogram(); h != nil {
-			for _, q := range []float64{50, 95, 99} {
-				if _, err := fmt.Fprintf(w, "%s{quantile=\"0.%02.0f\"} %s\n",
-					name, q, formatValue(h.Percentile(q))); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintf(w, "%s_count %d\n", name, h.Count()); err != nil {
-				return err
-			}
-			continue
 		}
 		if _, err := fmt.Fprintf(w, "%s %s\n", name, formatValue(m.Value())); err != nil {
 			return err

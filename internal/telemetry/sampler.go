@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"sync"
-
 	"tetriswrite/internal/sim"
 	"tetriswrite/internal/units"
 )
@@ -25,13 +23,17 @@ const DefaultRingSize = 8192
 // sampler records that final snapshot and stops — this is what lets
 // Engine.Run terminate with a sampler attached. Stop() force-stops
 // earlier.
+//
+// A Sampler belongs to the goroutine that runs its engine: the engine
+// drives the ticks on the caller's goroutine and starts no other, so
+// the sampler takes no locks. Read its series from that goroutine, or
+// after the run has returned.
 type Sampler struct {
 	eng   *sim.Engine
 	reg   *Registry
 	epoch units.Duration
 	ring  int
 
-	mu      sync.Mutex
 	stopped bool
 	names   []string     // metric order captured at Start
 	times   []units.Time // sample timestamps, oldest first
@@ -62,28 +64,18 @@ func (s *Sampler) EpochDuration() units.Duration { return s.epoch }
 // Start pins the metric set and schedules the first tick one epoch from
 // now. Call once, before running the engine.
 func (s *Sampler) Start() {
-	s.mu.Lock()
 	for _, m := range s.reg.Metrics() {
 		s.names = append(s.names, m.Name)
 	}
-	s.mu.Unlock()
 	s.arm()
 }
 
 // Stop prevents any further sampling. Already-recorded epochs remain
 // readable.
-func (s *Sampler) Stop() {
-	s.mu.Lock()
-	s.stopped = true
-	s.mu.Unlock()
-}
+func (s *Sampler) Stop() { s.stopped = true }
 
 // Stopped reports whether the sampler will take no further samples.
-func (s *Sampler) Stopped() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stopped
-}
+func (s *Sampler) Stopped() bool { return s.stopped }
 
 // Finalize records one last snapshot at time t — the partial epoch in
 // progress — and stops the sampler. The run harness calls it when a
@@ -93,15 +85,11 @@ func (s *Sampler) Stopped() bool {
 // own final snapshot) or t does not advance past the last sample,
 // Finalize is a no-op beyond stopping.
 func (s *Sampler) Finalize(t units.Time) {
-	s.mu.Lock()
 	if s.stopped {
-		s.mu.Unlock()
 		return
 	}
 	s.stopped = true
-	need := len(s.times) == 0 || s.times[len(s.times)-1] < t
-	s.mu.Unlock()
-	if need {
+	if len(s.times) == 0 || s.times[len(s.times)-1] < t {
 		s.sample(t)
 	}
 }
@@ -111,13 +99,9 @@ func (s *Sampler) arm() {
 }
 
 func (s *Sampler) tick() {
-	s.mu.Lock()
 	if s.stopped {
-		s.mu.Unlock()
 		return
 	}
-	s.mu.Unlock()
-
 	s.sample(s.eng.Now())
 
 	// Re-arm only while the simulation still has work queued: if this
@@ -137,8 +121,6 @@ func (s *Sampler) sample(t units.Time) {
 	for _, m := range metrics {
 		byName[m.Name] = m
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	row := make([]float64, len(s.names))
 	for i, name := range s.names {
 		if m := byName[name]; m != nil {
@@ -157,18 +139,10 @@ func (s *Sampler) sample(t units.Time) {
 }
 
 // Epochs returns the number of retained epochs.
-func (s *Sampler) Epochs() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.times)
-}
+func (s *Sampler) Epochs() int { return len(s.times) }
 
 // Dropped returns how many old epochs the ring evicted.
-func (s *Sampler) Dropped() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
-}
+func (s *Sampler) Dropped() int { return s.dropped }
 
 // FirstEpoch returns the index of the oldest retained epoch (equal to
 // Dropped): retained epoch i corresponds to absolute epoch FirstEpoch+i.
@@ -176,23 +150,17 @@ func (s *Sampler) FirstEpoch() int { return s.Dropped() }
 
 // Times returns the retained sample timestamps, oldest first.
 func (s *Sampler) Times() []units.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return append([]units.Time(nil), s.times...)
 }
 
 // SeriesNames returns the sampled metric names in registration order.
 func (s *Sampler) SeriesNames() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return append([]string(nil), s.names...)
 }
 
 // Series returns the retained values of one metric, aligned with
 // Times(), or nil if the metric was not sampled.
 func (s *Sampler) Series(name string) []float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	col := -1
 	for i, n := range s.names {
 		if n == name {
@@ -208,12 +176,4 @@ func (s *Sampler) Series(name string) []float64 {
 		out[i] = row[col]
 	}
 	return out
-}
-
-// row returns (copy of) the i-th retained row; exporters iterate with it
-// under a consistent lock.
-func (s *Sampler) row(i int) (units.Time, []float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.times[i], append([]float64(nil), s.rows[i]...)
 }

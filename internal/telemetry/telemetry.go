@@ -1,9 +1,11 @@
 // Package telemetry is the observability substrate of the simulators: a
-// registry of named metrics (monotonic counters, gauges and mergeable
-// histograms, all goroutine-safe) plus an epoch sampler that snapshots
-// every registered metric on a fixed simulated-time interval into
-// ring-buffered time series, and exporters rendering those series as CSV,
-// JSON-lines and Prometheus text exposition.
+// registry of named metrics (monotonic counters and gauges, both
+// goroutine-safe) plus an epoch sampler that snapshots every registered
+// metric on a fixed simulated-time interval into ring-buffered time
+// series, and exporters rendering those series as CSV, JSON-lines and
+// Prometheus text exposition. The registry and its direct counters and
+// gauges take concurrent readers (the fleet broker's HTTP handlers); a
+// sampler belongs to the one goroutine that runs its engine.
 //
 // End-of-run scalars (internal/stats, internal/exp) answer "how did the
 // run do on average"; this package answers "what did the pipeline do over
@@ -19,8 +21,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"tetriswrite/internal/stats"
 )
 
 // Kind classifies a metric for exporters (Prometheus TYPE lines) and
@@ -32,9 +32,6 @@ const (
 	KindCounter Kind = iota
 	// KindGauge is an instantaneous value that can go up and down.
 	KindGauge
-	// KindHistogram is a distribution; its sampled series value is the
-	// cumulative sample count, and exporters render quantiles at the end.
-	KindHistogram
 )
 
 // String returns the Prometheus type name.
@@ -44,8 +41,6 @@ func (k Kind) String() string {
 		return "counter"
 	case KindGauge:
 		return "gauge"
-	case KindHistogram:
-		return "histogram"
 	}
 	return "untyped"
 }
@@ -80,48 +75,6 @@ func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 // Value returns the stored value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// Histogram is a goroutine-safe, mergeable distribution built on the
-// log-scale histogram of internal/stats.
-type Histogram struct {
-	mu sync.Mutex
-	h  stats.Histogram
-}
-
-// Observe records one sample (non-negative).
-func (h *Histogram) Observe(v float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.h.Add(v)
-}
-
-// Count returns the number of samples.
-func (h *Histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.h.Count()
-}
-
-// Percentile estimates the p-th percentile.
-func (h *Histogram) Percentile(p float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.h.Percentile(p)
-}
-
-// Merge folds other's samples into h — the cross-shard aggregation path
-// of parallel experiment runs.
-func (h *Histogram) Merge(other *Histogram) {
-	if other == nil || other == h {
-		return
-	}
-	other.mu.Lock()
-	snap := other.h.Clone()
-	other.mu.Unlock()
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.h.Merge(&snap)
-}
-
 // Metric is one registered series: a name, a kind, a help string and a
 // way to read the current value.
 type Metric struct {
@@ -131,7 +84,6 @@ type Metric struct {
 
 	counter *Counter
 	gauge   *Gauge
-	hist    *Histogram
 	fn      func() float64
 }
 
@@ -145,8 +97,6 @@ func (m *Metric) Value() float64 {
 		v = float64(m.counter.Value())
 	case m.gauge != nil:
 		v = m.gauge.Value()
-	case m.hist != nil:
-		v = float64(m.hist.Count())
 	case m.fn != nil:
 		v = m.fn()
 	}
@@ -155,10 +105,6 @@ func (m *Metric) Value() float64 {
 	}
 	return v
 }
-
-// Histogram returns the backing histogram of a KindHistogram metric, or
-// nil for scalar metrics.
-func (m *Metric) Histogram() *Histogram { return m.hist }
 
 // Registry holds the metrics of one simulation run. The zero value is
 // not usable; create registries with NewRegistry. All methods are
@@ -200,13 +146,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	g := &Gauge{}
 	r.register(&Metric{Name: name, Kind: KindGauge, Help: help, gauge: g})
 	return g
-}
-
-// Histogram registers and returns a new histogram.
-func (r *Registry) Histogram(name, help string) *Histogram {
-	h := &Histogram{}
-	r.register(&Metric{Name: name, Kind: KindHistogram, Help: help, hist: h})
-	return h
 }
 
 // CounterFunc registers a counter whose value is polled from fn at

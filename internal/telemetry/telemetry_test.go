@@ -18,19 +18,16 @@ func TestRegistryKindsAndOrder(t *testing.T) {
 	c := reg.Counter("a.count", "help a")
 	g := reg.Gauge("b.gauge", "help b")
 	reg.GaugeFunc("c.fn", "", func() float64 { return 7.5 })
-	h := reg.Histogram("d.hist", "")
 
 	c.Add(3)
 	c.Inc()
 	g.Set(-2.5)
-	h.Observe(10)
-	h.Observe(1000)
 
 	ms := reg.Metrics()
-	if len(ms) != 4 {
-		t.Fatalf("Metrics() = %d, want 4", len(ms))
+	if len(ms) != 3 {
+		t.Fatalf("Metrics() = %d, want 3", len(ms))
 	}
-	wantNames := []string{"a.count", "b.gauge", "c.fn", "d.hist"}
+	wantNames := []string{"a.count", "b.gauge", "c.fn"}
 	for i, m := range ms {
 		if m.Name != wantNames[i] {
 			t.Errorf("metric %d = %q, want %q (registration order)", i, m.Name, wantNames[i])
@@ -44,9 +41,6 @@ func TestRegistryKindsAndOrder(t *testing.T) {
 	}
 	if v := reg.Get("c.fn").Value(); v != 7.5 {
 		t.Errorf("func gauge value = %v, want 7.5", v)
-	}
-	if v := reg.Get("d.hist").Value(); v != 2 {
-		t.Errorf("histogram value (count) = %v, want 2", v)
 	}
 }
 
@@ -89,33 +83,6 @@ func TestCounterGaugeConcurrent(t *testing.T) {
 	wg.Wait()
 	if c.Value() != 8000 {
 		t.Errorf("concurrent counter = %d, want 8000", c.Value())
-	}
-}
-
-func TestHistogramMergeAcrossShards(t *testing.T) {
-	var shards [4]*Histogram
-	reg := NewRegistry()
-	for i := range shards {
-		shards[i] = reg.Histogram("h"+string(rune('0'+i)), "")
-		for j := 0; j < 100; j++ {
-			shards[i].Observe(float64((i + 1) * 10))
-		}
-	}
-	total := &Histogram{}
-	for _, s := range shards {
-		total.Merge(s)
-	}
-	if total.Count() != 400 {
-		t.Fatalf("merged count = %d, want 400", total.Count())
-	}
-	// p100 must reflect the largest shard's samples.
-	if p := total.Percentile(100); p < 40 {
-		t.Errorf("merged p100 = %v, want >= 40", p)
-	}
-	// Self-merge is a no-op.
-	total.Merge(total)
-	if total.Count() != 400 {
-		t.Errorf("self-merge changed count to %d", total.Count())
 	}
 }
 
@@ -232,11 +199,11 @@ func TestExportFormats(t *testing.T) {
 	eng := &sim.Engine{}
 	reg := NewRegistry()
 	c := reg.Counter("layer.ops", "operations")
-	h := reg.Histogram("layer.lat", "latency")
+	g := reg.Gauge("layer.lat", "latency")
 	for i := 1; i <= 5; i++ {
 		eng.At(units.Time(i)*units.Time(units.Microsecond), func() {
 			c.Inc()
-			h.Observe(100)
+			g.Set(100)
 		})
 	}
 	s := NewSampler(eng, reg, 2*units.Microsecond, 0)
@@ -280,7 +247,7 @@ func TestExportFormats(t *testing.T) {
 	}
 	for _, want := range []string{
 		"# TYPE layer_ops counter", "layer_ops 5",
-		"# TYPE layer_lat summary", "layer_lat_count 5", `layer_lat{quantile="0.99"}`,
+		"# TYPE layer_lat gauge", "layer_lat 100",
 	} {
 		if !strings.Contains(prom.String(), want) {
 			t.Errorf("Prometheus output missing %q:\n%s", want, prom.String())

@@ -289,8 +289,8 @@ func TestVarintOverflowIsNotTruncation(t *testing.T) {
 		truncated bool
 		want      string
 	}{
-		{"eleven-bytes", varintOverflowTrace(), false, "trace: record 1: truncated think: binary: varint overflows a 64-bit integer"},
-		{"ten-continuations-at-end", tenAtEnd, false, "trace: record 1: truncated think: binary: varint overflows a 64-bit integer"},
+		{"eleven-bytes", varintOverflowTrace(), false, "trace: record 1: think: binary: varint overflows a 64-bit integer"},
+		{"ten-continuations-at-end", tenAtEnd, false, "trace: record 1: think: binary: varint overflows a 64-bit integer"},
 		{"cut-at-end", varintTruncatedTrace(), true, "trace: record 1: truncated think: unexpected EOF"},
 	}
 	for _, tc := range cases {

@@ -204,6 +204,16 @@ func uvarint(b []byte) (uint64, int, error) {
 	return 0, 0, io.ErrUnexpectedEOF
 }
 
+// varintErr names the record field whose varint uvarint rejected: an
+// overflow reads "field: binary: varint overflows a 64-bit integer", a
+// cut-short varint "truncated field: unexpected EOF".
+func varintErr(field string, err error) error {
+	if err == errOverflow {
+		return fmt.Errorf("%s: %w", field, err)
+	}
+	return fmt.Errorf("truncated %s: %w", field, err)
+}
+
 // decode decodes the record at the front of b into rec and returns its
 // encoded length. It owns the record grammar and every check on it: an
 // empty b is the clean end of the stream (io.EOF), a record cut short
@@ -227,7 +237,7 @@ func (h Header) decode(b []byte, rec *Record) (int, error) {
 	}
 	think, n, err := uvarint(b[2:])
 	if err != nil {
-		return 0, fmt.Errorf("truncated think: %w", err)
+		return 0, varintErr("think", err)
 	}
 	if think > math.MaxInt64 {
 		return 0, fmt.Errorf("think %d overflows int64", think)
@@ -235,7 +245,7 @@ func (h Header) decode(b []byte, rec *Record) (int, error) {
 	i := 2 + n
 	addr, n, err := uvarint(b[i:])
 	if err != nil {
-		return 0, fmt.Errorf("truncated addr: %w", err)
+		return 0, varintErr("addr", err)
 	}
 	if addr > math.MaxInt64 {
 		return 0, fmt.Errorf("addr %d overflows int64", addr)
