@@ -19,6 +19,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 
 	"tetriswrite/internal/linestore"
 	"tetriswrite/internal/pcm"
@@ -67,30 +68,44 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// level is one set-associative array in structure-of-arrays layout: one
-// flat tag array, one flat data arena and one dirty bitmap, indexed by
-// (set, way). Entries within a set are kept in LRU order by permuting
-// the rank vectors (tags plus way indices — 9 bytes per line) while the
-// line data stays put in its slot, so a hit is a single set-indexed
-// probe over contiguous tags and a promotion never moves line payloads.
+// chunkLines is the number of line payloads in one slab chunk: 64 KiB
+// of 64 B lines.
+const chunkLines = 1024
+
+// level is one set-associative array. The rank vectors are dense per
+// set: tags (8 bytes) and slab line indices (4 bytes) for every
+// (set, rank) slot, kept in LRU order by permuting them, so a hit is a
+// single set-indexed probe over contiguous tags and a promotion never
+// moves line payloads.
 //
-// The arrays are allocated on the level's first insert: a 32 MB L3
-// costs tens of megabytes to allocate and zero, which a run that never
-// reaches the level should not pay. Until then every lookup misses.
+// The payloads live in a slab of fixed-size chunks, in the order the
+// level claimed their lines. A set claims a new slab line only while it
+// has a free way; a victim hands its slab line to the line replacing
+// it. The slab therefore grows with the lines the level has held, one
+// chunk at a time, not with its capacity: a 32 MB L3 that ever holds
+// 37k lines costs 2.4 MB of payload. Chunks never move, so a
+// payload slice stays valid while its line is resident. The dirty bits
+// are indexed by slab line too.
+//
+// The rank vectors are allocated on the level's first insert, so a run
+// that never reaches the level pays nothing for it. Until then every
+// lookup misses.
 type level struct {
 	cfg   LevelConfig
 	nsets int
 	st    Stats
 
-	tags  []int64 // nsets*Ways, rank-ordered per set (rank 0 = MRU)
-	way   []uint8 // nsets*Ways, rank -> data slot within the set
-	used  []uint8 // per set: ranks occupied
-	dirty []bool  // per (set, way) data slot
-	data  []byte  // nsets*Ways*LineBytes, per (set, way) data slot
+	tags []int64 // nsets*Ways, rank-ordered per set (rank 0 = MRU)
+	line []int32 // nsets*Ways, rank -> slab line
+	used []uint8 // per set: ranks occupied
+
+	chunks [][]byte // slab: line i is in chunks[i/chunkLines]
+	dirty  []bool   // per slab line
+	held   int32    // slab lines claimed
 
 	// victimBuf carries an evicted line's payload out of insert — the
-	// new line overwrites the victim's slot in place. One buffer per
-	// level is enough: a write-back cascade touches each level once.
+	// new line overwrites the victim's slab line in place. One buffer
+	// per level is enough: a write-back cascade touches each level once.
 	victimBuf []byte
 }
 
@@ -102,17 +117,19 @@ func newLevel(cfg LevelConfig) (*level, error) {
 		return nil, fmt.Errorf("cache %s: more than 255 ways", cfg.Name)
 	}
 	nsets := cfg.SizeBytes / (cfg.LineBytes * cfg.Ways)
+	if int64(nsets)*int64(cfg.Ways) > math.MaxInt32 {
+		return nil, fmt.Errorf("cache %s: more than %d lines", cfg.Name, math.MaxInt32)
+	}
 	return &level{cfg: cfg, nsets: nsets}, nil
 }
 
-// allocate builds the level's arrays; insert calls it on first use.
+// allocate builds the level's rank vectors; insert calls it on first
+// use. The slab starts empty.
 func (l *level) allocate() {
 	slots := l.nsets * l.cfg.Ways
 	l.tags = make([]int64, slots)
-	l.way = make([]uint8, slots)
+	l.line = make([]int32, slots)
 	l.used = make([]uint8, l.nsets)
-	l.dirty = make([]bool, slots)
-	l.data = make([]byte, slots*l.cfg.LineBytes)
 	l.victimBuf = make([]byte, l.cfg.LineBytes)
 }
 
@@ -123,44 +140,55 @@ func (l *level) empty() bool { return l.used == nil }
 func (l *level) setOf(addr pcm.LineAddr) int   { return int(int64(addr) % int64(l.nsets)) }
 func (l *level) tagOf(addr pcm.LineAddr) int64 { return int64(addr) / int64(l.nsets) }
 
-// slotData returns the payload of data slot w of set si.
-func (l *level) slotData(si int, w uint8) []byte {
-	off := (si*l.cfg.Ways + int(w)) * l.cfg.LineBytes
-	return l.data[off : off+l.cfg.LineBytes : off+l.cfg.LineBytes]
+// slotData returns the payload of slab line i.
+func (l *level) slotData(i int32) []byte {
+	off := int(i%chunkLines) * l.cfg.LineBytes
+	return l.chunks[i/chunkLines][off : off+l.cfg.LineBytes : off+l.cfg.LineBytes]
 }
 
-// lookup probes the line's set and returns its (set, slot) pair,
-// promoting it to MRU, or ok=false on miss. The tag scan runs over the
-// set's contiguous rank-ordered tag window — one bounds check, no
-// pointer chasing.
-func (l *level) lookup(addr pcm.LineAddr) (si int, w uint8, ok bool) {
+// claim takes the next slab line, adding a chunk when the last is full.
+func (l *level) claim() int32 {
+	i := l.held
+	if i%chunkLines == 0 {
+		l.chunks = append(l.chunks, make([]byte, chunkLines*l.cfg.LineBytes))
+		l.dirty = append(l.dirty, make([]bool, chunkLines)...)
+	}
+	l.held++
+	return i
+}
+
+// lookup probes the line's set and returns its slab line, promoting it
+// to MRU, or ok=false on miss. The tag scan runs over the set's
+// contiguous rank-ordered tag window — one bounds check, no pointer
+// chasing.
+func (l *level) lookup(addr pcm.LineAddr) (i int32, ok bool) {
 	if l.empty() {
 		l.st.Misses++
-		return 0, 0, false
+		return 0, false
 	}
-	si = l.setOf(addr)
+	si := l.setOf(addr)
 	tag := l.tagOf(addr)
 	base := si * l.cfg.Ways
 	n := int(l.used[si])
 	tags := l.tags[base : base+n]
 	for r := range tags {
 		if tags[r] == tag {
-			w = l.way[base+r]
+			i = l.line[base+r]
 			if r > 0 {
 				copy(l.tags[base+1:base+r+1], l.tags[base:base+r])
-				copy(l.way[base+1:base+r+1], l.way[base:base+r])
+				copy(l.line[base+1:base+r+1], l.line[base:base+r])
 				l.tags[base] = tag
-				l.way[base] = w
+				l.line[base] = i
 			}
 			l.st.Hits++
-			return si, w, true
+			return i, true
 		}
 	}
 	l.st.Misses++
-	return 0, 0, false
+	return 0, false
 }
 
-// insert allocates a line (MRU), copying data into the claimed slot. An
+// insert allocates a line (MRU), copying data into its slab line. An
 // evicted victim is reported with its payload moved to the level's
 // victim buffer (valid until the next insert on this level).
 func (l *level) insert(addr pcm.LineAddr, data []byte, dirty bool) (victimAddr pcm.LineAddr, victimData []byte, victimDirty, evicted bool) {
@@ -170,26 +198,25 @@ func (l *level) insert(addr pcm.LineAddr, data []byte, dirty bool) (victimAddr p
 	si := l.setOf(addr)
 	base := si * l.cfg.Ways
 	n := int(l.used[si])
-	var w uint8
+	var i int32
 	if n < l.cfg.Ways {
-		w = uint8(n) // slots are claimed in insertion order
+		i = l.claim()
 		l.used[si] = uint8(n + 1)
 	} else {
-		// Reuse the LRU victim's slot, carrying its payload out first.
-		vw := l.way[base+n-1]
+		// Reuse the LRU victim's slab line, carrying its payload out first.
+		i = l.line[base+n-1]
 		victimAddr = pcm.LineAddr(l.tags[base+n-1]*int64(l.nsets) + int64(si))
-		copy(l.victimBuf, l.slotData(si, vw))
-		victimData, victimDirty, evicted = l.victimBuf, l.dirty[base+int(vw)], true
+		copy(l.victimBuf, l.slotData(i))
+		victimData, victimDirty, evicted = l.victimBuf, l.dirty[i], true
 		l.st.Evictions++
-		w = vw
 		n--
 	}
 	copy(l.tags[base+1:base+n+1], l.tags[base:base+n])
-	copy(l.way[base+1:base+n+1], l.way[base:base+n])
+	copy(l.line[base+1:base+n+1], l.line[base:base+n])
 	l.tags[base] = l.tagOf(addr)
-	l.way[base] = w
-	l.dirty[base+int(w)] = dirty
-	copy(l.slotData(si, w), data)
+	l.line[base] = i
+	l.dirty[i] = dirty
+	copy(l.slotData(i), data)
 	return victimAddr, victimData, victimDirty, evicted
 }
 
@@ -205,10 +232,13 @@ type Hierarchy struct {
 	wbBuf    []wbEntry
 	wbMax    int
 	retrying bool
+	retryFn  func() // h.retryWriteBacks, bound once
 	waiters  []func()
 
-	// readFree recycles read records (see readEvent).
+	// readFree recycles read records (see readEvent); wbFree recycles
+	// write-back line buffers (see newWriteBack).
 	readFree []*readEvent
+	wbFree   [][]byte
 
 	// OnDirty, if set, is invoked whenever a store makes a line dirty
 	// that was not dirty before — the hook PreSET hint generation hangs
@@ -222,7 +252,9 @@ type wbEntry struct {
 }
 
 // Mem is the memory side of the hierarchy: implemented by
-// memctrl.Controller (possibly wrapped).
+// memctrl.Controller (possibly wrapped). SubmitWrite must copy the data
+// it keeps: the hierarchy hands it a victim buffer or a recycled
+// write-back buffer.
 type Mem interface {
 	SubmitRead(addr pcm.LineAddr, onDone func(at units.Time, data []byte)) bool
 	SubmitWrite(addr pcm.LineAddr, data []byte, onDone func(at units.Time)) bool
@@ -246,6 +278,7 @@ func New(eng *sim.Engine, mem Mem, cfgs []LevelConfig) (*Hierarchy, error) {
 		return nil, fmt.Errorf("cache: no levels")
 	}
 	h := &Hierarchy{eng: eng, mem: mem, wbMax: 64}
+	h.retryFn = h.retryWriteBacks
 	for _, cfg := range cfgs {
 		l, err := newLevel(cfg)
 		if err != nil {
@@ -276,11 +309,11 @@ func (h *Hierarchy) SubmitRead(addr pcm.LineAddr, onDone func(at units.Time, dat
 	var lat units.Duration
 	for i, l := range h.levels {
 		lat += l.cfg.Latency
-		if si, w, ok := l.lookup(addr); ok {
+		if li, ok := l.lookup(addr); ok {
 			// Fill the levels above (inclusive-ish: keeps upper levels
 			// warm like the common inclusive hierarchy).
 			ev := h.newReadEvent(onDone)
-			copy(ev.data, l.slotData(si, w))
+			copy(ev.data, l.slotData(li))
 			for j := i - 1; j >= 0; j-- {
 				h.fill(j, addr, ev.data, false)
 			}
@@ -297,6 +330,7 @@ func (h *Hierarchy) SubmitRead(addr pcm.LineAddr, onDone func(at units.Time, dat
 		if wb.addr == addr {
 			ev := h.newReadEvent(onDone)
 			copy(ev.data, wb.data)
+			h.freeWriteBack(wb.data)
 			h.wbBuf = append(h.wbBuf[:i], h.wbBuf[i+1:]...)
 			ev.at = h.eng.Now().Add(lat)
 			h.eng.At(ev.at, ev.fire)
@@ -376,12 +410,11 @@ func (h *Hierarchy) SubmitWrite(addr pcm.LineAddr, data []byte, onDone func(at u
 	if len(h.wbBuf) >= h.wbMax {
 		return false
 	}
-	if si, w, ok := h.levels[0].lookup(addr); ok {
+	if li, ok := h.levels[0].lookup(addr); ok {
 		l := h.levels[0]
-		di := si*l.cfg.Ways + int(w)
-		wasDirty := l.dirty[di]
-		copy(l.slotData(si, w), data)
-		l.dirty[di] = true
+		wasDirty := l.dirty[li]
+		copy(l.slotData(li), data)
+		l.dirty[li] = true
 		if !wasDirty && h.OnDirty != nil {
 			h.OnDirty(addr)
 		}
@@ -427,66 +460,95 @@ func (h *Hierarchy) fill(i int, addr pcm.LineAddr, data []byte, dirty bool) {
 	h.levels[i].st.WriteBacks++
 	if i+1 < len(h.levels) {
 		// Install into the next level as dirty (updating in place on hit).
-		if si, w, ok := h.levels[i+1].lookup(vAddr); ok {
+		if li, ok := h.levels[i+1].lookup(vAddr); ok {
 			l := h.levels[i+1]
-			copy(l.slotData(si, w), vData)
-			l.dirty[si*l.cfg.Ways+int(w)] = true
+			copy(l.slotData(li), vData)
+			l.dirty[li] = true
 			return
 		}
 		h.fill(i+1, vAddr, vData, true)
 		return
 	}
-	// Last level: the victim leaves the hierarchy for PCM; it must own
-	// its bytes — the victim buffer is recycled on the next eviction.
-	h.pushWriteBack(wbEntry{addr: vAddr, data: append([]byte(nil), vData...)})
+	// Last level: the victim leaves the hierarchy for PCM.
+	h.pushWriteBack(vAddr, vData)
 }
 
-func (h *Hierarchy) pushWriteBack(wb wbEntry) {
+// pushWriteBack sends a last-level victim to memory. data is the level's
+// victim buffer; only a write-back that has to wait in wbBuf copies it,
+// into a recycled line buffer.
+func (h *Hierarchy) pushWriteBack(addr pcm.LineAddr, data []byte) {
 	// Coalesce with a buffered write-back to the same line: the newer
 	// data supersedes.
 	for i := range h.wbBuf {
-		if h.wbBuf[i].addr == wb.addr {
-			h.wbBuf[i].data = wb.data
+		if h.wbBuf[i].addr == addr {
+			copy(h.wbBuf[i].data, data)
 			return
 		}
 	}
 	// Preserve FIFO: while older write-backs wait, newer ones must queue
 	// behind them, or a stale buffered line could overwrite a fresher
-	// direct submission at the controller.
-	if len(h.wbBuf) == 0 && h.mem.SubmitWrite(wb.addr, wb.data, nil) {
+	// direct submission at the controller. The controller copies what
+	// it accepts.
+	if len(h.wbBuf) == 0 && h.mem.SubmitWrite(addr, data, nil) {
 		return
 	}
-	h.wbBuf = append(h.wbBuf, wb)
+	h.wbBuf = append(h.wbBuf, wbEntry{addr: addr, data: h.newWriteBack(data)})
 	h.scheduleRetry()
 }
+
+// newWriteBack returns a copy of data in a line buffer from the
+// freelist; freeWriteBack returns a buffer once its write-back has left
+// wbBuf, so steady-state write-backs allocate nothing.
+func (h *Hierarchy) newWriteBack(data []byte) []byte {
+	var buf []byte
+	if n := len(h.wbFree); n > 0 {
+		buf = h.wbFree[n-1]
+		h.wbFree = h.wbFree[:n-1]
+	} else {
+		buf = make([]byte, len(data))
+	}
+	copy(buf, data)
+	return buf
+}
+
+func (h *Hierarchy) freeWriteBack(buf []byte) { h.wbFree = append(h.wbFree, buf) }
 
 func (h *Hierarchy) scheduleRetry() {
 	if h.retrying {
 		return
 	}
 	h.retrying = true
-	h.mem.WhenWriteSpace(func() {
-		h.retrying = false
-		for len(h.wbBuf) > 0 {
-			if !h.mem.SubmitWrite(h.wbBuf[0].addr, h.wbBuf[0].data, nil) {
-				h.scheduleRetry()
-				return
-			}
-			h.wbBuf = h.wbBuf[1:]
-		}
-		h.drainWaiters()
-	})
+	h.mem.WhenWriteSpace(h.retryFn)
+}
+
+// retryWriteBacks resubmits the buffered write-backs in FIFO order until
+// the controller refuses one, then waits for space again.
+func (h *Hierarchy) retryWriteBacks() {
+	h.retrying = false
+	sent := 0
+	for sent < len(h.wbBuf) && h.mem.SubmitWrite(h.wbBuf[sent].addr, h.wbBuf[sent].data, nil) {
+		h.freeWriteBack(h.wbBuf[sent].data)
+		sent++
+	}
+	h.wbBuf = append(h.wbBuf[:0], h.wbBuf[sent:]...)
+	if len(h.wbBuf) > 0 {
+		h.scheduleRetry()
+		return
+	}
+	h.drainWaiters()
 }
 
 func (h *Hierarchy) drainWaiters() {
 	if len(h.wbBuf) >= h.wbMax {
 		return
 	}
-	ws := h.waiters
-	h.waiters = nil
-	for _, fn := range ws {
+	// After only schedules, so no waiter re-registers during the loop
+	// and the slice can be reused.
+	for _, fn := range h.waiters {
 		h.eng.After(0, fn)
 	}
+	clear(h.waiters)
+	h.waiters = h.waiters[:0]
 }
 
 // IsDirty reports whether any level (or the write-back buffer) holds a
@@ -502,7 +564,7 @@ func (h *Hierarchy) IsDirty(addr pcm.LineAddr) bool {
 		tag := l.tagOf(addr)
 		base := si * l.cfg.Ways
 		for r := 0; r < int(l.used[si]); r++ {
-			if l.tags[base+r] == tag && l.dirty[base+int(l.way[base+r])] {
+			if l.tags[base+r] == tag && l.dirty[l.line[base+r]] {
 				return true
 			}
 		}
@@ -517,8 +579,9 @@ func (h *Hierarchy) IsDirty(addr pcm.LineAddr) bool {
 
 // Flush writes every dirty line back to memory (functionally, ignoring
 // timing) — used at the end of integration tests to compare memory
-// contents against a reference model. It returns the number of lines
-// flushed.
+// contents against a reference model. force must copy the data it
+// keeps: the buffered write-backs' buffers are recycled. It returns the
+// number of lines flushed.
 func (h *Hierarchy) Flush(force func(addr pcm.LineAddr, data []byte)) int {
 	n := 0
 	// Deepest-level copies may be stale if an upper level is dirtier;
@@ -533,10 +596,10 @@ func (h *Hierarchy) Flush(force func(addr pcm.LineAddr, data []byte)) int {
 		for si := 0; si < l.nsets; si++ {
 			base := si * l.cfg.Ways
 			for r := 0; r < int(l.used[si]); r++ {
-				w := l.way[base+r]
+				li := l.line[base+r]
 				addr := pcm.LineAddr(l.tags[base+r]*int64(l.nsets) + int64(si))
-				if seen.Add(int64(addr)) && l.dirty[base+int(w)] {
-					force(addr, l.slotData(si, w))
+				if seen.Add(int64(addr)) && l.dirty[li] {
+					force(addr, l.slotData(li))
 					n++
 				}
 			}
@@ -547,7 +610,8 @@ func (h *Hierarchy) Flush(force func(addr pcm.LineAddr, data []byte)) int {
 			force(wb.addr, wb.data)
 			n++
 		}
+		h.freeWriteBack(wb.data)
 	}
-	h.wbBuf = nil
+	h.wbBuf = h.wbBuf[:0]
 	return n
 }

@@ -133,7 +133,7 @@ func TestLRUOrder(t *testing.T) {
 	mk := func(v byte) []byte { d := make([]byte, 64); d[0] = v; return d }
 	l.insert(0, mk(1), false) // A (set 0)
 	l.insert(0+pcm.LineAddr(l.nsets), mk(2), false)
-	if _, _, ok := l.lookup(0); !ok {
+	if _, ok := l.lookup(0); !ok {
 		t.Fatal("A missing")
 	}
 	vAddr, _, _, evicted := l.insert(0+pcm.LineAddr(2*l.nsets), mk(3), false)
@@ -328,7 +328,7 @@ func TestCapacityNeverExceeded(t *testing.T) {
 func TestLevelsAllocateOnFirstInsert(t *testing.T) {
 	eng, h, _, _ := testHierarchy(t, tinyLevels())
 	for _, l := range h.levels {
-		if !l.empty() || l.data != nil {
+		if !l.empty() || l.chunks != nil || l.dirty != nil || l.held != 0 {
 			t.Fatalf("%s allocated before any access", l.cfg.Name)
 		}
 	}
@@ -367,5 +367,110 @@ func TestReadHitZeroAllocs(t *testing.T) {
 	}
 	if got != 0x77 {
 		t.Fatalf("hit returned %#x, want 0x77", got)
+	}
+}
+
+// Payload storage grows with the lines a level has held, one chunk at a
+// time, not with its capacity; a level filled past capacity holds
+// exactly one slab line per way of every set, and every resident line
+// keeps its own payload across chunk boundaries.
+func TestPayloadStorageTracksLinesHeld(t *testing.T) {
+	eng, h, _, _ := testHierarchy(t, DefaultLevels(cpuClock()))
+	const n = 2500
+	next := 0
+	var read func(units.Time, []byte)
+	read = func(units.Time, []byte) {
+		if next < n {
+			next++
+			if !h.SubmitRead(pcm.LineAddr(next), read) {
+				t.Fatalf("read %d refused", next)
+			}
+		}
+	}
+	eng.At(0, func() { read(0, nil) })
+	eng.Run()
+	maxChunks := (n + chunkLines - 1) / chunkLines
+	for _, l := range h.levels {
+		if int(l.held) > n || len(l.chunks) > maxChunks {
+			t.Errorf("%s holds %d slab lines in %d chunks after %d misses, want at most %d chunks",
+				l.cfg.Name, l.held, len(l.chunks), n, maxChunks)
+		}
+		if len(l.dirty) != len(l.chunks)*chunkLines {
+			t.Errorf("%s: %d dirty bits for %d chunks", l.cfg.Name, len(l.dirty), len(l.chunks))
+		}
+	}
+
+	for _, c := range []struct{ nsets, ways int }{{2, 2}, {3, 5}, {512, 4}} {
+		l, err := newLevel(LevelConfig{Name: "t", SizeBytes: c.nsets * c.ways * 64, LineBytes: 64, Ways: c.ways})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := c.nsets * c.ways
+		last := map[pcm.LineAddr]int{}
+		data := make([]byte, 64)
+		for a := 0; a < 3*lines; a++ {
+			addr := pcm.LineAddr(a * 7)
+			data[0], data[63] = byte(a), byte(a>>8)
+			l.insert(addr, data, a%2 == 0)
+			last[addr] = a
+		}
+		if int(l.held) != lines || len(l.chunks) != (lines+chunkLines-1)/chunkLines {
+			t.Errorf("%dx%d level: %d slab lines in %d chunks, want %d lines", c.nsets, c.ways, l.held, len(l.chunks), lines)
+		}
+		resident := 0
+		for addr, v := range last {
+			if li, ok := l.lookup(addr); ok {
+				resident++
+				if got := l.slotData(li); int(got[0])|int(got[63])<<8 != v {
+					t.Fatalf("%dx%d level: line %d payload %d, want %d", c.nsets, c.ways, addr, int(got[0])|int(got[63])<<8, v)
+				}
+			}
+		}
+		if resident != lines {
+			t.Errorf("%dx%d level: %d lines resident, want %d", c.nsets, c.ways, resident, lines)
+		}
+	}
+}
+
+// Dirty evictions from the last level allocate nothing in steady state,
+// whether the controller takes each write-back at once or the
+// hierarchy has to buffer and retry it.
+func TestDirtyEvictionZeroAllocs(t *testing.T) {
+	for _, wq := range []int{0, 1} {
+		eng := &sim.Engine{}
+		dev := pcm.MustNewDevice(pcm.DefaultParams())
+		ctrl := memctrl.New(eng, dev, schemes.NewDCW, memctrl.Config{WriteQueue: wq, OpportunisticWrites: true})
+		h, err := New(eng, ctrl, tinyLevels())
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := make([]byte, 64)
+		next := 0
+		round := func() {
+			// 64 lines of one bank cycle through set 0 of each level:
+			// every store evicts a dirty line from both levels, and the
+			// write-backs queue behind one another at the bank.
+			for k := 0; k < 8; k++ {
+				data[0] = byte(next)
+				if !h.SubmitWrite(pcm.LineAddr(next%64*8), data, nil) {
+					t.Fatalf("store %d refused", next)
+				}
+				next++
+			}
+			eng.Run()
+		}
+		for i := 0; i < 16; i++ {
+			round()
+		}
+		before := h.LevelStats()[1].WriteBacks
+		if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
+			t.Errorf("write queue %d: dirty evictions allocate %v objects per round, want 0", wq, allocs)
+		}
+		if h.LevelStats()[1].WriteBacks == before {
+			t.Fatalf("write queue %d: no last-level write-backs in the measured rounds", wq)
+		}
+		if wq == 1 && len(h.wbFree) == 0 {
+			t.Errorf("write queue 1: no write-back was ever buffered")
+		}
 	}
 }

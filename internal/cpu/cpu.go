@@ -16,10 +16,13 @@ import (
 )
 
 // OpSource supplies a core's instruction stream. A write's Data is
-// read-only to the core and everything below it: a source may hand out
-// payloads it shares with other sources or with later replays (a
-// trace.CoreSource returns subslices of the parsed trace), so the
-// memory ports copy the data they keep.
+// read-only to the core and everything below it, and is only valid
+// until the source's next Next call: a workload.Generator overwrites
+// one buffer per write, and a trace.CoreSource hands out subslices of
+// the parsed trace shared with later replays. The memory ports
+// therefore copy the data they keep. A core whose write was refused
+// waits in WhenWriteSpace and retries the same op without calling
+// Next, so the retry still sees its own data.
 type OpSource interface {
 	Next() workload.Op
 }

@@ -715,11 +715,13 @@ func (c *Controller) noteWriteSpace() {
 		c.draining = false
 		c.stats.DrainExits++
 	}
-	waiters := c.spaceWait
-	c.spaceWait = nil
-	for _, fn := range waiters {
+	// After only schedules, so no waiter re-registers during the loop
+	// and the slice can be reused.
+	for _, fn := range c.spaceWait {
 		c.eng.After(0, fn)
 	}
+	clear(c.spaceWait)
+	c.spaceWait = c.spaceWait[:0]
 }
 
 // readEvent is one armed read completion. The struct (and its prebound

@@ -406,7 +406,12 @@ func Generate(prof workload.Profile, cores int, seed int64, par pcm.Params, n in
 			if len(out) >= n {
 				break
 			}
-			out = append(out, Record{Core: c, Op: g.Next()})
+			op := g.Next()
+			if op.Write {
+				// The generator reuses its payload buffer on the next call.
+				op.Data = bytes.Clone(op.Data)
+			}
+			out = append(out, Record{Core: c, Op: op})
 		}
 	}
 	return out

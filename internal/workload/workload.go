@@ -105,7 +105,10 @@ type Op struct {
 	// issuing this access.
 	Think int64
 	// Write indicates a memory write; Data then holds the full line
-	// payload (reads carry nil Data).
+	// payload (reads carry nil Data). A Generator's Data is a buffer the
+	// generator owns: it stays valid until that generator's next Next
+	// call, which overwrites it. Callers that keep a payload past that
+	// must copy it.
 	Write bool
 	Addr  pcm.LineAddr
 	Data  []byte
@@ -131,7 +134,6 @@ type Generator struct {
 	privBase pcm.LineAddr
 	frontier pcm.LineAddr // next fresh line for this core
 	frontEnd pcm.LineAddr
-	lineLen  int
 	meanGap  float64
 	inBurst  bool
 	// freshFrac is the fraction of writes that allocate a fresh line:
@@ -145,6 +147,8 @@ type Generator struct {
 	// per-unit Poisson draw — the mean is a generator constant, and
 	// math.Exp per draw was a measurable slice of full-system profiles.
 	expUnitMean float64
+	// payload is the line buffer every write's Data borrows (see Op).
+	payload []byte
 }
 
 // Program is one multi-threaded workload instance: a profile plus the
@@ -221,7 +225,7 @@ func (p *Program) Generator(core int) *Generator {
 		prog:      p,
 		privBase:  pcm.LineAddr(int64(core) * int64(p.prof.PrivateLines)),
 		frontier:  p.frontBase + pcm.LineAddr(int64(core)*frontierCap),
-		lineLen:   p.par.LineBytes,
+		payload:   make([]byte, p.par.LineBytes),
 		meanGap:   1000 / apki,
 		freshFrac: (p.prof.MeanSets - p.prof.MeanResets) / total,
 	}
@@ -327,7 +331,8 @@ func (p *Program) InitialContentsInto(addr pcm.LineAddr, dst []byte) {
 	p.initialInto(addr, dst)
 }
 
-// Next produces the core's next operation.
+// Next produces the core's next operation. A write's Data is valid
+// until the following Next call (see Op).
 func (g *Generator) Next() Op {
 	op := Op{Think: g.thinkGap()}
 	// Read/write mix per Table III.
@@ -392,37 +397,37 @@ func (g *Generator) pickAddr() pcm.LineAddr {
 	return g.privBase + pcm.LineAddr(g.zipfPriv.uint64(&g.rng))
 }
 
-// freshPayload builds the first write to a fresh (all-zero) line: per
-// data unit, MeanSets+MeanResets bits are set — pure SET work over
-// untouched PCM, the source of the suite's SET-dominance.
+// freshPayload builds the first write to a fresh (all-zero) line into
+// the generator's payload buffer: per data unit, MeanSets+MeanResets
+// bits are set — pure SET work over untouched PCM, the source of the
+// suite's SET-dominance.
 func (g *Generator) freshPayload(addr pcm.LineAddr) []byte {
 	words := g.prog.shadowWords(addr)
-	for u := 0; u < g.lineLen/8; u++ {
+	for u := 0; u < len(g.payload)/8; u++ {
 		if g.rng.float64() < g.prof.UntouchedUnits {
 			continue
 		}
 		// Bit b of the 64-bit unit is bit b of the little-endian word.
 		words[u] |= g.rng.unitMask(g.rng.poisson(g.expUnitMean))
 	}
-	out := make([]byte, g.lineLen)
-	linestore.UnpackLine(out, words)
-	return out
+	linestore.UnpackLine(g.payload, words)
+	return g.payload
 }
 
-// mutateResident toggles bits of a resident line's shadow: per data unit,
+// mutateResident toggles bits of a resident line's shadow and unpacks it
+// into the generator's payload buffer: per data unit,
 // MeanSets+MeanResets uniformly chosen bits flip. Over the 50/50 resident
 // mix, flips split evenly between SETs and RESETs, so resident writes
 // contribute (MeanSets+MeanResets)/2 of each — which combined with the
 // fresh-write stream reproduces both Figure 3 means.
 func (g *Generator) mutateResident(addr pcm.LineAddr) []byte {
 	words := g.prog.shadowWords(addr)
-	for u := 0; u < g.lineLen/8; u++ {
+	for u := 0; u < len(g.payload)/8; u++ {
 		if g.rng.float64() < g.prof.UntouchedUnits {
 			continue
 		}
 		words[u] ^= g.rng.unitMask(g.rng.poisson(g.expUnitMean))
 	}
-	out := make([]byte, g.lineLen)
-	linestore.UnpackLine(out, words)
-	return out
+	linestore.UnpackLine(g.payload, words)
+	return g.payload
 }

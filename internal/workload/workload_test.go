@@ -73,6 +73,7 @@ func TestGeneratorDeterminism(t *testing.T) {
 		ops := make([]Op, 200)
 		for i := range ops {
 			ops[i] = g.Next()
+			ops[i].Data = append([]byte(nil), ops[i].Data...) // Data is reused by the next call
 		}
 		return ops
 	}
@@ -147,7 +148,7 @@ func TestBitChangeCalibration(t *testing.T) {
 				}
 				unitsSeen++
 			}
-			last[op.Addr] = op.Data
+			last[op.Addr] = append([]byte(nil), op.Data...) // Data is reused by the next call
 		}
 		if unitsSeen < 1000 {
 			t.Fatalf("%s: too few repeat-write units (%v) to calibrate", name, unitsSeen)
