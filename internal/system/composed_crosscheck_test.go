@@ -55,7 +55,7 @@ func TestComposedSchemeCrossCheck(t *testing.T) {
 					t.Fatal(err)
 				}
 				if w, ok := want[cell]; ok {
-					if d := resultDigest(t, first); d != w {
+					if d := canonicalDigest(t, first); d != w {
 						t.Errorf("Result drifted from %s: got %s, want %s", golden, d, w)
 					}
 				}

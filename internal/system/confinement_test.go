@@ -46,7 +46,7 @@ func TestConcurrentRunsShareNothing(t *testing.T) {
 		if res.Wear == nil || res.Telemetry == nil {
 			t.Fatalf("job %d lacks wear or telemetry: %+v", i, res)
 		}
-		serial[i] = sectionsDigest(t, res)
+		serial[i] = canonicalDigest(t, res)
 	}
 
 	results := make([]Result, len(jobs))
@@ -64,7 +64,7 @@ func TestConcurrentRunsShareNothing(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("job %d: %v", i, errs[i])
 		}
-		if d := sectionsDigest(t, results[i]); d != serial[i] {
+		if d := canonicalDigest(t, results[i]); d != serial[i] {
 			t.Errorf("job %d: concurrent Result %s differs from the serial one %s", i, d, serial[i])
 		}
 	}
