@@ -7,9 +7,10 @@ FUZZTIME ?= 10s
 # write stream), one full system simulation end to end,
 # the event engine on the long-trace pattern (at the 4-16 events a
 # full-system run keeps pending, and at a 4Ki-32Ki tail), workload
-# synthesis alone, and trace ingestion (Parse of a 300k-record vips
-# trace plus draining one CoreSource per core).
-BENCHFILTER ?= BenchmarkSchemePlanWrite|BenchmarkComposedSchemePlanWrite|BenchmarkSchemePlanWriteDense|BenchmarkSchemePlanStream|BenchmarkArrayFlipCount|BenchmarkCacheHit|BenchmarkFullSystemSingle|BenchmarkEngineLongTrace|BenchmarkGeneratorNext|BenchmarkTraceParse
+# synthesis alone, trace ingestion (Parse of a 300k-record vips
+# trace plus draining one CoreSource per core), and recording one
+# latency sample.
+BENCHFILTER ?= BenchmarkSchemePlanWrite|BenchmarkComposedSchemePlanWrite|BenchmarkSchemePlanWriteDense|BenchmarkSchemePlanStream|BenchmarkArrayFlipCount|BenchmarkCacheHit|BenchmarkFullSystemSingle|BenchmarkEngineLongTrace|BenchmarkGeneratorNext|BenchmarkTraceParse|BenchmarkLatencyAdd
 BENCHCOUNT ?= 3
 
 # Build stamping for `<binary> -version`: ldflags override the
@@ -52,6 +53,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzEnginePopOrder -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run='^$$' -fuzz=FuzzRunTrace -fuzztime=$(FUZZTIME) ./internal/system
 	$(GO) test -run='^$$' -fuzz=FuzzLevelMatchesLRUReference -fuzztime=$(FUZZTIME) ./internal/cache
+	$(GO) test -run='^$$' -fuzz=FuzzLatencyBucket -fuzztime=$(FUZZTIME) ./internal/stats
 
 # Run the gated benchmarks and leave the output in bench_new.txt for
 # benchgate. -count=$(BENCHCOUNT): benchgate takes the best run per

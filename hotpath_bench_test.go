@@ -4,14 +4,15 @@ package tetriswrite
 // targets (see DESIGN.md, Performance): the word-parallel cell store,
 // the batched pulse emission and the flat cache hit path — plus scheme
 // planning over a captured write stream, the workload generator that
-// feeds them (DESIGN.md, Workload RNG kernel) and trace ingestion
-// (DESIGN.md, Trace ingestion).
+// feeds them (DESIGN.md, Workload RNG kernel), trace ingestion
+// (DESIGN.md, Trace ingestion) and latency recording.
 // They are part of the gated set (Makefile BENCHFILTER, ci.yml bench-gate) so the
 // fast paths cannot silently fall back to the scalar code — a fallback
 // shows up as an ns/op and allocs/op cliff.
 
 import (
 	"bytes"
+	"math"
 	"math/bits"
 	"math/rand"
 	"testing"
@@ -21,6 +22,7 @@ import (
 	"tetriswrite/internal/pcm"
 	"tetriswrite/internal/schemes"
 	"tetriswrite/internal/sim"
+	"tetriswrite/internal/stats"
 	"tetriswrite/internal/trace"
 	"tetriswrite/internal/units"
 	"tetriswrite/internal/workload"
@@ -203,6 +205,30 @@ func BenchmarkCacheHit(b *testing.B) {
 	b.StopTimer()
 	if hits != b.N {
 		b.Fatalf("%d of %d reads completed", hits, b.N)
+	}
+}
+
+// BenchmarkLatencyAdd measures recording one latency sample, which the
+// controller does for every completed request: a bit-length table
+// lookup, at most a few boundary compares and a counter bump in the
+// dense histogram (DESIGN.md, Latency histogram). The samples are
+// log-normal around 100 ns, the spread of memory latencies, so the
+// boundary compares see varied buckets. Must stay at 0 allocs/op.
+func BenchmarkLatencyAdd(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	var samples [1024]units.Duration
+	for i := range samples {
+		samples[i] = units.Duration(math.Exp(rng.NormFloat64()) * float64(100*units.Nanosecond))
+	}
+	var l stats.Latency
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.Add(samples[i&(len(samples)-1)])
+	}
+	b.StopTimer()
+	if l.Count() != int64(b.N) {
+		b.Fatalf("recorded %d of %d samples", l.Count(), b.N)
 	}
 }
 

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -34,8 +35,8 @@ func TestHistogramPercentiles(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var samples []float64
 	for i := 0; i < 10000; i++ {
-		v := math.Exp(rng.NormFloat64()) * 100
-		samples = append(samples, v)
+		v := units.Duration(math.Exp(rng.NormFloat64()) * 100)
+		samples = append(samples, float64(v))
 		h.Add(v)
 	}
 	// Compare against exact percentiles with a tolerance of one bucket
@@ -189,71 +190,6 @@ func TestTableCSV(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	var a, b Histogram
-	for i := 0; i < 50; i++ {
-		a.Add(float64(i))
-	}
-	for i := 0; i < 30; i++ {
-		b.Add(0)
-	}
-	b.Add(5e6)
-
-	var whole Histogram
-	for i := 0; i < 50; i++ {
-		whole.Add(float64(i))
-	}
-	for i := 0; i < 30; i++ {
-		whole.Add(0)
-	}
-	whole.Add(5e6)
-
-	a.Merge(&b)
-	if a.Count() != whole.Count() {
-		t.Fatalf("merged count %d, want %d", a.Count(), whole.Count())
-	}
-	for _, p := range []float64{1, 25, 50, 75, 99, 100} {
-		if got, want := a.Percentile(p), whole.Percentile(p); got != want {
-			t.Errorf("P%v = %v after merge, want %v", p, got, want)
-		}
-	}
-}
-
-func TestHistogramMergeEdgeCases(t *testing.T) {
-	var a Histogram
-	a.Add(3)
-	before := a.Count()
-
-	a.Merge(nil) // nil is a no-op
-	a.Merge(&a)  // self-merge is a no-op, not a doubling
-	var empty Histogram
-	a.Merge(&empty) // empty is a no-op
-	if a.Count() != before {
-		t.Errorf("count %d after no-op merges, want %d", a.Count(), before)
-	}
-
-	// Merging into an empty histogram copies, and the copy is
-	// independent of the source afterwards.
-	var dst Histogram
-	dst.Merge(&a)
-	if dst.Count() != a.Count() || dst.Percentile(50) != a.Percentile(50) {
-		t.Error("merge into empty did not copy")
-	}
-	dst.Add(1e12)
-	if a.Count() == dst.Count() {
-		t.Error("source histogram aliased by merge")
-	}
-
-	// All-zero histograms merge into all-zero percentiles.
-	var z1, z2 Histogram
-	z1.Add(0)
-	z2.Add(0)
-	z1.Merge(&z2)
-	if z1.Count() != 2 || z1.Percentile(100) != 0 {
-		t.Errorf("all-zero merge: count=%d P100=%v", z1.Count(), z1.Percentile(100))
-	}
-}
-
 func TestHistogramPercentileClamping(t *testing.T) {
 	var h Histogram
 	h.Add(1000)
@@ -265,17 +201,24 @@ func TestHistogramPercentileClamping(t *testing.T) {
 	}
 }
 
-func TestHistogramClone(t *testing.T) {
-	var h Histogram
-	h.Add(1000)
-	c := h.Clone()
-	c.Add(1e12)
-	if h.Count() != 1 || c.Count() != 2 {
-		t.Errorf("clone not independent: src=%d clone=%d", h.Count(), c.Count())
+// A copied Latency is a snapshot: samples recorded by the live copy
+// afterwards do not reach it. (Controller.Stats hands out such copies.)
+func TestLatencyCopyIsIndependent(t *testing.T) {
+	var live Latency
+	live.Add(1000)
+	snap := live
+	wantP100 := snap.Percentile(100)
+	for i := 0; i < 100; i++ {
+		live.Add(1)
 	}
-	var empty Histogram
-	if e := empty.Clone(); e.Count() != 0 {
-		t.Error("cloning an empty histogram is not empty")
+	if got := snap.Percentile(100); got != wantP100 {
+		t.Errorf("snapshot P100 moved from %v to %v after the live copy recorded samples", wantP100, got)
+	}
+	if got := snap.Percentile(50); got != wantP100 {
+		t.Errorf("snapshot P50 = %v, want %v", got, wantP100)
+	}
+	if live.Percentile(50) == wantP100 {
+		t.Error("live copy did not record its own samples")
 	}
 }
 
@@ -306,16 +249,99 @@ func TestLatencyConcurrent(t *testing.T) {
 	}
 }
 
-func BenchmarkLatencyAdd(b *testing.B) {
+// TestLatencyAddZeroAllocs: recording a sample and reading a percentile
+// allocate nothing.
+func TestLatencyAddZeroAllocs(t *testing.T) {
 	var l Latency
-	for i := 0; i < b.N; i++ {
-		l.Add(units.Duration(i))
+	d := units.Duration(1)
+	if n := testing.AllocsPerRun(1000, func() {
+		l.Add(d)
+		d = d*3 + 7
+		if d < 0 {
+			d = 0
+		}
+	}); n != 0 {
+		t.Errorf("Latency.Add: %v allocs per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = l.Percentile(99) }); n != 0 {
+		t.Errorf("Latency.Percentile: %v allocs per call, want 0", n)
 	}
 }
 
-func BenchmarkHistogramAdd(b *testing.B) {
-	var h Histogram
-	for i := 0; i < b.N; i++ {
-		h.Add(float64(i % 100000))
+// checkBucket fails unless the dense index of d is bucketOf's bucket.
+func checkBucket(t *testing.T, d int64) {
+	t.Helper()
+	if d < 1 {
+		return
+	}
+	if got, want := countsIndex(units.Duration(d))-1, bucketOf(float64(d)); got != want {
+		t.Fatalf("bucket of %d = %d, bucketOf says %d", d, got, want)
+	}
+}
+
+// TestLatencyBucketBoundaries checks the dense index against bucketOf at
+// and ±1 around every bucket start and every power of two (where the
+// table lookup switches bit length), and at the ends of the range.
+func TestLatencyBucketBoundaries(t *testing.T) {
+	for b := 1; b < numBuckets; b++ {
+		s := int64(bucketStart[b])
+		if bucketOf(float64(s)) < b || bucketOf(float64(s-1)) >= b {
+			t.Fatalf("bucket %d starts at %d, but bucketOf(%d) = %d and bucketOf(%d) = %d",
+				b, s, s-1, bucketOf(float64(s-1)), s, bucketOf(float64(s)))
+		}
+		for _, d := range []int64{s - 1, s, s + 1} {
+			checkBucket(t, d)
+		}
+	}
+	for n := 0; n < 63; n++ {
+		p := int64(1) << n
+		for _, d := range []int64{p - 1, p, p + 1} {
+			checkBucket(t, d)
+		}
+	}
+	for _, d := range []int64{1, 2, 3, math.MaxInt64 - 1, math.MaxInt64} {
+		checkBucket(t, d)
+	}
+	if got := countsIndex(0); got != 0 {
+		t.Errorf("zero sample at index %d, want the zero bucket", got)
+	}
+	if got := countsIndex(math.MaxInt64) - 1; got != numBuckets-1 {
+		t.Errorf("MaxInt64 in bucket %d, want the last bucket %d", got, numBuckets-1)
+	}
+}
+
+// FuzzLatencyBucket: for any sample d >= 1 up to MaxInt64, the dense
+// index the tables give equals bucketOf(float64(d)).
+func FuzzLatencyBucket(f *testing.F) {
+	for _, d := range []uint64{1, 2, 9, 10, 11, 999, 1000, 1001, 1 << 53, 1<<53 + 1, math.MaxInt64} {
+		f.Add(d)
+	}
+	f.Fuzz(func(t *testing.T, u uint64) {
+		checkBucket(t, int64(u&math.MaxInt64))
+	})
+}
+
+// TestLatencyBucketRandom sweeps random samples at every scale.
+func TestLatencyBucketRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 200000; i++ {
+		checkBucket(t, rng.Int63()>>uint(rng.Intn(63)))
+	}
+}
+
+func TestLatencyBuckets(t *testing.T) {
+	var l Latency
+	for _, d := range []units.Duration{0, 0, 1, 1000, 1000, 1001, math.MaxInt64} {
+		l.Add(d)
+	}
+	type pair struct {
+		b int
+		n int64
+	}
+	var got []pair
+	l.Buckets(func(b int, n int64) { got = append(got, pair{b, n}) })
+	want := []pair{{ZeroBucket, 2}, {0, 1}, {bucketOf(1000), 3}, {numBuckets - 1, 1}}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("Buckets = %v, want %v", got, want)
 	}
 }
