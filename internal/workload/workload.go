@@ -209,6 +209,19 @@ func NewProgram(prof Profile, cores int, seed int64, par pcm.Params) *Program {
 // little past it. Device sizing uses it as a capacity hint.
 func (p *Program) AddressFootprint() int64 { return int64(p.frontBase) }
 
+// Cores returns the number of cores the program was built for.
+func (p *Program) Cores() int { return p.cores }
+
+// FrontierWindow returns the lines [base, base+lines) core's fresh
+// allocations cycle through: the frontier starts at base, advances one
+// line per fresh write and wraps back to base at the end. The windows of
+// successive cores are adjacent and start at AddressFootprint, so
+// together with the static regions they hold every line a Generator of
+// the program can name.
+func (p *Program) FrontierWindow(core int) (base pcm.LineAddr, lines int64) {
+	return p.frontBase + pcm.LineAddr(int64(core)*frontierCap), frontierCap
+}
+
 // Profile returns the program's (normalized) profile.
 func (p *Program) Profile() Profile { return p.prof }
 
@@ -224,12 +237,12 @@ func (p *Program) Generator(core int) *Generator {
 		core:      core,
 		prog:      p,
 		privBase:  pcm.LineAddr(int64(core) * int64(p.prof.PrivateLines)),
-		frontier:  p.frontBase + pcm.LineAddr(int64(core)*frontierCap),
 		payload:   make([]byte, p.par.LineBytes),
 		meanGap:   1000 / apki,
 		freshFrac: (p.prof.MeanSets - p.prof.MeanResets) / total,
 	}
-	g.frontEnd = g.frontier + frontierCap
+	base, lines := p.FrontierWindow(core)
+	g.frontier, g.frontEnd = base, base+pcm.LineAddr(lines)
 	g.rng.seed(p.seed*1000003 + int64(core)*7919 + 1)
 	g.zipfPriv = newZipf(p.prof.ZipfS, 1, uint64(p.prof.PrivateLines-1))
 	g.zipfShrd = newZipf(p.prof.ZipfS, 1, uint64(p.prof.SharedLines-1))
