@@ -144,8 +144,12 @@ func (c *Config) Normalize(par pcm.Params) {
 }
 
 type request struct {
-	write    bool
-	addr     pcm.LineAddr
+	write bool
+	addr  pcm.LineAddr
+	// bank and sub are where addr lives, placed once at enqueue so the
+	// scheduler's per-entry checks compare fields instead of dividing.
+	bank     *bank
+	sub      int
 	data     []byte
 	enqueued units.Time
 	onDone   func(at units.Time)
@@ -210,7 +214,7 @@ type Controller struct {
 	stats     Stats
 
 	// PreSET state.
-	presetQ    []pcm.LineAddr
+	presetQ    []presetHint
 	presetSet  *linestore.Set
 	stillDirty func(pcm.LineAddr) bool
 	allOnes    []byte
@@ -465,13 +469,16 @@ func (c *Controller) Params() pcm.Params { return c.par }
 // Stats returns a snapshot of the controller statistics.
 func (c *Controller) Stats() Stats { return c.stats }
 
-func (c *Controller) bankOf(addr pcm.LineAddr) *bank {
-	return c.banks[int(addr)%len(c.banks)]
-}
-
-// subarrayOf returns the subarray a line lives in within its bank.
-func (c *Controller) subarrayOf(addr pcm.LineAddr) int {
-	return int(int64(addr)/int64(len(c.banks))) % c.cfg.Subarrays
+// place returns the bank a line lives in (lines interleave across banks)
+// and its subarray within that bank.
+func (c *Controller) place(addr pcm.LineAddr) (b *bank, sub int) {
+	n := int64(len(c.banks))
+	row := int64(addr) / n
+	b = c.banks[int64(addr)-row*n]
+	if c.cfg.Subarrays > 1 {
+		sub = int(row % int64(c.cfg.Subarrays))
+	}
+	return b, sub
 }
 
 // SubmitRead enqueues a read. It returns false (and records a stall) if
@@ -487,8 +494,9 @@ func (c *Controller) SubmitRead(addr pcm.LineAddr, onDone func(at units.Time, da
 		return false
 	}
 	c.stats.Reads++
+	b, sub := c.place(addr)
 	// Store-to-load forwarding: the freshest matching write wins.
-	if d := c.forwardData(addr); d != nil {
+	if d := c.forwardData(addr, b); d != nil {
 		c.stats.ForwardedReads++
 		ev := c.newForwardEvent()
 		ev.at = c.eng.Now().Add(c.cfg.ForwardLatency)
@@ -499,10 +507,9 @@ func (c *Controller) SubmitRead(addr pcm.LineAddr, onDone func(at units.Time, da
 		return true
 	}
 	req := c.newRequest()
-	req.addr = addr
+	req.addr, req.bank, req.sub = addr, b, sub
 	req.enqueued = c.eng.Now()
 	req.onData = onDone
-	b := c.bankOf(addr)
 	b.readQ = append(b.readQ, req)
 	c.nreadQ++
 	c.guardQueues()
@@ -511,14 +518,14 @@ func (c *Controller) SubmitRead(addr pcm.LineAddr, onDone func(at units.Time, da
 }
 
 // forwardData returns the data of the youngest pending or in-flight write
-// to addr, or nil.
-func (c *Controller) forwardData(addr pcm.LineAddr) []byte {
+// to addr, which lives in bank b, or nil.
+func (c *Controller) forwardData(addr pcm.LineAddr, b *bank) []byte {
 	for i := len(c.writeQ) - 1; i >= 0; i-- {
 		if c.writeQ[i].addr == addr {
 			return c.writeQ[i].data
 		}
 	}
-	if b := c.bankOf(addr); b.write != nil && b.write.addr == addr {
+	if b.write != nil && b.write.addr == addr {
 		return b.write.data
 	}
 	return nil
@@ -558,6 +565,7 @@ func (c *Controller) SubmitWrite(addr pcm.LineAddr, data []byte, onDone func(at 
 	req := c.newRequest()
 	req.write = true
 	req.addr = addr
+	req.bank, req.sub = c.place(addr)
 	req.data = c.newData()
 	copy(req.data, data)
 	req.enqueued = c.eng.Now()
@@ -576,7 +584,7 @@ func (c *Controller) SubmitWrite(addr pcm.LineAddr, data []byte, onDone func(at 
 		return true
 	}
 	// A queued write can only ever dispatch to its owning bank.
-	c.scheduleBank(c.bankOf(addr))
+	c.scheduleBank(req.bank)
 	return true
 }
 
@@ -668,7 +676,7 @@ func (c *Controller) startReads(b *bank) {
 			return
 		}
 		r := b.readQ[i]
-		if !c.canRead(b, r.addr) {
+		if !c.canRead(b, r) {
 			i++
 			continue
 		}
@@ -680,9 +688,8 @@ func (c *Controller) startReads(b *bank) {
 
 // canRead reports whether the read's subarray is free and not blocked by
 // the in-flight write.
-func (c *Controller) canRead(b *bank, addr pcm.LineAddr) bool {
-	sub := c.subarrayOf(addr)
-	if b.reads[sub] != nil {
+func (c *Controller) canRead(b *bank, r *request) bool {
+	if b.reads[r.sub] != nil {
 		return false
 	}
 	if b.write == nil {
@@ -691,7 +698,7 @@ func (c *Controller) canRead(b *bank, addr pcm.LineAddr) bool {
 	if c.cfg.Subarrays <= 1 {
 		return false
 	}
-	return c.subarrayOf(b.write.addr) != sub
+	return b.write.sub != r.sub
 }
 
 func (c *Controller) pickWrite(b *bank) *request {
@@ -699,7 +706,7 @@ func (c *Controller) pickWrite(b *bank) *request {
 		return nil
 	}
 	for i, r := range c.writeQ {
-		if c.bankOf(r.addr) == b {
+		if r.bank == b {
 			c.writeQ = append(c.writeQ[:i], c.writeQ[i+1:]...)
 			c.noteWriteSpace()
 			return r
@@ -794,7 +801,7 @@ func (ev *forwardEvent) run() {
 }
 
 func (c *Controller) startRead(b *bank, req *request) {
-	sub := c.subarrayOf(req.addr)
+	sub := req.sub
 	b.reads[sub] = req
 	b.nreads++
 	if b.write != nil {
@@ -1077,16 +1084,16 @@ func (c *Controller) tryPause(b *bank) {
 
 // blockedBy reports whether a queued read is blocked specifically by the
 // bank's in-flight write (same subarray, or a monolithic bank).
-func (c *Controller) blockedBy(b *bank, addr pcm.LineAddr) bool {
+func (c *Controller) blockedBy(b *bank, r *request) bool {
 	if b.write == nil {
 		return false
 	}
-	return c.cfg.Subarrays <= 1 || c.subarrayOf(b.write.addr) == c.subarrayOf(addr)
+	return c.cfg.Subarrays <= 1 || b.write.sub == r.sub
 }
 
 func (c *Controller) hasBlockedReadFor(b *bank) bool {
 	for _, r := range b.readQ {
-		if c.blockedBy(b, r.addr) {
+		if c.blockedBy(b, r) {
 			return true
 		}
 	}
@@ -1095,7 +1102,7 @@ func (c *Controller) hasBlockedReadFor(b *bank) bool {
 
 func (c *Controller) popBlockedReadFor(b *bank) *request {
 	for i, r := range b.readQ {
-		if c.blockedBy(b, r.addr) {
+		if c.blockedBy(b, r) {
 			b.readQ = append(b.readQ[:i], b.readQ[i+1:]...)
 			c.nreadQ--
 			return r
@@ -1133,7 +1140,7 @@ func (c *Controller) finish(req *request, at units.Time) {
 		c.deliverRead(req, at)
 	}
 	// Completion frees resources on the request's own bank only.
-	c.scheduleBank(c.bankOf(req.addr))
+	c.scheduleBank(req.bank)
 	c.checkIdle()
 	c.recycleRequest(req)
 }
@@ -1142,6 +1149,13 @@ func (c *Controller) finish(req *request, at units.Time) {
 // line is preset only while its memory copy is dead (a dirty copy lives
 // in the cache hierarchy). Without a checker, hints are dropped.
 func (c *Controller) SetDirtyChecker(fn func(pcm.LineAddr) bool) { c.stillDirty = fn }
+
+// presetHint is one queued PreSET candidate and where its line lives.
+type presetHint struct {
+	addr pcm.LineAddr
+	bank *bank
+	sub  int
+}
 
 // PresetHint enqueues a line for idle-time presetting. Call it when the
 // line goes dirty in the last-level cache.
@@ -1160,7 +1174,8 @@ func (c *Controller) PresetHint(addr pcm.LineAddr) {
 		return
 	}
 	c.presetSet.Add(int64(addr))
-	c.presetQ = append(c.presetQ, addr)
+	b, sub := c.place(addr)
+	c.presetQ = append(c.presetQ, presetHint{addr: addr, bank: b, sub: sub})
 	c.schedule()
 }
 
@@ -1177,10 +1192,11 @@ func (c *Controller) tryPreset(b *bank) bool {
 	if !ok {
 		return false
 	}
-	for i, addr := range c.presetQ {
-		if c.bankOf(addr) != b {
+	for i, h := range c.presetQ {
+		if h.bank != b {
 			continue
 		}
+		addr := h.addr
 		c.presetQ = append(c.presetQ[:i], c.presetQ[i+1:]...)
 		c.presetSet.Delete(int64(addr))
 		// Stale hints: the line was cleaned (written back) or has a
@@ -1212,7 +1228,7 @@ func (c *Controller) tryPreset(b *bank) bool {
 		// Preset requests deliberately bypass the freelists: data aliases
 		// the shared c.allOnes buffer, and the request never reaches
 		// finish, so neither may be recycled.
-		req := &request{write: true, addr: addr, data: c.allOnes, enqueued: c.eng.Now()}
+		req := &request{write: true, addr: addr, bank: b, sub: h.sub, data: c.allOnes, enqueued: c.eng.Now()}
 		b.write = req
 		b.writeEnd = c.eng.Now().Add(plan.ServiceTime())
 		if b.recycler != nil {
@@ -1250,7 +1266,8 @@ func (c *Controller) hasQueuedWrite(addr pcm.LineAddr) bool {
 // contents. Wear-leveling gap moves use it to snapshot a line without
 // losing queued updates.
 func (c *Controller) Snoop(addr pcm.LineAddr, dst []byte) {
-	if d := c.forwardData(addr); d != nil {
+	b, _ := c.place(addr)
+	if d := c.forwardData(addr, b); d != nil {
 		copy(dst, d)
 		return
 	}

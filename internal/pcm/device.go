@@ -36,6 +36,7 @@ type FaultModel interface {
 // goroutine that runs the simulation owning it (see the package doc).
 type Device struct {
 	params Params
+	nlines int64 // params.Lines(), the bound every access is checked against
 
 	lines *linestore.Store
 	stats DeviceStats
@@ -65,6 +66,7 @@ func NewDevice(p Params) (*Device, error) {
 	}
 	return &Device{
 		params: p,
+		nlines: p.Lines(),
 		lines:  linestore.NewStore(linestore.Words(p.LineBytes)),
 		oldBuf: make([]byte, p.LineBytes),
 		newBuf: make([]byte, p.LineBytes),
@@ -85,8 +87,8 @@ func MustNewDevice(p Params) *Device {
 func (d *Device) Params() Params { return d.params }
 
 func (d *Device) checkAddr(addr LineAddr) {
-	if addr < 0 || int64(addr) >= d.params.Lines() {
-		panic(fmt.Sprintf("pcm: line address %d out of range [0, %d)", addr, d.params.Lines()))
+	if uint64(addr) >= uint64(d.nlines) {
+		panic(fmt.Sprintf("pcm: line address %d out of range [0, %d)", addr, d.nlines))
 	}
 }
 
@@ -101,7 +103,7 @@ func (d *Device) StoreOccupancy() (lines, capacity int, load float64) {
 // workload's footprint (system.Run) use it to skip the store's
 // cold-start rehash ladder; it never changes stored contents.
 func (d *Device) ReserveLines(n int64) {
-	if max := d.params.Lines(); n > max {
+	if max := d.nlines; n > max {
 		n = max
 	}
 	if n <= 0 || n > int64(1)<<31 {
