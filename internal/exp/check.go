@@ -2,12 +2,12 @@ package exp
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"tetriswrite/internal/analytic"
 	"tetriswrite/internal/pcm"
 	"tetriswrite/internal/schemes"
+	"tetriswrite/internal/stats"
 	"tetriswrite/internal/tetris"
 )
 
@@ -22,9 +22,13 @@ type CheckResult struct {
 // paper's qualitative claims — the "reproduction certificate" behind
 // `tetrisbench -check`. Absolute numbers are platform-dependent; these
 // checks pin the shapes: who wins, in what order, and where the
-// workload-dependent exceptions fall.
+// workload-dependent exceptions fall. The claims are about the paper's
+// five schemes, so the grid always runs the paper SchemeSet, whatever
+// opt.Schemes selects. The checks read each table's numbers as it
+// prints them.
 func CheckShapes(opt Options) ([]CheckResult, error) {
 	opt.Normalize()
+	opt.Schemes = nil
 	var out []CheckResult
 	add := func(name string, ok bool, format string, args ...any) {
 		out = append(out, CheckResult{Name: name, OK: ok, Detail: fmt.Sprintf(format, args...)})
@@ -71,16 +75,15 @@ func CheckShapes(opt Options) ([]CheckResult, error) {
 		"result=%d subresult=%d", sched.Result, sched.SubResult)
 
 	// Figure 3 shape.
-	f3 := tableRows(Figure3(opt).String())
-	avg := f3["average"]
+	f3 := Figure3(opt)
+	avg := f3.Values("average")
 	ok := len(avg) == 3 && avg[1] > avg[0] && avg[2] > 6 && avg[2] < 13 &&
-		f3["blackscholes"][2] < f3["vips"][2]
+		f3.Values("blackscholes")[2] < f3.Values("vips")[2]
 	add("figure 3: SET-dominant, ~9.6 bits/unit, blackscholes<vips", ok,
 		"avg RESET=%.2f SET=%.2f total=%.2f", avg[0], avg[1], avg[2])
 
 	// Figure 10 shape.
-	f10 := tableRows(Figure10(opt).String())
-	a := f10["average"]
+	a := Figure10(opt).Values("average")
 	ok = len(a) == 5 && a[0] == 8 && a[1] == 4 &&
 		a[2] > 2.9 && a[2] <= 3.0 && a[3] > 2.4 && a[3] <= 2.5 &&
 		a[4] < a[3] && a[4] >= 0.8 && a[4] <= 1.8
@@ -92,8 +95,8 @@ func CheckShapes(opt Options) ([]CheckResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	ordering := func(name, rendered string, increasing bool) {
-		g := tableRows(rendered)["geomean"]
+	ordering := func(name string, tb *stats.Table, increasing bool) {
+		g := tb.Values("geomean")
 		okOrd := len(g) == 5 && g[0] == 1
 		for i := 1; i < len(g); i++ {
 			if increasing && g[i] <= g[i-1] {
@@ -105,15 +108,15 @@ func CheckShapes(opt Options) ([]CheckResult, error) {
 		}
 		add(name, okOrd, "geomean = %.3f %.3f %.3f %.3f %.3f", g[0], g[1], g[2], g[3], g[4])
 	}
-	ordering("figure 11: read latency ordering", fr.Figure11().String(), false)
-	ordering("figure 12: write latency ordering", fr.Figure12().String(), false)
-	ordering("figure 13: IPC ordering", fr.Figure13().String(), true)
-	ordering("figure 14: running time ordering", fr.Figure14().String(), false)
+	ordering("figure 11: read latency ordering", fr.Figure11(), false)
+	ordering("figure 12: write latency ordering", fr.Figure12(), false)
+	ordering("figure 13: IPC ordering", fr.Figure13(), true)
+	ordering("figure 14: running time ordering", fr.Figure14(), false)
 
 	// The paper's workload-dependent exception: read-dominant
 	// blackscholes and swaptions gain almost no write latency.
-	f12 := tableRows(fr.Figure12().String())
-	bs, sw := f12["blackscholes"], f12["swaptions"]
+	f12 := fr.Figure12()
+	bs, sw := f12.Values("blackscholes"), f12.Values("swaptions")
 	// Threshold 0.75: at small instruction budgets these workloads issue
 	// only a handful of writes and the ratio is noisy; memory-bound
 	// workloads sit far below at 0.25-0.65.
@@ -122,25 +125,4 @@ func CheckShapes(opt Options) ([]CheckResult, error) {
 		"blackscholes=%.3f swaptions=%.3f (tetris column)", bs[4], sw[4])
 
 	return out, nil
-}
-
-// tableRows extracts numeric cells per label from a rendered table.
-func tableRows(out string) map[string][]float64 {
-	rows := map[string][]float64{}
-	for _, line := range strings.Split(out, "\n") {
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			continue
-		}
-		var vals []float64
-		for _, f := range fields[1:] {
-			if v, err := strconv.ParseFloat(f, 64); err == nil {
-				vals = append(vals, v)
-			}
-		}
-		if len(vals) > 0 {
-			rows[fields[0]] = vals
-		}
-	}
-	return rows
 }

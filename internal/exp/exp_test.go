@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -24,13 +25,13 @@ func TestFigure3Shape(t *testing.T) {
 			t.Errorf("Figure 3 output missing %q", w)
 		}
 	}
-	rows := parseRows(out)
+	rows := tb.Values
 	// blackscholes lightest, vips heaviest; average total in the
 	// neighbourhood of the paper's 9.6.
-	if rows["blackscholes"][2] > rows["vips"][2] {
+	if rows("blackscholes")[2] > rows("vips")[2] {
 		t.Error("blackscholes total >= vips total; Figure 3 shape broken")
 	}
-	avg := rows["average"]
+	avg := rows("average")
 	if avg[2] < 6 || avg[2] > 13 {
 		t.Errorf("average total bit-writes %.2f, want in [6, 13] (paper: 9.6)", avg[2])
 	}
@@ -48,10 +49,8 @@ func TestTable3(t *testing.T) {
 }
 
 func TestFigure10Shape(t *testing.T) {
-	tb := Figure10(fastOptions())
-	out := tb.String()
-	rows := parseRows(out)
-	avg := rows["average"]
+	rows := Figure10(fastOptions()).Values
+	avg := rows("average")
 	// Columns: baseline, fnw, 2stage, 3stage, tetris.
 	if avg[0] != 8 {
 		t.Errorf("baseline write units %.2f, want 8", avg[0])
@@ -69,7 +68,7 @@ func TestFigure10Shape(t *testing.T) {
 		t.Errorf("tetris write units %.2f, want in the paper's 1.06-1.46 band", avg[4])
 	}
 	// Per-workload: sparse blackscholes near 1, dense vips higher.
-	if rows["blackscholes"][4] > rows["vips"][4] {
+	if rows("blackscholes")[4] > rows("vips")[4] {
 		t.Error("tetris: blackscholes should need fewer write units than vips")
 	}
 }
@@ -82,13 +81,13 @@ func TestFullSystemFigures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f11 := parseRows(fr.Figure11().String())
-	f12 := parseRows(fr.Figure12().String())
-	f13 := parseRows(fr.Figure13().String())
-	f14 := parseRows(fr.Figure14().String())
+	f11 := fr.Figure11().Values
+	f12 := fr.Figure12().Values
+	f13 := fr.Figure13().Values
+	f14 := fr.Figure14().Values
 
-	check := func(name string, rows map[string][]float64, wantDecreasing bool) {
-		g := rows["geomean"]
+	check := func(name string, rows func(string) []float64, wantDecreasing bool) {
+		g := rows("geomean")
 		if g[0] != 1.0 {
 			t.Errorf("%s: baseline geomean %.3f, want 1", name, g[0])
 		}
@@ -110,14 +109,14 @@ func TestFullSystemFigures(t *testing.T) {
 	// the monotonicity above) and well above 1 (the paper reports 2x
 	// against its own workload mix; the geomean here includes the two
 	// barely memory-bound workloads, which pull it toward 1).
-	if g := f13["geomean"]; g[4] < 1.35 {
+	if g := f13("geomean"); g[4] < 1.35 {
 		t.Errorf("tetris IPC improvement %.2f, want > 1.35", g[4])
 	}
 	// Energy: comparison-based schemes save energy vs baseline... the
 	// baseline DCW is already comparison-based, so 2stage must *cost*
 	// more energy, fnw/3stage/tetris about the same as baseline.
-	en := parseRows(fr.EnergyTable().String())
-	g := en["geomean"]
+	en := fr.EnergyTable().Values
+	g := en("geomean")
 	if g[2] < 2 {
 		t.Errorf("2stage energy %.2f of baseline, want >> 1 (writes every cell)", g[2])
 	}
@@ -159,49 +158,28 @@ func TestFigure4Diagram(t *testing.T) {
 	}
 }
 
-// parseRows extracts numeric cells per label row from a rendered table.
-func parseRows(out string) map[string][]float64 {
-	rows := map[string][]float64{}
-	for _, line := range strings.Split(out, "\n") {
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			continue
-		}
-		var vals []float64
-		for _, f := range fields[1:] {
-			if v, err := strconv.ParseFloat(f, 64); err == nil {
-				vals = append(vals, v)
-			}
-		}
-		if len(vals) > 0 {
-			rows[fields[0]] = vals
-		}
-	}
-	return rows
-}
-
 func TestLineSizeSweep(t *testing.T) {
 	opt := fastOptions()
 	opt.Writes = 200
-	rows := parseRows(LineSizeSweep(opt).String())
+	rows := LineSizeSweep(opt).Values
 	// Baseline scales linearly with the line size: 8, 16, 32 units.
 	for _, c := range []struct {
 		line string
 		want float64
 	}{{"64", 8}, {"128", 16}, {"256", 32}} {
-		if got := rows[c.line][0]; got != c.want {
+		if got := rows(c.line)[0]; got != c.want {
 			t.Errorf("line %sB baseline = %v write units, want %v", c.line, got, c.want)
 		}
 	}
 	// Tetris grows far slower than linearly: 256B costs less than 3x 64B.
-	if rows["256"][4] >= 3*rows["64"][4] {
+	if rows("256")[4] >= 3*rows("64")[4] {
 		t.Errorf("tetris at 256B = %v, 64B = %v; should scale sublinearly",
-			rows["256"][4], rows["64"][4])
+			rows("256")[4], rows("64")[4])
 	}
 	// And stays below three-stage at every size.
 	for _, line := range []string{"64", "128", "256"} {
-		if rows[line][4] >= rows[line][3] {
-			t.Errorf("line %sB: tetris %v !< 3stage %v", line, rows[line][4], rows[line][3])
+		if rows(line)[4] >= rows(line)[3] {
+			t.Errorf("line %sB: tetris %v !< 3stage %v", line, rows(line)[4], rows(line)[3])
 		}
 	}
 }
@@ -209,22 +187,22 @@ func TestLineSizeSweep(t *testing.T) {
 func TestBudgetSweep(t *testing.T) {
 	opt := fastOptions()
 	opt.Writes = 200
-	rows := parseRows(BudgetSweep(opt).String())
+	rows := BudgetSweep(opt).Values
 	// Write units grow monotonically as the budget shrinks, per scheme.
 	order := []string{"32", "16", "8", "4"}
 	for col := 0; col < 5; col++ {
 		for i := 1; i < len(order); i++ {
-			if rows[order[i]][col] < rows[order[i-1]][col]-1e-9 {
+			if rows(order[i])[col] < rows(order[i-1])[col]-1e-9 {
 				t.Errorf("column %d: budget %s (%v) easier than budget %s (%v)",
-					col, order[i], rows[order[i]][col], order[i-1], rows[order[i-1]][col])
+					col, order[i], rows(order[i])[col], order[i-1], rows(order[i-1])[col])
 			}
 		}
 	}
 	// Tetris has the lowest cost at every budget.
 	for _, b := range order {
 		for col := 0; col < 4; col++ {
-			if rows[b][4] > rows[b][col] {
-				t.Errorf("budget %s: tetris %v worse than column %d (%v)", b, rows[b][4], col, rows[b][col])
+			if rows(b)[4] > rows(b)[col] {
+				t.Errorf("budget %s: tetris %v worse than column %d (%v)", b, rows(b)[4], col, rows(b)[col])
 			}
 		}
 	}
@@ -237,12 +215,12 @@ func TestEnduranceTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := parseRows(tb.String())
-	base := rows["baseline"]
-	baseSG := rows["baseline+sg"]
-	twoStage := rows["2stage"]
-	tet := rows["tetris"]
-	tetSG := rows["tetris+sg"]
+	rows := tb.Values
+	base := rows("baseline")
+	baseSG := rows("baseline+sg")
+	twoStage := rows("2stage")
+	tet := rows("tetris")
+	tetSG := rows("tetris+sg")
 	if base == nil || baseSG == nil || tet == nil || tetSG == nil {
 		t.Fatalf("missing rows:\n%s", tb.String())
 	}
@@ -294,8 +272,8 @@ func TestTailLatencyTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := parseRows(fr.TailLatency().String())
-	v := rows["vips"]
+	rows := fr.TailLatency().Values
+	v := rows("vips")
 	if len(v) != 5 {
 		t.Fatalf("vips row = %v", v)
 	}
@@ -313,21 +291,21 @@ func TestSeedSpread(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := parseRows(tb.String())
+	rows := tb.Values
 	// For every seed the ordering held, so min(tetris) > max(baseline)=1
 	// and each scheme's min improvement exceeds the previous scheme's...
 	// assert the conservative core: tetris's MINIMUM beats 3stage's MEAN
 	// being ordered, and the baseline row is exactly 1.
-	base := rows["baseline"]
-	tet := rows["tetris"]
+	base := rows("baseline")
+	tet := rows("tetris")
 	if base[0] != 1 || base[1] != 1 || base[2] != 1 {
 		t.Errorf("baseline row = %v, want all 1", base)
 	}
 	if tet[1] <= 1.0 {
 		t.Errorf("tetris min improvement %v, want > 1 across all seeds", tet[1])
 	}
-	if tet[1] <= rows["fnw"][2] {
-		t.Errorf("tetris min (%v) does not dominate fnw max (%v): ordering unstable", tet[1], rows["fnw"][2])
+	if tet[1] <= rows("fnw")[2] {
+		t.Errorf("tetris min (%v) does not dominate fnw max (%v): ordering unstable", tet[1], rows("fnw")[2])
 	}
 }
 
@@ -338,9 +316,9 @@ func TestFaultToleranceTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := parseRows(tb.String())
-	base := rows["baseline"]
-	tet := rows["tetris"]
+	rows := tb.Values
+	base := rows("baseline")
+	tet := rows("tetris")
 	if base == nil || tet == nil {
 		t.Fatalf("missing rows:\n%s", tb.String())
 	}
@@ -368,5 +346,24 @@ func TestFaultToleranceTable(t *testing.T) {
 	}
 	if tb.String() != tb2.String() {
 		t.Errorf("fault-tolerance table not deterministic:\n%s\nvs\n%s", tb, tb2)
+	}
+}
+
+// TestCheckShapesIgnoresSchemeSelection: the certificate is about the
+// paper's five schemes, so a scheme selection for the figure tables
+// must neither break it nor change a line of it.
+func TestCheckShapesIgnoresSchemeSelection(t *testing.T) {
+	opt := fastOptions()
+	want, err := CheckShapes(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Schemes = []string{"dcw", "tetris"}
+	got, err := CheckShapes(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("certificate with -schemes dcw,tetris:\n%v\nwant the paper-set certificate:\n%v", got, want)
 	}
 }

@@ -35,23 +35,13 @@ func (b *BarChart) AddGroup(label string, values ...float64) {
 	b.groups = append(b.groups, barGroup{label: label, values: values})
 }
 
-// FromTable builds a chart from a rendered-table layout: the table's
-// first column becomes group labels and the remaining columns the
-// series. Non-numeric rows are skipped.
+// FromTable builds a chart from a table: the table's first column
+// becomes group labels and the remaining columns the series. Rows with
+// a non-numeric cell are skipped.
 func FromTable(t *Table) *BarChart {
 	b := NewBarChart(t.Title, t.Columns[1:]...)
-	for _, row := range t.rows {
-		vals := make([]float64, 0, len(row)-1)
-		ok := true
-		for _, cell := range row[1:] {
-			var v float64
-			if _, err := fmt.Sscanf(cell, "%f", &v); err != nil {
-				ok = false
-				break
-			}
-			vals = append(vals, v)
-		}
-		if ok && len(vals) == len(b.Series) {
+	for i, row := range t.rows {
+		if vals := t.values[i]; len(vals) == len(row)-1 && len(vals) == len(b.Series) {
 			b.AddGroup(row[0], vals...)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"strconv"
 	"strings"
 
 	"tetriswrite/internal/units"
@@ -226,6 +227,10 @@ type Table struct {
 	Title   string
 	Columns []string
 	rows    [][]string
+	// values holds, per row, the numeric cells after the label as the
+	// table displays them (a float64 at its three printed decimals), so
+	// a check on a table's numbers agrees with what it prints.
+	values [][]float64
 }
 
 // NewTable creates a table with the given title and column headers.
@@ -233,21 +238,45 @@ func NewTable(title string, columns ...string) *Table {
 	return &Table{Title: title, Columns: columns}
 }
 
-// AddRow appends a row; cells are formatted with %v, and float64 cells
-// with three decimals.
+// AddRow appends a row; cells are formatted with %v, float64 cells
+// with three decimals and durations in nanoseconds with one.
 func (t *Table) AddRow(cells ...any) {
 	row := make([]string, len(cells))
+	var values []float64
 	for i, c := range cells {
+		var num string // the printed number of a numeric cell
 		switch v := c.(type) {
 		case float64:
-			row[i] = fmt.Sprintf("%.3f", v)
+			num = fmt.Sprintf("%.3f", v)
+			row[i] = num
 		case units.Duration:
-			row[i] = fmt.Sprintf("%.1fns", v.Nanoseconds())
+			num = fmt.Sprintf("%.1f", v.Nanoseconds())
+			row[i] = num + "ns"
+		case int, int64:
+			num = fmt.Sprint(v)
+			row[i] = num
 		default:
 			row[i] = fmt.Sprint(v)
 		}
+		if i > 0 && num != "" {
+			x, _ := strconv.ParseFloat(num, 64)
+			values = append(values, x)
+		}
 	}
 	t.rows = append(t.rows, row)
+	t.values = append(t.values, values)
+}
+
+// Values returns the numeric cells after the label of the first row
+// labelled label, as displayed and in column order; nil when no row
+// has that label.
+func (t *Table) Values(label string) []float64 {
+	for i, row := range t.rows {
+		if len(row) > 0 && row[0] == label {
+			return t.values[i]
+		}
+	}
+	return nil
 }
 
 // String renders the table.

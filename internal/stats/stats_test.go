@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -176,6 +177,22 @@ func TestFromTable(t *testing.T) {
 	}
 	if strings.Contains(out, "note") {
 		t.Error("non-numeric row charted")
+	}
+}
+
+// TestTableValues: a row's numbers are the ones the table prints, so a
+// check on them agrees with the rendering — a float64 at its three
+// decimals, a duration in nanoseconds — and text cells are left out.
+func TestTableValues(t *testing.T) {
+	tb := NewTable("x", "label", "a", "b", "c", "d")
+	tb.AddRow("r", 1.23449, int64(7), "text", units.Nanoseconds(1.26), 2)
+	got := tb.Values("r")
+	want := []float64{1.234, 7, 1.3, 2}
+	if !slices.Equal(got, want) {
+		t.Errorf("Values(r) = %v, want %v", got, want)
+	}
+	if v := tb.Values("missing"); v != nil {
+		t.Errorf("Values(missing) = %v, want nil", v)
 	}
 }
 
