@@ -8,11 +8,11 @@ import (
 	"tetriswrite/internal/workload"
 )
 
-// This file is the assembly half of the harness: where RunFullSystemCtx
-// computes a sweep in-process, these helpers let a caller that obtained
-// the per-cell results elsewhere — the fleet broker collecting shard
-// summaries from remote workers — rebuild the same FullResults matrix
-// and render the same tables, byte for byte.
+// This file is the assembly half of the harness: RunFullSystemCtx fills
+// its FullResults matrix cell by cell with these helpers, and a caller
+// that obtained the per-cell results elsewhere — the fleet broker
+// collecting shard summaries from remote workers — builds the same
+// matrix the same way and renders the same tables, byte for byte.
 
 // ResolveProfiles maps workload names to their profiles, preserving the
 // given order; an empty list selects all profiles in Profiles() order.

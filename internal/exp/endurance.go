@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"tetriswrite/internal/memctrl"
 	"tetriswrite/internal/schemes"
 	"tetriswrite/internal/stats"
 	"tetriswrite/internal/system"
@@ -45,15 +44,10 @@ func EnduranceTable(opt Options) (*stats.Table, error) {
 	}
 	var baseMax int64
 	for i, c := range cfgs {
-		res, err := system.Run(prof, c.factory, system.Config{
-			Params:       opt.Params,
-			Cores:        opt.Cores,
-			InstrBudget:  opt.InstrBudget,
-			Seed:         opt.Seed,
-			Ctrl:         memctrl.Config{},
-			WearLevelPsi: c.psi,
-			TrackWear:    true,
-		})
+		cfg := CellConfig(opt)
+		cfg.WearLevelPsi = c.psi
+		cfg.TrackWear = true
+		res, err := system.Run(prof, c.factory, cfg)
 		if err != nil {
 			return nil, err
 		}

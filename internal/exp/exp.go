@@ -13,7 +13,6 @@ import (
 
 	"tetriswrite/internal/guard"
 	"tetriswrite/internal/linestore"
-	"tetriswrite/internal/memctrl"
 	"tetriswrite/internal/pcm"
 	"tetriswrite/internal/runner"
 	"tetriswrite/internal/schemes"
@@ -72,9 +71,6 @@ type Options struct {
 	// 0 means unlimited. A timed-out cell is reported in FullResults.Errs
 	// and its partial statistics kept.
 	RunTimeout time.Duration
-	// Retries re-attempts failed cells (simulations are deterministic,
-	// so this only helps with environmental failures; default 0).
-	Retries int
 	// Epoch, when positive, attaches the telemetry sampler to every
 	// full-system run so EpochSummary can report time-series behaviour
 	// per workload and scheme.
@@ -228,27 +224,53 @@ func MeasureWriteUnits(prof workload.Profile, s schemes.Scheme, opt Options) flo
 // 1.06-1.46).
 func Figure10(opt Options) *stats.Table {
 	opt.Normalize()
-	set := SchemeSet()
-	cols := append([]string{"workload"}, names(set)...)
-	tb := stats.NewTable("Figure 10: average number of write units", cols...)
-	sums := make([]float64, len(set))
-	profiles := workload.Profiles()
-	for _, prof := range profiles {
-		row := make([]any, 0, len(set)+1)
-		row = append(row, prof.Name)
-		for i, nf := range set {
-			avg := MeasureWriteUnits(prof, nf.Factory(opt.Params), opt)
-			sums[i] += avg
-			row = append(row, avg)
-		}
-		tb.AddRow(row...)
+	tb := stats.NewTable("Figure 10: average number of write units",
+		append([]string{"workload"}, names(SchemeSet())...)...)
+	grid := writeUnitGrid(opt)
+	for w, prof := range workload.Profiles() {
+		tb.AddRow(labelled(prof.Name, grid[w])...)
 	}
-	avgRow := []any{"average"}
-	for _, s := range sums {
-		avgRow = append(avgRow, s/float64(len(profiles)))
-	}
-	tb.AddRow(avgRow...)
+	tb.AddRow(labelled("average", columnMeans(grid))...)
 	return tb
+}
+
+// writeUnitGrid runs MeasureWriteUnits for every workload (rows, in
+// Profiles order) under every paper scheme (columns, in SchemeSet
+// order): the one measurement loop behind Figure 10 and the line-size
+// and budget sweeps.
+func writeUnitGrid(opt Options) [][]float64 {
+	set := SchemeSet()
+	profiles := workload.Profiles()
+	grid := make([][]float64, len(profiles))
+	for w, prof := range profiles {
+		grid[w] = make([]float64, len(set))
+		for s, nf := range set {
+			grid[w][s] = MeasureWriteUnits(prof, nf.Factory(opt.Params), opt)
+		}
+	}
+	return grid
+}
+
+// columnMeans averages a grid's rows column by column.
+func columnMeans(grid [][]float64) []float64 {
+	means := make([]float64, len(grid[0]))
+	for s := range means {
+		for _, row := range grid {
+			means[s] += row[s]
+		}
+		means[s] /= float64(len(grid))
+	}
+	return means
+}
+
+// labelled makes a table row of a label followed by values.
+func labelled(label any, values []float64) []any {
+	row := make([]any, 0, len(values)+1)
+	row = append(row, label)
+	for _, v := range values {
+		row = append(row, v)
+	}
+	return row
 }
 
 // FullResults holds every full-system simulation of the sweep, indexed
@@ -299,78 +321,66 @@ func RunFullSystem(opt Options) (*FullResults, error) {
 
 // RunFullSystemCtx runs the sweep under a context through the runner
 // supervisor: cells fan out across Options.workers() workers with
-// per-cell panic isolation, optional retry and wall-clock timeout. On
-// cancellation or per-cell failure the sweep still returns the
-// FullResults holding every completed cell (failures marked in Errs)
-// alongside the first error — callers render partial tables instead of
-// discarding finished work.
+// per-cell panic isolation and wall-clock timeout, and each stores its
+// Result straight into the matrix. On cancellation or per-cell failure
+// the sweep still returns the FullResults holding every completed cell
+// (failures marked in Errs) alongside the first error — callers render
+// partial tables instead of discarding finished work.
 func RunFullSystemCtx(ctx context.Context, opt Options) (*FullResults, error) {
-	opt.Normalize()
 	schemeSet, err := ResolveSchemes(opt.Schemes)
 	if err != nil {
 		return nil, err
 	}
-	fr := &FullResults{
-		Options:  opt,
-		Profiles: workload.Profiles(),
-		Schemes:  schemeSet,
-	}
-	fr.Results = make([][]system.Result, len(fr.Profiles))
-	fr.Errs = make([][]error, len(fr.Profiles))
-	for i := range fr.Results {
-		fr.Results[i] = make([]system.Result, len(fr.Schemes))
-		fr.Errs[i] = make([]error, len(fr.Schemes))
-	}
-	type cell struct{ w, s int }
-	var cells []cell
-	var jobs []runner.Job[system.Result]
-	for w := range fr.Profiles {
-		for s := range fr.Schemes {
-			w, s := w, s
-			cells = append(cells, cell{w, s})
-			jobs = append(jobs, runner.Job[system.Result]{
-				Name: fr.Profiles[w].Name + "/" + fr.Schemes[s].Name,
-				Run: func(ctx context.Context) (system.Result, error) {
-					cfg := system.Config{
-						Params:      opt.Params,
-						Cores:       opt.Cores,
-						InstrBudget: opt.InstrBudget,
-						Seed:        opt.Seed,
-						Ctrl:        memctrl.Config{},
-						Epoch:       opt.Epoch,
-						Guard:       opt.Guard,
-					}
-					return system.RunCtx(ctx, fr.Profiles[w], fr.Schemes[s].Factory, cfg)
+	fr := NewFullResults(opt, workload.Profiles(), schemeSet)
+	cfg := CellConfig(fr.Options)
+	jobs := make([]runner.Job[struct{}], 0, len(fr.Profiles)*len(fr.Schemes))
+	for w, prof := range fr.Profiles {
+		for s, nf := range fr.Schemes {
+			jobs = append(jobs, runner.Job[struct{}]{
+				Name: prof.Name + "/" + nf.Name,
+				Run: func(ctx context.Context) (struct{}, error) {
+					// Each job writes only its own cell.
+					res, err := system.RunCtx(ctx, prof, nf.Factory, cfg)
+					fr.SetCell(w, s, res, err)
+					return struct{}{}, err
 				},
 			})
 		}
 	}
 	results := runner.All(ctx, jobs, runner.Options{
-		Workers:    opt.workers(),
-		JobTimeout: opt.RunTimeout,
-		Retries:    opt.Retries,
+		Workers:    fr.Options.workers(),
+		JobTimeout: fr.Options.RunTimeout,
 	})
 	for k, r := range results {
-		c := cells[k]
-		res := r.Value
-		res.Scheme = fr.Schemes[c.s].Name
 		if r.Err != nil {
-			// A skipped cell has a zero Result; keep its paper-order
-			// labels so partial tables stay well-formed.
-			res.Workload = fr.Profiles[c.w].Name
-			fr.Errs[c.w][c.s] = r.Err
+			// Also marks the cells that panicked or never ran, whose
+			// Results stay zero apart from their labels.
+			w, s := k/len(fr.Schemes), k%len(fr.Schemes)
+			fr.SetCell(w, s, fr.Results[w][s], r.Err)
 		}
-		fr.Results[c.w][c.s] = res
 	}
-	if err := runner.FirstErr(results); err != nil {
-		return fr, err
+	return fr, runner.FirstErr(results)
+}
+
+// CellConfig is the system.Config of one full-system grid cell under
+// opt — the single mapping from harness options to a simulation, shared
+// by the sweep, the fleet's shard runner and the extension tables,
+// which set their own fields on top. It applies no defaults: callers
+// pass normalized options, or fields the simulator defaults itself.
+func CellConfig(opt Options) system.Config {
+	return system.Config{
+		Params:      opt.Params,
+		Cores:       opt.Cores,
+		InstrBudget: opt.InstrBudget,
+		Seed:        opt.Seed,
+		Epoch:       opt.Epoch,
+		Guard:       opt.Guard,
 	}
-	return fr, nil
 }
 
 // normalizedTable renders one metric normalized to the baseline scheme
 // (column 0), with a geometric-mean summary row.
-func (fr *FullResults) normalizedTable(title string, metric func(system.Result) float64, invert bool) *stats.Table {
+func (fr *FullResults) normalizedTable(title string, metric func(system.Result) float64) *stats.Table {
 	cols := append([]string{"workload"}, names(fr.Schemes)...)
 	tb := stats.NewTable(title, cols...)
 	sums := make([][]float64, len(fr.Schemes))
@@ -381,11 +391,7 @@ func (fr *FullResults) normalizedTable(title string, metric func(system.Result) 
 			v := metric(fr.Results[w][s])
 			norm := 0.0
 			if base != 0 && v != 0 {
-				if invert {
-					norm = v / base // higher is better (IPC improvement)
-				} else {
-					norm = v / base // lower is better (normalized latency)
-				}
+				norm = v / base
 			}
 			sums[s] = append(sums[s], norm)
 			row = append(row, norm)
@@ -404,26 +410,26 @@ func (fr *FullResults) normalizedTable(title string, metric func(system.Result) 
 // better; the paper reports Tetris at ~0.35 of baseline on average).
 func (fr *FullResults) Figure11() *stats.Table {
 	return fr.normalizedTable("Figure 11: read latency (normalized to baseline)",
-		func(r system.Result) float64 { return float64(r.ReadLatency) }, false)
+		func(r system.Result) float64 { return float64(r.ReadLatency) })
 }
 
 // Figure12 renders write latency normalized to the baseline.
 func (fr *FullResults) Figure12() *stats.Table {
 	return fr.normalizedTable("Figure 12: write latency (normalized to baseline)",
-		func(r system.Result) float64 { return float64(r.WriteLatency) }, false)
+		func(r system.Result) float64 { return float64(r.WriteLatency) })
 }
 
 // Figure13 renders IPC improvement over the baseline (higher is better;
 // the paper reports 1.4X/1.6X/1.8X/2X for FNW/2SW/3SW/Tetris).
 func (fr *FullResults) Figure13() *stats.Table {
 	return fr.normalizedTable("Figure 13: IPC improvement over baseline",
-		func(r system.Result) float64 { return r.IPC }, true)
+		func(r system.Result) float64 { return r.IPC })
 }
 
 // Figure14 renders application running time normalized to the baseline.
 func (fr *FullResults) Figure14() *stats.Table {
 	return fr.normalizedTable("Figure 14: running time (normalized to baseline)",
-		func(r system.Result) float64 { return float64(r.RunningTime) }, false)
+		func(r system.Result) float64 { return float64(r.RunningTime) })
 }
 
 // EnergyTable is an extension beyond the paper's figures: per-write
@@ -431,7 +437,7 @@ func (fr *FullResults) Figure14() *stats.Table {
 // energy-reduction claims with numbers.
 func (fr *FullResults) EnergyTable() *stats.Table {
 	return fr.normalizedTable("Energy per write (normalized to baseline)",
-		func(r system.Result) float64 { return r.EnergyPerWrite }, false)
+		func(r system.Result) float64 { return r.EnergyPerWrite })
 }
 
 func names(set []NamedFactory) []string {

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"tetriswrite/internal/fault"
-	"tetriswrite/internal/memctrl"
 	"tetriswrite/internal/schemes"
 	"tetriswrite/internal/stats"
 	"tetriswrite/internal/system"
@@ -57,15 +56,10 @@ func FaultToleranceTable(opt Options) (*stats.Table, error) {
 		{"tetris", tetris.New},
 	}
 	for _, c := range cfgs {
-		res, err := system.Run(prof, c.factory, system.Config{
-			Params:      opt.Params,
-			Cores:       opt.Cores,
-			InstrBudget: opt.InstrBudget,
-			Seed:        opt.Seed,
-			Ctrl:        memctrl.Config{},
-			Fault:       fcfg,
-			SpareLines:  512,
-		})
+		cfg := CellConfig(opt)
+		cfg.Fault = fcfg
+		cfg.SpareLines = 512
+		res, err := system.Run(prof, c.factory, cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -1,8 +1,8 @@
 package exp
 
 import (
+	"tetriswrite/internal/pcm"
 	"tetriswrite/internal/stats"
-	"tetriswrite/internal/workload"
 )
 
 // LineSizeSweep quantifies the paper's motivating observation about
@@ -12,27 +12,8 @@ import (
 // schemes scale linearly with the line; Tetris Write scales with the
 // actual changed bits.
 func LineSizeSweep(opt Options) *stats.Table {
-	opt.Normalize()
-	set := SchemeSet()
-	cols := append([]string{"line"}, names(set)...)
-	tb := stats.NewTable("Line-size sweep: average write units per line write", cols...)
-	for _, line := range []int{64, 128, 256} {
-		par := opt.Params
-		par.LineBytes = line
-		o := opt
-		o.Params = par
-		row := []any{line}
-		for _, nf := range set {
-			var sum float64
-			profs := workload.Profiles()
-			for _, prof := range profs {
-				sum += MeasureWriteUnits(prof, nf.Factory(par), o)
-			}
-			row = append(row, sum/float64(len(profs)))
-		}
-		tb.AddRow(row...)
-	}
-	return tb
+	return paramSweep(opt, "Line-size sweep: average write units per line write", "line",
+		[]int{64, 128, 256}, func(p *pcm.Params, v int) { p.LineBytes = v })
 }
 
 // BudgetSweep is the mobile scenario of the paper's introduction: the
@@ -40,25 +21,20 @@ func LineSizeSweep(opt Options) *stats.Table {
 // "4 and 2 bits" division-write regime), and the write units per line
 // grow for every scheme — least for Tetris Write.
 func BudgetSweep(opt Options) *stats.Table {
+	return paramSweep(opt, "Power-budget sweep: average write units per line write", "budget",
+		[]int{32, 16, 8, 4}, func(p *pcm.Params, v int) { p.ChipBudget = v })
+}
+
+// paramSweep renders one row per value of a device parameter: the
+// write units per line write of every paper scheme, averaged across the
+// workloads, with set applying the value to the parameters.
+func paramSweep(opt Options, title, param string, values []int, set func(*pcm.Params, int)) *stats.Table {
 	opt.Normalize()
-	set := SchemeSet()
-	cols := append([]string{"budget"}, names(set)...)
-	tb := stats.NewTable("Power-budget sweep: average write units per line write", cols...)
-	for _, budget := range []int{32, 16, 8, 4} {
-		par := opt.Params
-		par.ChipBudget = budget
+	tb := stats.NewTable(title, append([]string{param}, names(SchemeSet())...)...)
+	for _, v := range values {
 		o := opt
-		o.Params = par
-		row := []any{budget}
-		for _, nf := range set {
-			var sum float64
-			profs := workload.Profiles()
-			for _, prof := range profs {
-				sum += MeasureWriteUnits(prof, nf.Factory(par), o)
-			}
-			row = append(row, sum/float64(len(profs)))
-		}
-		tb.AddRow(row...)
+		set(&o.Params, v)
+		tb.AddRow(labelled(v, columnMeans(writeUnitGrid(o)))...)
 	}
 	return tb
 }

@@ -218,9 +218,11 @@ func (s ShardSpec) String() string {
 
 // RunShard executes one shard in-process: the worker's core, also
 // usable directly by tests and by a broker running in local mode. The
-// system.Config construction mirrors exp.RunFullSystemCtx cell for
-// cell, which is what makes a fleet-assembled table byte-identical to a
-// serial tetrisbench sweep.
+// cell's system.Config comes from exp.CellConfig, the mapping
+// exp.RunFullSystemCtx uses, which is what makes a fleet-assembled
+// table byte-identical to a serial tetrisbench sweep. The spec's fields
+// are passed as they are: a zero budget or core count gets the
+// simulator's defaults, not the harness's.
 func RunShard(ctx context.Context, sh ShardSpec) (system.Summary, error) {
 	prof, err := workload.ProfileByName(sh.Workload)
 	if err != nil {
@@ -234,12 +236,7 @@ func RunShard(ctx context.Context, sh ShardSpec) (system.Summary, error) {
 	if sh.LineBytes > 0 {
 		par.LineBytes = sh.LineBytes
 	}
-	cfg := system.Config{
-		Params:      par,
-		Cores:       sh.Cores,
-		InstrBudget: sh.Instr,
-		Seed:        sh.Seed,
-	}
+	cfg := exp.CellConfig(exp.Options{Params: par, Cores: sh.Cores, InstrBudget: sh.Instr, Seed: sh.Seed})
 	res, err := system.RunCtx(ctx, prof, schemes[0].Factory, cfg)
 	if err != nil {
 		return system.Summary{}, err

@@ -1,9 +1,8 @@
 // Package runner is the experiment supervisor: a bounded worker pool
 // that fans independent jobs (full-system simulation cells, benchmark
 // points) across CPUs with the failure handling a long unattended sweep
-// needs — per-job panic isolation, retry with backoff, per-attempt
-// wall-clock timeouts, and graceful partial-result aggregation when the
-// caller cancels.
+// needs — per-job panic isolation, per-job wall-clock timeouts, and
+// graceful partial-result aggregation when the caller cancels.
 //
 // Results are positionally aligned with the submitted jobs, so a sweep
 // filled in parallel is indistinguishable from one filled serially:
@@ -41,10 +40,9 @@ type Job[T any] struct {
 
 // Result is one job's outcome, at the same index as its job.
 type Result[T any] struct {
-	Name     string
-	Value    T     // also set on failure when Run returned a partial value
-	Err      error // nil on success; ErrSkipped if the job never ran
-	Attempts int   // 1 + retries consumed (0 when skipped)
+	Name  string
+	Value T     // also set on failure when Run returned a partial value
+	Err   error // nil on success; ErrSkipped if the job never ran
 }
 
 // PanicError is a panic recovered from a job's Run — the pool converts
@@ -63,18 +61,8 @@ func (e *PanicError) Error() string {
 type Options struct {
 	// Workers is the number of concurrent jobs; <= 0 means GOMAXPROCS.
 	Workers int
-	// JobTimeout bounds each attempt's wall-clock time; 0 means none.
+	// JobTimeout bounds each job's wall-clock time; 0 means none.
 	JobTimeout time.Duration
-	// Retries is how many extra attempts a failed job gets (default 0).
-	// Context cancellation is never retried.
-	Retries int
-	// Backoff is the wait before the first retry, doubling per attempt;
-	// 0 with Retries > 0 defaults to 100ms. The wait aborts immediately
-	// on cancellation.
-	Backoff time.Duration
-	// OnDone, when non-nil, is called after each job settles (from
-	// worker goroutines; the callback must be safe for concurrent use).
-	OnDone func(done, total int, name string, err error)
 }
 
 func (o Options) workers() int {
@@ -82,13 +70,6 @@ func (o Options) workers() int {
 		return o.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-func (o Options) backoff() time.Duration {
-	if o.Backoff > 0 {
-		return o.Backoff
-	}
-	return 100 * time.Millisecond
 }
 
 // All runs every job and returns their results, index-aligned with
@@ -101,29 +82,18 @@ func All[T any](ctx context.Context, jobs []Job[T], opt Options) []Result[T] {
 	results := make([]Result[T], len(jobs))
 	idx := make(chan int)
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	done := 0
-	settle := func(i int, r Result[T]) {
-		results[i] = r
-		if opt.OnDone != nil {
-			mu.Lock()
-			done++
-			d := done
-			mu.Unlock()
-			opt.OnDone(d, len(jobs), r.Name, r.Err)
-		}
-	}
 	for w := 0; w < opt.workers(); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range idx {
+				r := &results[i]
+				r.Name = jobs[i].Name
 				if err := ctx.Err(); err != nil {
-					settle(i, Result[T]{Name: jobs[i].Name,
-						Err: fmt.Errorf("%w: %w", ErrSkipped, err)})
+					r.Err = fmt.Errorf("%w: %w", ErrSkipped, err)
 					continue
 				}
-				settle(i, runJob(ctx, jobs[i], opt))
+				r.Value, r.Err = Attempt(ctx, r.Name, opt.JobTimeout, jobs[i].Run)
 			}
 		}()
 	}
@@ -137,9 +107,9 @@ func All[T any](ctx context.Context, jobs []Job[T], opt Options) []Result[T] {
 
 // Backoff computes the delay before retry attempt n (1-based) as an
 // exponential series with an optional cap and optional deterministic
-// jitter. It is the shared retry-pacing policy: the pool uses it
-// between local attempts and the fleet broker uses it to space shard
-// re-issues across surviving workers, so both layers wait the same way.
+// jitter. It is the fleet's retry-pacing policy: the broker spaces
+// shard re-issues across surviving workers with it, and a worker its
+// reconnection attempts.
 type Backoff struct {
 	// Base is the delay before the first retry; <= 0 means 100ms.
 	Base time.Duration
@@ -191,44 +161,7 @@ func (b Backoff) Delay(attempt int) time.Duration {
 	return d
 }
 
-// runJob drives one job through its attempts. The backoff timer is
-// created once and reused across retries with the documented
-// Stop-then-drain dance, so a sweep of thousands of retrying jobs does
-// not leak a timer per attempt and a cancelled wait frees its timer
-// immediately instead of at expiry.
-func runJob[T any](ctx context.Context, job Job[T], opt Options) Result[T] {
-	res := Result[T]{Name: job.Name}
-	bo := Backoff{Base: opt.backoff()}
-	var t *time.Timer
-	defer func() {
-		if t != nil {
-			t.Stop()
-		}
-	}()
-	for attempt := 0; ; attempt++ {
-		res.Attempts = attempt + 1
-		res.Value, res.Err = Attempt(ctx, job.Name, opt.JobTimeout, job.Run)
-		if res.Err == nil || attempt >= opt.Retries || ctx.Err() != nil {
-			return res
-		}
-		d := bo.Delay(attempt + 1)
-		if t == nil {
-			t = time.NewTimer(d)
-		} else {
-			// The timer has always fired by the time we get here (the
-			// cancellation arm returns), so the channel is empty and
-			// Reset is race-free without a drain.
-			t.Reset(d)
-		}
-		select {
-		case <-ctx.Done():
-			return res
-		case <-t.C:
-		}
-	}
-}
-
-// Attempt executes fn once under the pool's per-attempt semantics: the
+// Attempt executes fn once under the pool's per-job semantics: the
 // timeout (when positive) bounds its wall-clock time through a derived
 // context, and a panic is converted to a *PanicError instead of
 // unwinding the caller. Exported so single-shot supervised work — a
@@ -257,15 +190,4 @@ func FirstErr[T any](results []Result[T]) error {
 		}
 	}
 	return nil
-}
-
-// Failed counts the results that carry an error.
-func Failed[T any](results []Result[T]) int {
-	n := 0
-	for _, r := range results {
-		if r.Err != nil {
-			n++
-		}
-	}
-	return n
 }

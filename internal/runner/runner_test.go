@@ -23,15 +23,12 @@ func TestAllRunsEveryJobPositionally(t *testing.T) {
 		t.Fatalf("%d results for %d jobs", len(results), len(jobs))
 	}
 	for i, r := range results {
-		if r.Err != nil || r.Value != i*i || r.Name != jobs[i].Name || r.Attempts != 1 {
+		if r.Err != nil || r.Value != i*i || r.Name != jobs[i].Name {
 			t.Errorf("result %d = %+v", i, r)
 		}
 	}
 	if err := FirstErr(results); err != nil {
 		t.Errorf("FirstErr = %v", err)
-	}
-	if Failed(results) != 0 {
-		t.Error("spurious failures counted")
 	}
 }
 
@@ -52,37 +49,8 @@ func TestPanicIsolation(t *testing.T) {
 	if pe.Job != "boom" || pe.Value != "kaboom" || len(pe.Stack) == 0 {
 		t.Errorf("panic error incomplete: %+v", pe)
 	}
-	if Failed(results) != 1 {
-		t.Errorf("Failed = %d, want 1", Failed(results))
-	}
-}
-
-func TestRetryWithBackoff(t *testing.T) {
-	var calls atomic.Int32
-	jobs := []Job[int]{{
-		Name: "flaky",
-		Run: func(context.Context) (int, error) {
-			if calls.Add(1) < 3 {
-				return 0, errors.New("transient")
-			}
-			return 7, nil
-		},
-	}}
-	results := All(context.Background(), jobs, Options{Retries: 3, Backoff: time.Millisecond})
-	if results[0].Err != nil || results[0].Value != 7 {
-		t.Fatalf("flaky job did not recover: %+v", results[0])
-	}
-	if results[0].Attempts != 3 {
-		t.Errorf("Attempts = %d, want 3", results[0].Attempts)
-	}
-}
-
-func TestRetriesExhausted(t *testing.T) {
-	sentinel := errors.New("permanent")
-	jobs := []Job[int]{{Name: "dead", Run: func(context.Context) (int, error) { return 0, sentinel }}}
-	results := All(context.Background(), jobs, Options{Retries: 2, Backoff: time.Millisecond})
-	if !errors.Is(results[0].Err, sentinel) || results[0].Attempts != 3 {
-		t.Fatalf("result = %+v, want sentinel after 3 attempts", results[0])
+	if err := FirstErr(results); !errors.As(err, &pe) {
+		t.Errorf("FirstErr = %v, want the panic", err)
 	}
 }
 
@@ -106,14 +74,14 @@ func TestCancelSkipsPendingKeepsDone(t *testing.T) {
 		if !errors.Is(r.Err, ErrSkipped) || !errors.Is(r.Err, context.Canceled) {
 			t.Errorf("pending job not skipped: %+v", r)
 		}
-		if r.Attempts != 0 {
+		if r.Value != 0 {
 			t.Errorf("skipped job ran: %+v", r)
 		}
 	}
 }
 
 // TestCancellationNotRetried: a job failing because the supervisor was
-// cancelled is not retried.
+// cancelled runs once and reports the cancellation as its error.
 func TestCancellationNotRetried(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -126,7 +94,7 @@ func TestCancellationNotRetried(t *testing.T) {
 			return 0, ctx.Err()
 		},
 	}}
-	results := All(ctx, jobs, Options{Retries: 5, Backoff: time.Millisecond})
+	results := All(ctx, jobs, Options{})
 	if calls.Load() != 1 {
 		t.Errorf("cancelled job attempted %d times, want 1", calls.Load())
 	}
@@ -154,23 +122,6 @@ func TestJobTimeout(t *testing.T) {
 	}
 	if !errors.Is(results[0].Err, context.DeadlineExceeded) {
 		t.Errorf("err = %v, want deadline exceeded", results[0].Err)
-	}
-}
-
-func TestOnDoneProgress(t *testing.T) {
-	var done atomic.Int32
-	jobs := make([]Job[int], 8)
-	for i := range jobs {
-		jobs[i] = Job[int]{Name: "j", Run: func(context.Context) (int, error) { return 0, nil }}
-	}
-	All(context.Background(), jobs, Options{Workers: 3, OnDone: func(d, total int, name string, err error) {
-		done.Add(1)
-		if total != 8 {
-			t.Errorf("total = %d", total)
-		}
-	}})
-	if done.Load() != 8 {
-		t.Errorf("OnDone fired %d times, want 8", done.Load())
 	}
 }
 
@@ -225,42 +176,6 @@ func TestBackoffDelayGrowthAndCap(t *testing.T) {
 		if got < lo || got > hi {
 			t.Errorf("jittered Delay(%d) = %v outside [%v, %v]", i+1, got, lo, hi)
 		}
-	}
-}
-
-// TestCancelDuringBackoffWait: cancelling the supervisor while a job is
-// waiting out its retry backoff returns promptly with the attempt's
-// original error — the wait must not run to completion.
-func TestCancelDuringBackoffWait(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	sentinel := errors.New("transient")
-	attempted := make(chan struct{}, 1)
-	jobs := []Job[int]{{
-		Name: "waiting",
-		Run: func(context.Context) (int, error) {
-			select {
-			case attempted <- struct{}{}:
-			default:
-			}
-			return 0, sentinel
-		},
-	}}
-	go func() {
-		<-attempted // first attempt has failed; the pool is now in backoff
-		time.Sleep(10 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	results := All(ctx, jobs, Options{Retries: 3, Backoff: time.Hour})
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("cancel did not interrupt the backoff wait (%v elapsed)", elapsed)
-	}
-	if !errors.Is(results[0].Err, sentinel) {
-		t.Errorf("err = %v, want the attempt's original error", results[0].Err)
-	}
-	if results[0].Attempts != 1 {
-		t.Errorf("Attempts = %d, want 1 (cancelled before the retry ran)", results[0].Attempts)
 	}
 }
 
