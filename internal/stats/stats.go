@@ -259,6 +259,7 @@ func (t *Table) AddRow(cells ...any) {
 			row[i] = fmt.Sprint(v)
 		}
 		if i > 0 && num != "" {
+			// num was just formatted from a number, so it parses.
 			x, _ := strconv.ParseFloat(num, 64)
 			values = append(values, x)
 		}
