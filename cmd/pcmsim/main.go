@@ -111,28 +111,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		}
 	}()
 
-	// Reject nonsense before it turns into a confusing simulation.
+	// Zero means "use the default" to system.Config, so the flags whose
+	// zero is nonsense reject it here; system.Config.Validate owns every
+	// other rule.
 	switch {
 	case *instr <= 0:
 		return fmt.Errorf("-instr %d: instruction budget must be positive", *instr)
 	case *coresN <= 0:
 		return fmt.Errorf("-cores %d: need at least one core", *coresN)
-	case *budget <= 0:
-		return fmt.Errorf("-budget %d: power budget must be positive", *budget)
-	case *banks <= 0:
-		return fmt.Errorf("-banks %d: need at least one bank", *banks)
 	case *subarrays <= 0:
 		return fmt.Errorf("-subarrays %d: need at least one subarray", *subarrays)
-	case *verifyN < 0:
-		return fmt.Errorf("-verify-retries %d: retry budget cannot be negative", *verifyN)
-	case *spareLines < 0:
-		return fmt.Errorf("-spare %d: spare line count cannot be negative", *spareLines)
-	case *crashAt < 0:
-		return fmt.Errorf("-crash-at %d: pulse boundary must be positive", *crashAt)
-	}
-
-	if *deepChecks && !*guardOn {
-		return fmt.Errorf("-deep-checks needs -guard")
 	}
 	if *runTO < 0 {
 		return fmt.Errorf("-run-timeout %v: cannot be negative", *runTO)
@@ -171,9 +159,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 	par.GlobalChargePump = *gcp
 	par.LineBytes = *lineBytes
 	par.NumBanks = *banks
-	if err := par.Validate(); err != nil {
-		return fmt.Errorf("invalid configuration: %w", err)
-	}
 	ctrlCfg := memctrl.Config{Subarrays: *subarrays, WritePausing: *pausing, VerifyRetries: *verifyN}
 
 	fcfg := fault.Config{
@@ -184,9 +169,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 	}
 	if fcfg.Seed == 0 {
 		fcfg.Seed = *seed
-	}
-	if err := fcfg.Validate(); err != nil {
-		return err
 	}
 	if !fcfg.Enabled() {
 		// Flags that only matter under faults are a likely mistake when no

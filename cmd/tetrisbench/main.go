@@ -102,6 +102,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 	switch {
 	case *instr <= 0:
 		return fmt.Errorf("-instr %d: instruction budget must be positive", *instr)
+	case *cores <= 0:
+		return fmt.Errorf("-cores %d: need at least one core", *cores)
 	case *writes <= 0:
 		return fmt.Errorf("-writes %d: write sample count must be positive", *writes)
 	}

@@ -222,6 +222,8 @@ func TestBadParallelFlag(t *testing.T) {
 	}{
 		{[]string{"-fig", "13", "-instr", "-5"}, "-instr -5: instruction budget must be positive"},
 		{[]string{"-fig", "13", "-instr", "0"}, "-instr 0: instruction budget must be positive"},
+		{[]string{"-fig", "11", "-cores", "-3"}, "-cores -3: need at least one core"},
+		{[]string{"-fig", "11", "-cores", "0"}, "-cores 0: need at least one core"},
 		{[]string{"-fig", "10", "-writes", "-1"}, "-writes -1: write sample count must be positive"},
 		{[]string{"-fig", "10", "-writes", "0"}, "-writes 0: write sample count must be positive"},
 	} {

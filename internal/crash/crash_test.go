@@ -56,9 +56,7 @@ func runStream(t *testing.T, factory schemes.Factory, cfg crash.Config, ops []op
 		t.Fatal(err)
 	}
 	inj.Bind(eng, dev, ctrl.Schemes())
-	if err := ctrl.SetCrash(inj); err != nil {
-		t.Fatal(err)
-	}
+	ctrl.SetCrash(inj)
 	acked := make([]bool, len(ops))
 	next := 0
 	var fill func()

@@ -14,7 +14,6 @@ import (
 // drain to exactly empty, positive values are clamped to the queue size —
 // and normalizing twice must not reinterpret the result.
 func TestDrainLowNormalization(t *testing.T) {
-	par := pcm.DefaultParams()
 	cases := []struct {
 		name       string
 		writeQueue int
@@ -32,13 +31,13 @@ func TestDrainLowNormalization(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{WriteQueue: tc.writeQueue, DrainLow: tc.drainLow}
-			cfg.Normalize(par)
+			cfg.Normalize()
 			if cfg.DrainLow != tc.want {
 				t.Fatalf("DrainLow = %d, want %d", cfg.DrainLow, tc.want)
 			}
 			// Idempotency: a second Normalize must not turn an effective
 			// 0 ("drain to empty") back into the default.
-			cfg.Normalize(par)
+			cfg.Normalize()
 			if cfg.DrainLow != tc.want {
 				t.Fatalf("second Normalize changed DrainLow to %d, want %d", cfg.DrainLow, tc.want)
 			}

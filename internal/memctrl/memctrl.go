@@ -26,6 +26,14 @@ import (
 // its own named value; any negative DrainLow behaves like DrainToEmpty.
 const DrainToEmpty = -1
 
+const (
+	// cancelThreshold is the write progress below which a blocked read
+	// cancels the write rather than pausing it (WriteCancellation).
+	cancelThreshold = 0.5
+	// presetQueue bounds the number of outstanding PreSET hints.
+	presetQueue = 64
+)
+
 // Config tunes the controller. Zero values take the paper's defaults via
 // Normalize.
 type Config struct {
@@ -48,9 +56,6 @@ type Config struct {
 	// with a queued write to the same line (coalescing is on by default,
 	// as in real write buffers).
 	DisableCoalescing bool
-	// ForwardLatency is the latency of serving a read from the write
-	// queue (store-to-load forwarding). Default: one memory bus cycle.
-	ForwardLatency units.Duration
 	// WritePausing lets a read interrupt an in-flight write at the next
 	// sub-write-unit boundary (one Treset away), stealing the bank for
 	// TRead and then resuming the write's remainder — the write-pausing
@@ -60,25 +65,20 @@ type Config struct {
 	WritePausing bool
 	// WriteCancellation extends write pausing with the adaptive policy of
 	// Qureshi et al. (HPCA'10): when a blocked read arrives early in a
-	// write's execution (progress below CancelThreshold), the write is
+	// write's execution (progress below one half), the write is
 	// cancelled outright — the bank frees after the current
 	// sub-write-unit and the write requeues at the head of the write
 	// queue — instead of merely pausing. Late-arriving reads still pause.
 	// Requires WritePausing.
 	WriteCancellation bool
-	// CancelThreshold is the progress fraction below which a blocked
-	// read cancels rather than pauses (default 0.5).
-	CancelThreshold float64
 	// IdlePreset enables PreSET (Qureshi et al., ISCA'12): idle banks
 	// proactively SET the cells of lines hinted via PresetHint (lines
 	// that went dirty in the LLC, whose memory copy is dead anyway), so
 	// their eventual write-back needs only fast RESETs. Requires a
 	// scheme implementing schemes.Presetter and a dirty-checker wired
-	// with SetDirtyChecker; hints are dropped otherwise.
+	// with SetDirtyChecker; hints are dropped otherwise. At most
+	// presetQueue hints are outstanding.
 	IdlePreset bool
-	// PresetQueue bounds the number of outstanding preset hints
-	// (default 64).
-	PresetQueue int
 	// Subarrays models subarray-level parallelism inside a bank (the
 	// paper's references [13][15]): reads to a different subarray may
 	// proceed while a write occupies the bank, because only the write
@@ -104,7 +104,7 @@ type Config struct {
 
 // Normalize fills defaults in place. It is idempotent: normalizing an
 // already-normalized config changes nothing.
-func (c *Config) Normalize(par pcm.Params) {
+func (c *Config) Normalize() {
 	if c.ReadQueue <= 0 {
 		c.ReadQueue = 32
 	}
@@ -125,15 +125,6 @@ func (c *Config) Normalize(par pcm.Params) {
 	}
 	if c.DrainLow > c.WriteQueue {
 		c.DrainLow = c.WriteQueue
-	}
-	if c.ForwardLatency <= 0 {
-		c.ForwardLatency = par.MemClock.Period()
-	}
-	if c.PresetQueue <= 0 {
-		c.PresetQueue = 64
-	}
-	if c.CancelThreshold <= 0 || c.CancelThreshold > 1 {
-		c.CancelThreshold = 0.5
 	}
 	if c.Subarrays <= 0 {
 		c.Subarrays = 1
@@ -198,6 +189,9 @@ type Controller struct {
 	par pcm.Params
 	cfg Config
 	dev *pcm.Device
+	// fwdLatency is the latency of serving a read from the write queue
+	// (store-to-load forwarding): one memory bus cycle.
+	fwdLatency units.Duration
 
 	banks []*bank
 	// Reads queue per bank (the global FIFO filtered by owning bank —
@@ -256,8 +250,8 @@ type Controller struct {
 	// pointer via the generation counter. oldBuf and verifyBuf back the
 	// synchronous read-modify snapshots of startWrite/tryPreset and the
 	// verify loop — never retained across events.
-	reqFree   []*request
-	dataFree  [][]byte
+	reqFree   freelist[*request]
+	dataFree  freelist[[]byte]
 	oldBuf    []byte
 	verifyBuf []byte
 	// readBuf backs read-completion payloads: the device image is read
@@ -267,10 +261,29 @@ type Controller struct {
 	// readEvFree, writeEvFree and fwdEvFree recycle completion event
 	// structs, each carrying its own prebound fire closure so arming a
 	// read, write or forwarded-read completion costs no allocation.
-	readEvFree  []*readEvent
-	writeEvFree []*writeEvent
-	fwdEvFree   []*forwardEvent
+	readEvFree  freelist[*readEvent]
+	writeEvFree freelist[*writeEvent]
+	fwdEvFree   freelist[*forwardEvent]
 }
+
+// freelist is a LIFO of recycled values.
+type freelist[T any] []T
+
+// pop takes the most recently pushed value, if any.
+func (f *freelist[T]) pop() (v T, ok bool) {
+	n := len(*f) - 1
+	if n < 0 {
+		return v, false
+	}
+	v = (*f)[n]
+	var zero T
+	(*f)[n] = zero
+	*f = (*f)[:n]
+	return v, true
+}
+
+// push returns v to the list.
+func (f *freelist[T]) push(v T) { *f = append(*f, v) }
 
 // SetWearTracker attaches per-line pulse accounting.
 func (c *Controller) SetWearTracker(w *pcm.WearTracker) { c.wear = w }
@@ -298,21 +311,10 @@ type CrashHook interface {
 	WriteCompleted(addr pcm.LineAddr) bool
 }
 
-// SetCrash attaches the power-failure hook. Pulse-time-shifting and
-// request-path-bypassing features are rejected: write pausing and
-// cancellation move pulse boundaries after issue, and idle PreSET
-// writes lines without arming an intent — both would break the hook's
-// frozen view of the schedule.
-func (c *Controller) SetCrash(h CrashHook) error {
-	if c.cfg.WritePausing || c.cfg.WriteCancellation {
-		return fmt.Errorf("memctrl: crash injection is incompatible with write pausing/cancellation")
-	}
-	if c.cfg.IdlePreset {
-		return fmt.Errorf("memctrl: crash injection is incompatible with idle PreSET")
-	}
-	c.crash = h
-	return nil
-}
+// SetCrash attaches the power-failure hook. The hook assumes a frozen
+// pulse schedule, so the controller must not pause, cancel or preset:
+// system.Config.Validate rejects those together with crash injection.
+func (c *Controller) SetCrash(h CrashHook) { c.crash = h }
 
 // SetFingerprint labels the run for attributable typed errors.
 func (c *Controller) SetFingerprint(fp guard.Fingerprint) { c.fp = fp }
@@ -404,8 +406,8 @@ func NewWithSchemes(eng *sim.Engine, dev *pcm.Device, insts []schemes.Scheme, cf
 	if len(insts) != par.NumBanks {
 		panic(fmt.Sprintf("memctrl: %d scheme instances for %d banks", len(insts), par.NumBanks))
 	}
-	cfg.Normalize(par)
-	c := &Controller{eng: eng, par: par, cfg: cfg, dev: dev}
+	cfg.Normalize()
+	c := &Controller{eng: eng, par: par, cfg: cfg, dev: dev, fwdLatency: par.MemClock.Period()}
 	for _, s := range insts {
 		b := &bank{scheme: s, reads: make([]*request, cfg.Subarrays)}
 		b.recycler, _ = b.scheme.(schemes.PlanRecycler)
@@ -428,10 +430,7 @@ func (c *Controller) Schemes() []schemes.Scheme {
 
 // newRequest takes a request struct from the freelist (or the heap).
 func (c *Controller) newRequest() *request {
-	if n := len(c.reqFree); n > 0 {
-		req := c.reqFree[n-1]
-		c.reqFree[n-1] = nil
-		c.reqFree = c.reqFree[:n-1]
+	if req, ok := c.reqFree.pop(); ok {
 		return req
 	}
 	return &request{}
@@ -439,10 +438,7 @@ func (c *Controller) newRequest() *request {
 
 // newData takes a line-sized payload buffer from the freelist.
 func (c *Controller) newData() []byte {
-	if n := len(c.dataFree); n > 0 {
-		buf := c.dataFree[n-1]
-		c.dataFree[n-1] = nil
-		c.dataFree = c.dataFree[:n-1]
+	if buf, ok := c.dataFree.pop(); ok {
 		return buf
 	}
 	return make([]byte, c.par.LineBytes)
@@ -457,10 +453,10 @@ func (c *Controller) newData() []byte {
 // freelist.
 func (c *Controller) recycleRequest(req *request) {
 	if req.data != nil {
-		c.dataFree = append(c.dataFree, req.data)
+		c.dataFree.push(req.data)
 	}
 	*req = request{}
-	c.reqFree = append(c.reqFree, req)
+	c.reqFree.push(req)
 }
 
 // Params returns the device parameters the controller was built with.
@@ -499,7 +495,7 @@ func (c *Controller) SubmitRead(addr pcm.LineAddr, onDone func(at units.Time, da
 	if d := c.forwardData(addr, b); d != nil {
 		c.stats.ForwardedReads++
 		ev := c.newForwardEvent()
-		ev.at = c.eng.Now().Add(c.cfg.ForwardLatency)
+		ev.at = c.eng.Now().Add(c.fwdLatency)
 		ev.data = c.newData()
 		copy(ev.data, d)
 		ev.onDone = onDone
@@ -744,10 +740,7 @@ type readEvent struct {
 }
 
 func (c *Controller) newReadEvent() *readEvent {
-	if n := len(c.readEvFree); n > 0 {
-		ev := c.readEvFree[n-1]
-		c.readEvFree[n-1] = nil
-		c.readEvFree = c.readEvFree[:n-1]
+	if ev, ok := c.readEvFree.pop(); ok {
 		return ev
 	}
 	ev := &readEvent{c: c}
@@ -760,7 +753,7 @@ func (ev *readEvent) run() {
 	// Recycle before finish: the callback may start new reads that want
 	// the struct back.
 	ev.b, ev.req = nil, nil
-	c.readEvFree = append(c.readEvFree, ev)
+	c.readEvFree.push(ev)
 	b.reads[sub] = nil
 	b.nreads--
 	c.finish(req, done)
@@ -779,10 +772,7 @@ type forwardEvent struct {
 }
 
 func (c *Controller) newForwardEvent() *forwardEvent {
-	if n := len(c.fwdEvFree); n > 0 {
-		ev := c.fwdEvFree[n-1]
-		c.fwdEvFree[n-1] = nil
-		c.fwdEvFree = c.fwdEvFree[:n-1]
+	if ev, ok := c.fwdEvFree.pop(); ok {
 		return ev
 	}
 	ev := &forwardEvent{c: c}
@@ -794,10 +784,10 @@ func (ev *forwardEvent) run() {
 	c, at, data, onDone := ev.c, ev.at, ev.data, ev.onDone
 	// Recycle before the callback, which may forward further reads.
 	ev.data, ev.onDone = nil, nil
-	c.fwdEvFree = append(c.fwdEvFree, ev)
-	c.stats.ReadLatency.Add(c.cfg.ForwardLatency)
+	c.fwdEvFree.push(ev)
+	c.stats.ReadLatency.Add(c.fwdLatency)
 	onDone(at, data)
-	c.dataFree = append(c.dataFree, data)
+	c.dataFree.push(data)
 }
 
 func (c *Controller) startRead(b *bank, req *request) {
@@ -864,10 +854,7 @@ type writeEvent struct {
 }
 
 func (c *Controller) newWriteEvent() *writeEvent {
-	if n := len(c.writeEvFree); n > 0 {
-		ev := c.writeEvFree[n-1]
-		c.writeEvFree[n-1] = nil
-		c.writeEvFree = c.writeEvFree[:n-1]
+	if ev, ok := c.writeEvFree.pop(); ok {
 		return ev
 	}
 	ev := &writeEvent{c: c}
@@ -880,7 +867,7 @@ func (ev *writeEvent) run() {
 	// Recycle before completing: the completion path may start the next
 	// write, which wants the struct back.
 	ev.b, ev.req = nil, nil
-	c.writeEvFree = append(c.writeEvFree, ev)
+	c.writeEvFree.push(ev)
 	if b.gen != gen || b.write != req {
 		return
 	}
@@ -1046,7 +1033,7 @@ func (c *Controller) tryPause(b *bank) {
 		if c.cfg.WriteCancellation {
 			total := b.writeEnd.Sub(b.writeStart)
 			progress := float64(boundary.Sub(b.writeStart)) / float64(total)
-			if progress < c.cfg.CancelThreshold {
+			if progress < cancelThreshold {
 				c.stats.Cancellations++
 				b.gen++
 				b.write = nil
@@ -1169,7 +1156,7 @@ func (c *Controller) PresetHint(addr pcm.LineAddr) {
 	if c.presetSet.Has(int64(addr)) {
 		return
 	}
-	if len(c.presetQ) >= c.cfg.PresetQueue {
+	if len(c.presetQ) >= presetQueue {
 		c.stats.PresetDropped++
 		return
 	}

@@ -544,31 +544,38 @@ func TestIdlePresetFavourableCase(t *testing.T) {
 	}
 }
 
-// TestPresetGuards: stale hints (line cleaned, or write queued) are
-// dropped, and hints are deduplicated and bounded.
+// TestPresetGuards: hints are deduplicated and bounded, and stale hints
+// (line cleaned, or write queued) are dropped.
 func TestPresetGuards(t *testing.T) {
 	eng := &sim.Engine{}
 	dev := pcm.MustNewDevice(pcm.DefaultParams())
-	c := New(eng, dev, tetris.New, Config{IdlePreset: true, PresetQueue: 2})
+	c := New(eng, dev, tetris.New, Config{IdlePreset: true})
 	oracle := &presetDirtyOracle{dirty: map[pcm.LineAddr]bool{}}
-	c.SetDirtyChecker(oracle.isDirty)
 
 	eng.At(0, func() {
-		// Not dirty at execution time: dropped.
-		c.PresetHint(1)
-		// Duplicates don't occupy extra slots.
+		// Without a dirty checker no hint leaves the queue, so the bound
+		// shows: of presetQueue+1 distinct hints the last is dropped,
+		// and a duplicate occupies no extra slot.
+		for a := 0; a <= presetQueue; a++ {
+			c.PresetHint(pcm.LineAddr(a))
+		}
 		c.PresetHint(2)
-		c.PresetHint(2)
-		// Queue bound: the third distinct hint is dropped.
-		c.PresetHint(3)
+		if got := c.Stats().PresetDropped; got != 1 {
+			t.Errorf("PresetDropped = %d after %d distinct hints, want 1", got, presetQueue+1)
+		}
+		// Not dirty at execution time: every queued hint is dropped.
+		c.SetDirtyChecker(oracle.isDirty)
+		for len(c.presetQ) > 0 {
+			c.schedule()
+		}
 	})
 	eng.Run()
 	st := c.Stats()
 	if st.Presets != 0 {
 		t.Errorf("%d presets ran on clean lines", st.Presets)
 	}
-	if st.PresetDropped == 0 {
-		t.Error("no hints recorded as dropped")
+	if want := int64(presetQueue + 1); st.PresetDropped != want {
+		t.Errorf("PresetDropped = %d, want %d", st.PresetDropped, want)
 	}
 }
 
@@ -830,7 +837,6 @@ func TestWriteCancellationLateReadPausesInstead(t *testing.T) {
 		OpportunisticWrites: true,
 		WritePausing:        true,
 		WriteCancellation:   true,
-		CancelThreshold:     0.5,
 	})
 	data := make([]byte, 64)
 	data[0] = 0xEE

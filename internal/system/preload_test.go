@@ -57,7 +57,7 @@ func (p recordingPort) SubmitWrite(addr pcm.LineAddr, data []byte, onDone func(a
 func runRecordingPreload(t *testing.T, prof workload.Profile, factory schemes.Factory, cfg Config) (*preloadPort, *touchRecorder) {
 	t.Helper()
 	cfg.Normalize()
-	if err := cfg.check(false); err != nil {
+	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	prog := workload.NewProgram(prof, cfg.Cores, cfg.Seed, cfg.Params)

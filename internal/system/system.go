@@ -43,7 +43,6 @@ import (
 type Config struct {
 	Params      pcm.Params     // device configuration (Table II)
 	Cores       int            // default 4
-	CPUClock    units.Clock    // default 2 GHz
 	InstrBudget int64          // instructions per core (default 1M)
 	Ctrl        memctrl.Config // controller configuration
 	Seed        int64          // workload seed
@@ -90,11 +89,9 @@ type Config struct {
 	// registers its counters and a snapshot of all of them is taken each
 	// Epoch of simulated time into Result.Telemetry. Zero (the default)
 	// attaches nothing and the run is bit-identical to one without
-	// telemetry — all instruments are polled, never pushed.
+	// telemetry — all instruments are polled, never pushed. The sampler
+	// keeps the last telemetry.DefaultRingSize epochs.
 	Epoch units.Duration
-	// MetricsRing caps the number of retained epochs (oldest evicted
-	// first); 0 means telemetry.DefaultRingSize.
-	MetricsRing int
 
 	// Guard configures the runtime invariant checker threaded through
 	// the memory controller: per issued write unit it validates power
@@ -115,6 +112,9 @@ type Config struct {
 	Heartbeat func(sim.Progress)
 }
 
+// cpuClock is the Table II core clock.
+var cpuClock = units.NewClock(2e9)
+
 // Normalize fills defaults in place.
 func (c *Config) Normalize() {
 	if c.Params.LineBytes == 0 {
@@ -122,9 +122,6 @@ func (c *Config) Normalize() {
 	}
 	if c.Cores <= 0 {
 		c.Cores = 4
-	}
-	if (c.CPUClock == units.Clock{}) {
-		c.CPUClock = units.NewClock(2e9)
 	}
 	if c.InstrBudget <= 0 {
 		c.InstrBudget = 1_000_000
@@ -134,24 +131,47 @@ func (c *Config) Normalize() {
 	}
 }
 
-// check rejects a normalized configuration the platform cannot be
-// assembled from. Run and RunTrace both call it before building
-// anything; trace says the cores replay a trace rather than a workload
-// profile.
-func (c *Config) check(trace bool) error {
-	if err := c.Params.Validate(); err != nil {
-		return fmt.Errorf("system: %w", err)
+// Validate rejects a configuration the platform cannot be assembled
+// from, or one in which a setting would silently do nothing. Run and
+// RunTrace call it after Normalize, before building anything. Zero
+// counts mean "use the default"; negative ones are rejected.
+func (c *Config) Validate() error {
+	parts := []interface{ Validate() error }{c.Params, c.Fault, c.Crash}
+	for _, l := range c.CacheLevels {
+		parts = append(parts, l)
 	}
-	if c.Ctrl.IdlePreset && !c.UseCaches {
+	for _, part := range parts {
+		if err := part.Validate(); err != nil {
+			return fmt.Errorf("system: %w", err)
+		}
+	}
+	crashOn := c.Crash.Enabled()
+	switch {
+	case c.Ctrl.IdlePreset && !c.UseCaches:
 		return errors.New("system: IdlePreset requires UseCaches (hints come from LLC dirtiness)")
-	}
-	if c.Crash.Enabled() && c.Fault.Enabled() {
-		// Injected cell failures make the device drift from the crash
-		// shadow's pulse-train model.
+	// Injected cell failures make the device drift from the crash
+	// shadow's pulse-train model.
+	case crashOn && c.Fault.Enabled():
 		return errors.New("system: crash injection is incompatible with the fault model")
-	}
-	if trace && c.WearLevelPsi > 0 {
-		return errors.New("system: WearLevelPsi needs a workload profile to size the resident region; a trace has none")
+	// The crash hook assumes the pulse schedule fixed at issue: pausing
+	// and cancellation move pulse boundaries after it, and idle PreSET
+	// writes lines without arming an intent.
+	case crashOn && c.Ctrl.WritePausing:
+		return errors.New("system: crash injection is incompatible with Ctrl.WritePausing")
+	case crashOn && c.Ctrl.WriteCancellation:
+		return errors.New("system: crash injection is incompatible with Ctrl.WriteCancellation")
+	case crashOn && c.Ctrl.IdlePreset:
+		return errors.New("system: crash injection is incompatible with Ctrl.IdlePreset")
+	case c.Ctrl.WriteCancellation && !c.Ctrl.WritePausing:
+		return errors.New("system: Ctrl.WriteCancellation requires Ctrl.WritePausing")
+	case c.Guard.DeepChecks && !c.Guard.Enabled:
+		return errors.New("system: Guard.DeepChecks requires Guard.Enabled")
+	case c.Ctrl.Subarrays < 0:
+		return fmt.Errorf("system: Ctrl.Subarrays %d is negative", c.Ctrl.Subarrays)
+	case c.Ctrl.VerifyRetries < 0:
+		return fmt.Errorf("system: Ctrl.VerifyRetries %d is negative", c.Ctrl.VerifyRetries)
+	case c.SpareLines < 0:
+		return fmt.Errorf("system: SpareLines %d is negative", c.SpareLines)
 	}
 	return nil
 }
@@ -315,7 +335,7 @@ func (p *platform) result(label, scheme string, cfg Config) Result {
 	for _, c := range p.cores {
 		cs := c.Stats()
 		res.Cores = append(res.Cores, cs)
-		res.IPC += cs.IPC(cfg.CPUClock, p.eng.Now())
+		res.IPC += cs.IPC(cpuClock, p.eng.Now())
 	}
 	if p.hier != nil {
 		res.Caches = p.hier.LevelStats()
@@ -354,7 +374,7 @@ func Run(prof workload.Profile, factory schemes.Factory, cfg Config) (Result, er
 // partial statistics and finalized telemetry gathered up to that point.
 func RunCtx(ctx context.Context, prof workload.Profile, factory schemes.Factory, cfg Config) (Result, error) {
 	cfg.Normalize()
-	if err := cfg.check(false); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
 	return run(ctx, prof.Name, factory, cfg, func() (*workload.Program, []cpu.OpSource) {
@@ -387,8 +407,11 @@ func RunTrace(label string, recs []trace.Record, cores int, factory schemes.Fact
 func RunTraceCtx(ctx context.Context, label string, recs []trace.Record, cores int, factory schemes.Factory, cfg Config) (Result, error) {
 	cfg.Cores = cores
 	cfg.Normalize()
-	if err := cfg.check(true); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return Result{}, err
+	}
+	if cfg.WearLevelPsi > 0 {
+		return Result{}, errors.New("system: WearLevelPsi needs a workload profile to size the resident region; a trace has none")
 	}
 	lines := cfg.Params.Lines()
 	for i, r := range recs {
@@ -405,7 +428,7 @@ func RunTraceCtx(ctx context.Context, label string, recs []trace.Record, cores i
 	})
 }
 
-// run assembles the platform for a checked config, drives it, and
+// run assembles the platform for a validated config, drives it, and
 // reports. feed returns one operation source per core and, for a
 // synthetic workload, the program behind them (nil for a trace). It is
 // called under the run's panic recovery, so a profile the workload model
@@ -507,7 +530,7 @@ func (p *platform) assemble(cfg Config, factory schemes.Factory, fp guard.Finger
 	}
 
 	// Optional Start-Gap wear leveling over the resident working set
-	// (Config.check keeps it off traces, which have no profile).
+	// (RunTraceCtx keeps it off traces, which have no profile).
 	// Ordering: Start-Gap translates logical lines to rotating physical
 	// slots, and the sparing layer below redirects physical slots that
 	// died — the gap rotation never sees hard errors.
@@ -538,7 +561,7 @@ func (p *platform) assemble(cfg Config, factory schemes.Factory, fp guard.Finger
 	if cfg.UseCaches {
 		levels := cfg.CacheLevels
 		if levels == nil {
-			levels = cache.DefaultLevels(cfg.CPUClock)
+			levels = cache.DefaultLevels(cpuClock)
 		}
 		if p.hier, err = cache.New(eng, down, levels); err != nil {
 			return err
@@ -561,7 +584,7 @@ func (p *platform) assemble(cfg Config, factory schemes.Factory, fp guard.Finger
 	p.cores = make([]*cpu.Core, len(srcs))
 	p.remaining = len(srcs)
 	for i, src := range srcs {
-		p.cores[i] = cpu.New(eng, cfg.CPUClock, src, port, cfg.InstrBudget, p.coreDone)
+		p.cores[i] = cpu.New(eng, cpuClock, src, port, cfg.InstrBudget, p.coreDone)
 		p.cores[i].Start()
 	}
 	if cfg.Epoch > 0 {

@@ -182,12 +182,15 @@ func TestRunWithCaches(t *testing.T) {
 	}
 }
 
-// TestIdlePresetRequiresCaches: both entry points share one config
-// check. It rejects PreSET without the cache hierarchy its hints come
-// from, crash injection together with the fault model, and (on traces,
-// which have no profile to size the resident region) Start-Gap wear
-// leveling, each with one exact message and before building anything;
-// the same config with the conflict resolved runs.
+// TestIdlePresetRequiresCaches: both entry points share one
+// Config.Validate. Every rule rejects its conflict with one exact
+// message, before building anything: PreSET without the cache
+// hierarchy its hints come from, crash injection together with the
+// fault model, write pausing, cancellation or PreSET, cancellation
+// without pausing, deep checks without the guard, negative counts, an
+// invalid sub-config, and (on traces, which have no profile to size
+// the resident region) Start-Gap wear leveling. The same config with
+// the conflict resolved runs.
 func TestIdlePresetRequiresCaches(t *testing.T) {
 	prof, _ := workload.ProfileByName("vips")
 	recs := trace.Generate(prof, 2, 7, pcm.DefaultParams(), 200)
@@ -220,6 +223,73 @@ func TestIdlePresetRequiresCaches(t *testing.T) {
 			},
 			resolve: func(c *Config) { c.Crash = crash.Config{} },
 			want:    "system: crash injection is incompatible with the fault model",
+		},
+		{
+			name: "crash-with-pausing",
+			conflict: func(c *Config) {
+				c.Crash = crash.Config{AtPulse: 100}
+				c.Ctrl.WritePausing = true
+			},
+			resolve: func(c *Config) { c.Crash = crash.Config{} },
+			want:    "system: crash injection is incompatible with Ctrl.WritePausing",
+		},
+		{
+			name: "crash-with-cancellation",
+			conflict: func(c *Config) {
+				c.Crash = crash.Config{AtPulse: 100}
+				c.Ctrl.WriteCancellation = true
+			},
+			resolve: func(c *Config) {
+				c.Crash = crash.Config{}
+				c.Ctrl.WritePausing = true
+			},
+			want: "system: crash injection is incompatible with Ctrl.WriteCancellation",
+		},
+		{
+			name: "crash-with-idle-preset",
+			conflict: func(c *Config) {
+				c.Crash = crash.Config{AtPulse: 100}
+				c.UseCaches = true
+				c.Ctrl.IdlePreset = true
+			},
+			resolve: func(c *Config) { c.Crash = crash.Config{} },
+			want:    "system: crash injection is incompatible with Ctrl.IdlePreset",
+		},
+		{
+			name:     "cancellation-without-pausing",
+			conflict: func(c *Config) { c.Ctrl.WriteCancellation = true },
+			resolve:  func(c *Config) { c.Ctrl.WritePausing = true },
+			want:     "system: Ctrl.WriteCancellation requires Ctrl.WritePausing",
+		},
+		{
+			name:     "deep-checks-without-guard",
+			conflict: func(c *Config) { c.Guard.DeepChecks = true },
+			resolve:  func(c *Config) { c.Guard.Enabled = true },
+			want:     "system: Guard.DeepChecks requires Guard.Enabled",
+		},
+		{
+			name:     "negative-subarrays",
+			conflict: func(c *Config) { c.Ctrl.Subarrays = -1 },
+			resolve:  func(c *Config) { c.Ctrl.Subarrays = 0 },
+			want:     "system: Ctrl.Subarrays -1 is negative",
+		},
+		{
+			name:     "negative-verify-retries",
+			conflict: func(c *Config) { c.Ctrl.VerifyRetries = -1 },
+			resolve:  func(c *Config) { c.Ctrl.VerifyRetries = 0 },
+			want:     "system: Ctrl.VerifyRetries -1 is negative",
+		},
+		{
+			name:     "negative-spare-lines",
+			conflict: func(c *Config) { c.SpareLines = -8 },
+			resolve:  func(c *Config) { c.SpareLines = 0 },
+			want:     "system: SpareLines -8 is negative",
+		},
+		{
+			name:     "invalid-fault-config",
+			conflict: func(c *Config) { c.Fault.TransientRate = 1.5 },
+			resolve:  func(c *Config) { c.Fault.TransientRate = 0 },
+			want:     "system: fault: TransientRate 1.5 must be in [0, 1)",
 		},
 		{
 			name:      "wear-leveling-on-trace",

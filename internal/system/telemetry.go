@@ -15,7 +15,7 @@ import (
 // telemetry allocates nothing and replays bit-identically.
 func (p *platform) attachTelemetry(cfg Config) {
 	reg := telemetry.NewRegistry()
-	registerCoreMetrics(reg, p.eng, cfg.CPUClock, p.cores)
+	registerCoreMetrics(reg, p.eng, cpuClock, p.cores)
 	if p.hier != nil {
 		p.hier.RegisterMetrics(reg)
 	}
@@ -38,7 +38,7 @@ func (p *platform) attachTelemetry(cfg Config) {
 	reg.GaugeFunc("sim.pending_events", "events waiting in the engine queue", func() float64 {
 		return float64(p.eng.Pending())
 	})
-	p.sampler = telemetry.NewSampler(p.eng, reg, cfg.Epoch, cfg.MetricsRing)
+	p.sampler = telemetry.NewSampler(p.eng, reg, cfg.Epoch, telemetry.DefaultRingSize)
 	p.sampler.Start()
 }
 

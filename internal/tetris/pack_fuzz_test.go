@@ -8,8 +8,8 @@ import "testing"
 // Validate accepts its output.
 func FuzzPack(f *testing.F) {
 	f.Add(32, 8, 1, 2, 0, false, []byte{8, 7, 7, 6, 6, 6, 5, 3}, []byte{0, 2, 2, 4, 6, 4, 4, 10})
-	f.Add(12, 2, 5, 1, 0, false, []byte{37}, []byte{0})            // sub-cost remainder, write-1
-	f.Add(12, 2, 1, 5, 0, false, []byte{0}, []byte{37})            // sub-cost remainder, write-0
+	f.Add(12, 2, 5, 1, 0, false, []byte{37}, []byte{0}) // sub-cost remainder, write-1
+	f.Add(12, 2, 1, 5, 0, false, []byte{0}, []byte{37}) // sub-cost remainder, write-0
 	f.Add(9, 3, 4, 7, 1, true, []byte{22, 3, 11}, []byte{15, 8, 23})
 	f.Add(1, 1, 1, 1, 0, false, []byte{255}, []byte{255})
 	f.Fuzz(func(t *testing.T, budget, k, cost1, cost0, minResult int, arrival bool, raw1, raw0 []byte) {

@@ -13,10 +13,10 @@ import (
 // the final sub-cost remainder like one whole cell.
 func TestPackSplitRegimeSubCostRemainder(t *testing.T) {
 	cases := []struct {
-		name   string
-		pk     Packer
-		in1    []int
-		in0    []int
+		name string
+		pk   Packer
+		in1  []int
+		in0  []int
 	}{
 		{
 			name: "write1 remainder",
@@ -28,15 +28,15 @@ func TestPackSplitRegimeSubCostRemainder(t *testing.T) {
 		},
 		{
 			name: "write0 remainder",
-			pk:  Packer{Budget: 12, K: 2, Cost1: 1, Cost0: 5},
-			in1: []int{0},
-			in0: []int{37},
+			pk:   Packer{Budget: 12, K: 2, Cost1: 1, Cost0: 5},
+			in1:  []int{0},
+			in0:  []int{37},
 		},
 		{
 			name: "both passes, several units",
-			pk:  Packer{Budget: 9, K: 3, Cost1: 4, Cost0: 7},
-			in1: []int{22, 3, 11},
-			in0: []int{15, 8, 23},
+			pk:   Packer{Budget: 9, K: 3, Cost1: 4, Cost0: 7},
+			in1:  []int{22, 3, 11},
+			in0:  []int{15, 8, 23},
 		},
 	}
 	for _, tc := range cases {
