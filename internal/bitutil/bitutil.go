@@ -33,9 +33,6 @@ func PopCountBytes(p []byte) int {
 	return n
 }
 
-// Hamming64 returns the Hamming distance between a and b.
-func Hamming64(a, b uint64) int { return bits.OnesCount64(a ^ b) }
-
 // Hamming16 returns the Hamming distance between a and b.
 func Hamming16(a, b uint16) int { return bits.OnesCount16(a ^ b) }
 

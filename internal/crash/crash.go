@@ -42,18 +42,15 @@ type Config struct {
 	// write (1-based): all its pulses are durable, but the cut lands
 	// before the acknowledgement, so its intent stays armed.
 	AtWrite int64
-	// AtCycle cuts power at an absolute simulated time.
-	AtCycle units.Duration
 }
 
 // Enabled reports whether any trigger is armed.
-func (c Config) Enabled() bool { return c.AtPulse > 0 || c.AtWrite > 0 || c.AtCycle > 0 }
+func (c Config) Enabled() bool { return c.AtPulse > 0 || c.AtWrite > 0 }
 
 // Validate rejects malformed trigger values.
 func (c Config) Validate() error {
-	if c.AtPulse < 0 || c.AtWrite < 0 || c.AtCycle < 0 {
-		return fmt.Errorf("crash: negative trigger (AtPulse=%d AtWrite=%d AtCycle=%v)",
-			c.AtPulse, c.AtWrite, c.AtCycle)
+	if c.AtPulse < 0 || c.AtWrite < 0 {
+		return fmt.Errorf("crash: negative trigger (AtPulse=%d AtWrite=%d)", c.AtPulse, c.AtWrite)
 	}
 	return nil
 }
@@ -165,15 +162,11 @@ func New(cfg Config, par pcm.Params) (*Injector, error) {
 }
 
 // Bind attaches the injector to the engine, the device it freezes, and
-// the per-bank scheme instances (index = bank). An AtCycle trigger is
-// scheduled here.
+// the per-bank scheme instances (index = bank).
 func (i *Injector) Bind(eng *sim.Engine, dev *pcm.Device, insts []schemes.Scheme) {
 	i.eng = eng
 	i.dev = dev
 	i.schemes = insts
-	if i.cfg.AtCycle > 0 {
-		eng.At(units.Time(0).Add(i.cfg.AtCycle), i.cutNow)
-	}
 }
 
 // Image returns the surviving image once the cut has fired, nil before.

@@ -12,10 +12,6 @@ import (
 	"tetriswrite/internal/units"
 )
 
-func chipSlice(line []byte, nc, widthBytes, c, u int) uint16 {
-	return bitutil.ChipSlice(line, nc, widthBytes, c, u)
-}
-
 func flipWord(logical uint16, flip bool, widthBits int) bitutil.FlipWord {
 	if flip {
 		return bitutil.FlipWord{Bits: ^logical & bitutil.WidthMask(widthBits), Flip: true}

@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"time"
 
+	"tetriswrite/internal/bitutil"
 	"tetriswrite/internal/guard"
 	"tetriswrite/internal/linestore"
 	"tetriswrite/internal/pcm"
@@ -151,7 +152,7 @@ func Figure3(opt Options) *stats.Table {
 	wbits := opt.Params.ChipWidthBits
 	wb := wbits / 8
 	for _, prof := range workload.Profiles() {
-		// Count with the Tetris read stage itself: per chip slice,
+		// Count as the Tetris read stage does: per chip slice,
 		// inversion then transition counting; aggregate to 64-bit units.
 		flips := linestore.NewStore(1)
 		var sets, resets, unitsSeen float64
@@ -161,16 +162,16 @@ func Figure3(opt Options) *stats.Table {
 			for u := 0; u < nu; u++ {
 				for c := 0; c < nc; c++ {
 					bit := uint(u*nc + c)
-					lo := chipSlice(old, nc, wb, c, u)
+					lo := bitutil.ChipSlice(old, nc, wb, c, u)
 					stored := flipWord(lo, fw&(1<<bit) != 0, wbits)
-					uc := tetris.ReadStage(stored, chipSlice(new, nc, wb, c, u), wbits, false)
-					if uc.Enc.Flip {
+					enc, tr, _, _ := bitutil.FlipTransition(stored, bitutil.ChipSlice(new, nc, wb, c, u), wbits)
+					if enc.Flip {
 						fw |= 1 << bit
 					} else {
 						fw &^= 1 << bit
 					}
-					sets += float64(uc.N1())
-					resets += float64(uc.N0())
+					sets += float64(tr.NumSets())
+					resets += float64(tr.NumResets())
 				}
 				unitsSeen++
 			}

@@ -76,9 +76,6 @@ func NewStore(wordsPerLine int) *Store {
 	return &Store{wpl: wordsPerLine}
 }
 
-// WordsPerLine returns the fixed line width in words.
-func (s *Store) WordsPerLine() int { return s.wpl }
-
 // Len returns the number of stored lines.
 func (s *Store) Len() int {
 	n := 0

@@ -107,16 +107,3 @@ func (p *Pending) Range(fn func(addr Addr, buf []byte) bool) {
 		}
 	}
 }
-
-// Clear removes all entries.
-func (p *Pending) Clear() {
-	for k := range p.idx {
-		delete(p.idx, k)
-	}
-	p.keys = p.keys[:0]
-	for i := range p.vals {
-		p.vals[i] = nil
-	}
-	p.vals = p.vals[:0]
-	p.dead = 0
-}

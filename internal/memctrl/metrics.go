@@ -125,7 +125,7 @@ func (c *Controller) RegisterMetrics(reg *telemetry.Registry) {
 	// behavioral model stripes every line write uniformly across a
 	// bank's chips, so the per-chip utilization equals the bank/rank
 	// fraction reported here; per-chip peaks live in the structural
-	// model (internal/chip).
+	// model in internal/tetris's tests.
 	reg.CounterFunc("power.write_units", "serialized write units issued (Figure 10 numerator)", func() float64 {
 		return c.stats.WriteUnits
 	})

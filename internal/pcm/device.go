@@ -24,8 +24,9 @@ type FaultModel interface {
 }
 
 // Device is the stateful PCM array: the stored contents of every line plus
-// energy and wear accounting. Contents are stored sparsely; untouched
-// lines read as all zeros, matching a freshly RESET array.
+// programming-activity counters (per-line wear is tracked by the
+// controller that drives the device). Contents are stored sparsely;
+// untouched lines read as all zeros, matching a freshly RESET array.
 //
 // Lines live inline in a sharded open-addressing store as little-endian
 // uint64 words, so the diff/popcount accounting in WriteLine runs on
@@ -40,8 +41,7 @@ type Device struct {
 
 	lines *linestore.Store
 	stats DeviceStats
-	wear  *WearTracker // optional per-line wear accounting
-	fault FaultModel   // optional cell-failure model (nil = ideal device)
+	fault FaultModel // optional cell-failure model (nil = ideal device)
 
 	// scratch buffers for the byte-facing fault-model bridge.
 	oldBuf, newBuf []byte
@@ -207,16 +207,7 @@ func (d *Device) WriteLine(addr LineAddr, data []byte) (sets, resets int) {
 	d.stats.BitResets += int64(resets)
 	d.stats.BitsWritten += int64(sets + resets)
 	d.stats.BitsSkipped += int64(8*d.params.LineBytes - sets - resets)
-	if d.wear != nil {
-		d.wear.Record(addr, sets+resets)
-	}
 	return sets, resets
-}
-
-// AttachWear routes per-line bit-write counts into a wear tracker — the
-// raw material of endurance experiments. Pass nil to detach.
-func (d *Device) AttachWear(w *WearTracker) {
-	d.wear = w
 }
 
 // AttachFaults installs a cell-failure model on the device's read and

@@ -284,9 +284,7 @@ func TestBurstReadTiming(t *testing.T) {
 
 func TestPreloadAndAttachWear(t *testing.T) {
 	d := MustNewDevice(DefaultParams())
-	w := NewWearTracker()
-	d.AttachWear(w)
-	// Preload installs contents without stats or wear.
+	// Preload installs contents without stats.
 	img := make([]byte, 64)
 	img[0] = 0x42
 	d.Preload(7, img)
@@ -295,8 +293,8 @@ func TestPreloadAndAttachWear(t *testing.T) {
 	if buf[0] != 0x42 {
 		t.Fatal("Preload did not install contents")
 	}
-	if d.Stats().LineWrites != 0 || w.Summary().TotalBitWrites != 0 {
-		t.Error("Preload produced stats or wear")
+	if d.Stats().LineWrites != 0 {
+		t.Error("Preload produced stats")
 	}
 	// nil preload is a no-op.
 	d.Preload(8, nil)
@@ -309,17 +307,6 @@ func TestPreloadAndAttachWear(t *testing.T) {
 		}()
 		d.Preload(9, []byte{1})
 	}()
-	// Writes now record wear.
-	d.WriteLine(7, make([]byte, 64)) // clears the set bit: pulses
-	if w.Summary().TotalBitWrites == 0 {
-		t.Error("AttachWear recorded nothing")
-	}
-	before := w.LineWear(7)
-	d.AttachWear(nil)
-	d.WriteLine(7, img)
-	if w.LineWear(7) != before {
-		t.Error("detached tracker still recording")
-	}
 }
 
 func TestNewDeviceRejectsBadParams(t *testing.T) {

@@ -261,7 +261,7 @@ func Default() *Registry {
 				{Name: "fnw", Factory: schemes.NewFlipNWrite},
 				{Name: "twostage", Factory: schemes.NewTwoStage},
 				{Name: "tetris", Factory: tetris.New},
-			}, schemes.AdaptiveConfig{}),
+			}),
 		}))
 		must(defaultReg.RegisterAlias("baseline", "dcw"))
 		must(defaultReg.RegisterAlias("flip-n-write", "fnw"))

@@ -14,49 +14,27 @@ type Candidate struct {
 	Factory Factory
 }
 
-// AdaptiveConfig tunes the adaptive meta-scheme's selection policy. The
-// zero value selects defaults via Normalize.
-type AdaptiveConfig struct {
-	// EpochWrites is the decision granularity: the policy re-selects the
-	// active candidate every EpochWrites planned writes (default 64).
-	EpochWrites int
-	// ProbeEvery forces every ProbeEvery-th epoch to run the next
-	// candidate round-robin, keeping every cost estimate live even for
-	// candidates the greedy policy would starve (default 8; 0 disables).
-	ProbeEvery int
-	// QueueHigh is the write-queue-depth EWMA above which the policy
-	// optimizes service time (write units) instead of pulse energy
-	// (default 4).
-	QueueHigh float64
-	// DensityHigh is the flip-density EWMA (changed bits per line bit)
-	// above which the stream is dense enough that the power budget binds
-	// and the policy optimizes write units as well (default 0.35).
-	DensityHigh float64
-	// Alpha is the smoothing factor of every EWMA (default 0.125).
-	Alpha float64
-}
-
-// Normalize fills defaults.
-func (c *AdaptiveConfig) Normalize() {
-	if c.EpochWrites <= 0 {
-		c.EpochWrites = 64
-	}
-	if c.ProbeEvery < 0 {
-		c.ProbeEvery = 0
-	}
-	if c.EpochWrites > 0 && c.ProbeEvery == 0 {
-		c.ProbeEvery = 8
-	}
-	if c.QueueHigh <= 0 {
-		c.QueueHigh = 4
-	}
-	if c.DensityHigh <= 0 {
-		c.DensityHigh = 0.35
-	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.125
-	}
-}
+// The adaptive meta-scheme's selection policy.
+const (
+	// adaptiveEpochWrites is the decision granularity: the policy
+	// re-selects the active candidate every adaptiveEpochWrites planned
+	// writes.
+	adaptiveEpochWrites = 64
+	// adaptiveProbeEvery forces every adaptiveProbeEvery-th epoch to run
+	// the next candidate round-robin, keeping every cost estimate live
+	// even for candidates the greedy policy would starve.
+	adaptiveProbeEvery = 8
+	// adaptiveQueueHigh is the write-queue-depth EWMA above which the
+	// policy optimizes service time (write units) instead of pulse
+	// energy.
+	adaptiveQueueHigh = 4
+	// adaptiveDensityHigh is the flip-density EWMA (changed bits per line
+	// bit) above which the stream is dense enough that the power budget
+	// binds and the policy optimizes write units as well.
+	adaptiveDensityHigh = 0.35
+	// adaptiveAlpha is the smoothing factor of every EWMA.
+	adaptiveAlpha = 0.125
+)
 
 // adaptive is a meta-scheme that selects among candidate base schemes
 // per epoch from live, replay-deterministic telemetry: the write-queue
@@ -79,7 +57,6 @@ func (c *AdaptiveConfig) Normalize() {
 // scheme's implicit zero state still decodes the stored image.
 type adaptive struct {
 	par pcm.Params
-	cfg AdaptiveConfig
 
 	cands     []Scheme
 	names     []string
@@ -115,15 +92,13 @@ type adaptive struct {
 // NewAdaptive returns a Factory for the adaptive meta-scheme over the
 // given candidates (at least one). Each bank instance owns one private
 // instance of every candidate.
-func NewAdaptive(cands []Candidate, cfg AdaptiveConfig) Factory {
+func NewAdaptive(cands []Candidate) Factory {
 	if len(cands) == 0 {
 		panic("schemes: adaptive needs at least one candidate")
 	}
-	cfg.Normalize()
 	return func(par pcm.Params) Scheme {
 		s := &adaptive{
 			par:        par,
-			cfg:        cfg,
 			owner:      linestore.NewStore(1),
 			tightPower: par.ChipWidthBits*par.CurrentReset > par.ChipBudget,
 		}
@@ -154,7 +129,7 @@ func (s *adaptive) NeedsReadBeforeWrite() bool { return s.needsRead }
 // of each write, folded into the pressure EWMA the policy thresholds.
 func (s *adaptive) ObserveQueues(reads, writes int) {
 	depth := float64(reads + writes)
-	s.queueEWMA = (1-s.cfg.Alpha)*s.queueEWMA + s.cfg.Alpha*depth
+	s.queueEWMA = (1-adaptiveAlpha)*s.queueEWMA + adaptiveAlpha*depth
 }
 
 // RecyclePlan implements PlanRecycler, routing the buffer back to the
@@ -199,7 +174,7 @@ func (s *adaptive) tagsClear(i int, addr pcm.LineAddr) bool {
 func (s *adaptive) decide() {
 	s.epoch++
 	prev := s.active
-	if s.cfg.ProbeEvery > 0 && s.epoch%int64(s.cfg.ProbeEvery) == 0 {
+	if s.epoch%adaptiveProbeEvery == 0 {
 		s.probeIdx = (s.probeIdx + 1) % len(s.cands)
 		s.active = s.probeIdx
 	} else {
@@ -207,7 +182,7 @@ func (s *adaptive) decide() {
 		// queue pressure, a power budget too tight to pack a worst-case
 		// unit, or a write stream dense enough to fill the budget.
 		cost := s.costPulses
-		if s.queueEWMA >= s.cfg.QueueHigh || s.tightPower || s.densityEWMA >= s.cfg.DensityHigh {
+		if s.queueEWMA >= adaptiveQueueHigh || s.tightPower || s.densityEWMA >= adaptiveDensityHigh {
 			cost = s.costWU
 		}
 		best := -1
@@ -228,13 +203,13 @@ func (s *adaptive) decide() {
 }
 
 func (s *adaptive) PlanWrite(addr pcm.LineAddr, old, new []byte) Plan {
-	if s.writes%int64(s.cfg.EpochWrites) == 0 {
+	if s.writes%adaptiveEpochWrites == 0 {
 		s.decide()
 	}
 	s.writes++
 
 	d := float64(bitutil.HammingBytes(old, new)) / float64(s.par.LineBytes*8)
-	s.densityEWMA = (1-s.cfg.Alpha)*s.densityEWMA + s.cfg.Alpha*d
+	s.densityEWMA = (1-adaptiveAlpha)*s.densityEWMA + adaptiveAlpha*d
 
 	ow := s.owner.Ensure(int64(addr))
 	idx := int(ow[0]) - 1
@@ -269,5 +244,5 @@ func (s *adaptive) updateCost(c *float64, v float64) {
 		*c = v
 		return
 	}
-	*c = (1-s.cfg.Alpha)**c + s.cfg.Alpha*v
+	*c = (1-adaptiveAlpha)**c + adaptiveAlpha*v
 }

@@ -149,6 +149,8 @@ func (c *Config) Validate() error {
 	switch {
 	case c.Ctrl.IdlePreset && !c.UseCaches:
 		return errors.New("system: IdlePreset requires UseCaches (hints come from LLC dirtiness)")
+	case len(c.CacheLevels) > 0 && !c.UseCaches:
+		return errors.New("system: CacheLevels requires UseCaches")
 	// Injected cell failures make the device drift from the crash
 	// shadow's pulse-train model.
 	case crashOn && c.Fault.Enabled():

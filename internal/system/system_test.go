@@ -216,6 +216,16 @@ func TestIdlePresetRequiresCaches(t *testing.T) {
 			want:     "system: IdlePreset requires UseCaches (hints come from LLC dirtiness)",
 		},
 		{
+			name: "cache-levels-without-caches",
+			conflict: func(c *Config) {
+				c.CacheLevels = []cache.LevelConfig{
+					{Name: "L1", SizeBytes: 32 << 10, LineBytes: 64, Ways: 8, Latency: units.NewClock(2e9).Cycles(2)},
+				}
+			},
+			resolve: func(c *Config) { c.UseCaches = true },
+			want:    "system: CacheLevels requires UseCaches",
+		},
+		{
 			name: "crash-with-fault-model",
 			conflict: func(c *Config) {
 				c.Fault = faultConfig().Fault

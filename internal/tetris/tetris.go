@@ -31,7 +31,7 @@ type Options struct {
 	ArrivalOrder bool
 	// TimeAwareFlip replaces the Hamming-minimizing inversion rule with
 	// a schedule-time-minimizing one (SETs weighted by K). Required for
-	// PreSET to pay off; see ReadStageTimeAware.
+	// PreSET to pay off; see flipRule.
 	TimeAwareFlip bool
 }
 
