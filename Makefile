@@ -21,7 +21,7 @@ COMMIT ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 DATE ?= $(shell date -u +%Y-%m-%dT%H:%M:%SZ)
 LDFLAGS = -X tetriswrite/internal/version.Commit=$(COMMIT) -X tetriswrite/internal/version.Date=$(DATE)
 
-.PHONY: build test race fuzz-smoke bench bench-baseline bench-gate fleet-smoke crash-smoke
+.PHONY: build lint test race fuzz-smoke bench bench-filter bench-baseline bench-gate fleet-smoke crash-smoke
 
 build:
 	$(GO) build -ldflags '$(LDFLAGS)' ./...
@@ -32,6 +32,18 @@ bin: FORCE
 	$(GO) build -ldflags '$(LDFLAGS)' -o bin/ ./cmd/...
 
 FORCE:
+
+# Static checks: go vet, gofmt, and no internal package that only tests
+# import (code kept only for tests belongs in _test.go files; every
+# internal package must be reachable from a command, an example or the
+# public API).
+lint:
+	$(GO) vet ./...
+	@bad=$$(gofmt -l .); \
+	[ -z "$$bad" ] || { echo "not gofmt-formatted:"; echo "$$bad"; exit 1; }
+	@deps=$$($(GO) list -deps ./cmd/... ./examples/... .) && \
+	orphans=$$($(GO) list ./internal/... | grep -vxF "$$deps" || true) && \
+	{ [ -z "$$orphans" ] || { echo "internal packages nothing outside tests imports:"; echo "$$orphans"; exit 1; }; }
 
 test:
 	$(GO) test ./...
@@ -44,7 +56,6 @@ race:
 # regressions that fixed test vectors miss, cheap enough for every CI run.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzFlipCoding -fuzztime=$(FUZZTIME) ./internal/bitutil
-	$(GO) test -run='^$$' -fuzz=FuzzReader -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzParseTrace -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzPack -fuzztime=$(FUZZTIME) ./internal/tetris
 	$(GO) test -run='^$$' -fuzz=FuzzPlanWritePulseOrder -fuzztime=$(FUZZTIME) ./internal/tetris
@@ -61,6 +72,11 @@ fuzz-smoke:
 # benchmark, discarding scheduler noise.
 bench:
 	$(GO) test -run='^$$' -bench='$(BENCHFILTER)' -benchmem -count=$(BENCHCOUNT) . | tee bench_new.txt
+
+# Print the gated benchmark list: CI's bench-gate job benchmarks the
+# base commit with it, so the list lives only in BENCHFILTER above.
+bench-filter:
+	@echo '$(BENCHFILTER)'
 
 # Refresh the committed baseline. Run on a quiet machine after an
 # intentional performance change; the diff is part of the review.

@@ -9,10 +9,10 @@
 //	tetrisbench -fig 11 -instr 2000000 -writes 20000 -seed 7
 //
 // Scale knobs: -writes (chip-level experiments), -instr (per-core
-// instruction budget of the full-system experiments), -cores, -seed.
-// Supervision knobs: -parallel (concurrent full-system runs; any value
-// produces bit-identical tables), -run-timeout (wall-clock limit per
-// run). Ctrl-C stops the sweep gracefully: completed cells are rendered
+// instruction budget of the full-system experiments), -cores, -seed,
+// -line (cache line size, default 64 B). Supervision knobs: -parallel
+// (concurrent full-system runs, 1 for one at a time; any value produces
+// bit-identical tables), -run-timeout (wall-clock limit per run). Ctrl-C stops the sweep gracefully: completed cells are rendered
 // as partial tables before exiting nonzero.
 package main
 
@@ -58,8 +58,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		instr      = fs.Int64("instr", 1_000_000, "per-core instruction budget (figures 11-14)")
 		cores      = fs.Int("cores", 4, "number of cores")
 		seed       = fs.Int64("seed", 1, "workload seed")
-		seq        = fs.Bool("sequential", false, "disable parallel simulation")
-		par        = fs.Int("parallel", 0, "concurrent full-system simulations (0 = all CPUs; tables are bit-identical at any value)")
+		par        = fs.Int("parallel", 0, "concurrent full-system simulations (0 = all CPUs, 1 = one at a time; tables are bit-identical at any value)")
 		runTO      = fs.Duration("run-timeout", 0, "wall-clock limit per full-system simulation, e.g. 5m (0 = none)")
 		schemeList = fs.String("schemes", "", "comma-separated scheme names for the full-system figures (registry names, composable with +, e.g. baseline,tetris,dcw+flipmin,adaptive); empty = the paper set; the first is the normalization baseline")
 		energy     = fs.Bool("energy", false, "also print the energy-per-write table with the full-system figures")
@@ -72,7 +71,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		seeds      = fs.Int("seeds", 0, "run the seed-robustness sweep over this many seeds")
 		csv        = fs.Bool("csv", false, "render figures as CSV instead of tables")
 		mlcCmp     = fs.Bool("mlc", false, "print the SLC-vs-MLC write-time comparison (background section)")
-		line       = fs.Int("line", 0, "cache line size in bytes (default 64; 128/256 model POWER7/zEnterprise)")
+		line       = fs.Int("line", 64, "cache line size in bytes (128/256 model POWER7/zEnterprise)")
 
 		crashEvery = fs.Int64("crash-every", 0, "run the crash-consistency sweep: cut power at every Kth pulse boundary of every (workload, scheme) cell, recover, resume, and print the recovery classification table")
 		crashCuts  = fs.Int("crash-cuts", 0, "cap on cut points per cell of the crash sweep, subsampled evenly (0 = 8)")
@@ -106,21 +105,29 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		return fmt.Errorf("-cores %d: need at least one core", *cores)
 	case *writes <= 0:
 		return fmt.Errorf("-writes %d: write sample count must be positive", *writes)
-	}
-	if *par < 0 {
+	case *par < 0:
 		return fmt.Errorf("-parallel %d: worker count cannot be negative", *par)
-	}
-	if *runTO < 0 {
+	case *runTO < 0:
 		return fmt.Errorf("-run-timeout %v: cannot be negative", *runTO)
+	case *seeds < 0:
+		return fmt.Errorf("-seeds %d: seed count cannot be negative", *seeds)
+	case *crashEvery < 0:
+		return fmt.Errorf("-crash-every %d: cut interval cannot be negative", *crashEvery)
+	case *crashCuts < 0:
+		return fmt.Errorf("-crash-cuts %d: cut cap cannot be negative", *crashCuts)
 	}
 	opt := exp.Options{
+		Params:      pcm.DefaultParams(),
 		Writes:      *writes,
 		InstrBudget: *instr,
 		Cores:       *cores,
 		Seed:        *seed,
-		Sequential:  *seq,
 		Parallel:    *par,
 		RunTimeout:  *runTO,
+	}
+	opt.Params.LineBytes = *line
+	if err := opt.Params.Validate(); err != nil {
+		return fmt.Errorf("-line %d: %w", *line, err)
 	}
 	if *schemeList != "" {
 		for _, n := range strings.Split(*schemeList, ",") {
@@ -139,14 +146,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 			return fmt.Errorf("-epoch: %w", err)
 		}
 		opt.Epoch = epoch
-	}
-	if *line > 0 {
-		par := pcm.DefaultParams()
-		par.LineBytes = *line
-		if err := par.Validate(); err != nil {
-			return fmt.Errorf("-line %d: %w", *line, err)
-		}
-		opt.Params = par
 	}
 
 	if *check {

@@ -226,6 +226,12 @@ func TestBadParallelFlag(t *testing.T) {
 		{[]string{"-fig", "11", "-cores", "0"}, "-cores 0: need at least one core"},
 		{[]string{"-fig", "10", "-writes", "-1"}, "-writes -1: write sample count must be positive"},
 		{[]string{"-fig", "10", "-writes", "0"}, "-writes 0: write sample count must be positive"},
+		{[]string{"-fig", "10", "-line", "-64"}, "-line -64: pcm: LineBytes must be positive"},
+		{[]string{"-fig", "10", "-line", "0"}, "-line 0: pcm: LineBytes must be positive"},
+		{[]string{"-fig", "10", "-line", "24"}, "-line 24: pcm: CapacityBytes must be a multiple of LineBytes"},
+		{[]string{"-seeds", "-2"}, "-seeds -2: seed count cannot be negative"},
+		{[]string{"-crash-every", "-5"}, "-crash-every -5: cut interval cannot be negative"},
+		{[]string{"-crash-every", "64", "-crash-cuts", "-3"}, "-crash-cuts -3: cut cap cannot be negative"},
 	} {
 		out.Reset()
 		err := run(context.Background(), tc.args, &out, &errb)

@@ -92,24 +92,17 @@ func dumpTrace(stdout io.Writer, path string) error {
 		return err
 	}
 	defer f.Close()
-	r, err := trace.NewReader(f)
-	if err != nil {
-		return err
+	hdr, recs, err := trace.Parse(f)
+	if hdr.Cores == 0 {
+		return err // the header itself is bad
 	}
-	hdr := r.Header()
 	fmt.Fprintf(stdout, "# trace v%d, %d cores, %d B lines\n", hdr.Version, hdr.Cores, hdr.LineBytes)
-	for {
-		rec, err := r.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
+	for _, rec := range recs {
 		kind := "R"
 		if rec.Op.Write {
 			kind = "W"
 		}
 		fmt.Fprintf(stdout, "core=%d %s addr=%d think=%d\n", rec.Core, kind, rec.Op.Addr, rec.Op.Think)
 	}
+	return err
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -56,5 +57,30 @@ func TestErrors(t *testing.T) {
 	}
 	if err := run([]string{"-nope"}, &out, &errb); err == nil {
 		t.Error("unknown flag accepted")
+	}
+}
+
+// TestDumpTruncated: a trace cut mid-record dumps its header and every
+// whole record before the cut, then fails naming the cut record.
+func TestDumpTruncated(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "w.trace")
+	var out, errb bytes.Buffer
+	if err := run([]string{"-ops", "20", "-cores", "1", "-o", path}, &out, &errb); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data[:len(data)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	err = run([]string{"-dump", path}, &out, &errb)
+	if err == nil || !strings.Contains(err.Error(), "record 20") {
+		t.Fatalf("err = %v, want one naming record 20", err)
+	}
+	if lines := strings.Count(out.String(), "\n"); lines != 20 { // header + 19 records
+		t.Errorf("dump has %d lines before the error, want 20", lines)
 	}
 }

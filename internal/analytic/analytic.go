@@ -69,13 +69,3 @@ func Tetris(p pcm.Params, result, subresult, analysisCycles int) units.Duration 
 	write := units.Duration(result)*p.TSet + units.Duration(subresult)*pitch
 	return p.TRead + p.MemClock.Cycles(int64(analysisCycles)) + write
 }
-
-// SpeedupVsBaseline returns DCW service time divided by the given
-// service time: the write-latency improvement factor a scheme earns in
-// isolation (no queueing).
-func SpeedupVsBaseline(p pcm.Params, t units.Duration) float64 {
-	if t == 0 {
-		return 0
-	}
-	return float64(DCW(p)) / float64(t)
-}

@@ -96,19 +96,6 @@ func TestTetrisEquation(t *testing.T) {
 	}
 }
 
-func TestSpeedupVsBaseline(t *testing.T) {
-	p := pcm.DefaultParams()
-	if s := SpeedupVsBaseline(p, DCW(p)); s != 1.0 {
-		t.Errorf("speedup of baseline vs itself = %v, want 1", s)
-	}
-	if s := SpeedupVsBaseline(p, ThreeStage(p)); s <= 1.0 {
-		t.Errorf("three-stage speedup = %v, want > 1", s)
-	}
-	if s := SpeedupVsBaseline(p, 0); s != 0 {
-		t.Errorf("zero-time speedup = %v, want 0 sentinel", s)
-	}
-}
-
 // TestOrderingHolds: the paper's ranking must hold across a sweep of
 // budgets and line sizes: conventional >= dcw-read... specifically
 // baseline > fnw > twostage > threestage in service time for the default

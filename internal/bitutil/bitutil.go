@@ -14,24 +14,8 @@ package bitutil
 
 import "math/bits"
 
-// PopCount64 returns the number of set bits in x.
-func PopCount64(x uint64) int { return bits.OnesCount64(x) }
-
 // PopCount16 returns the number of set bits in x.
 func PopCount16(x uint16) int { return bits.OnesCount16(x) }
-
-// PopCountBytes returns the number of set bits across all bytes of p.
-func PopCountBytes(p []byte) int {
-	n := 0
-	i := 0
-	for ; i+8 <= len(p); i += 8 {
-		n += bits.OnesCount64(LoadLE64(p, i))
-	}
-	for ; i < len(p); i++ {
-		n += bits.OnesCount8(p[i])
-	}
-	return n
-}
 
 // Hamming16 returns the Hamming distance between a and b.
 func Hamming16(a, b uint16) int { return bits.OnesCount16(a ^ b) }
@@ -149,31 +133,6 @@ func FlipTransition(old FlipWord, next uint16, widthBits int) (enc FlipWord, dat
 		flipReset = true
 	}
 	return enc, data, flipSet, flipReset
-}
-
-// Uint16sOf reinterprets a byte slice as little-endian 16-bit words. The
-// slice length must be even.
-func Uint16sOf(p []byte) []uint16 {
-	if len(p)%2 != 0 {
-		panic("bitutil: Uint16sOf on odd-length slice")
-	}
-	out := make([]uint16, len(p)/2)
-	for i := range out {
-		out[i] = uint16(p[2*i]) | uint16(p[2*i+1])<<8
-	}
-	return out
-}
-
-// PutUint16s writes words into p as little-endian bytes. p must be exactly
-// twice as long as words.
-func PutUint16s(p []byte, words []uint16) {
-	if len(p) != 2*len(words) {
-		panic("bitutil: PutUint16s length mismatch")
-	}
-	for i, w := range words {
-		p[2*i] = byte(w)
-		p[2*i+1] = byte(w >> 8)
-	}
 }
 
 // ChipSlice extracts chip c's slice of data unit u from a cache line,

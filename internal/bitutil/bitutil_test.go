@@ -6,33 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestPopCount64(t *testing.T) {
-	cases := []struct {
-		x    uint64
-		want int
-	}{
-		{0, 0},
-		{1, 1},
-		{0xFFFFFFFFFFFFFFFF, 64},
-		{0x8000000000000001, 2},
-		{0x5555555555555555, 32},
-	}
-	for _, c := range cases {
-		if got := PopCount64(c.x); got != c.want {
-			t.Errorf("PopCount64(%#x) = %d, want %d", c.x, got, c.want)
-		}
-	}
-}
-
-func TestPopCountBytes(t *testing.T) {
-	if got := PopCountBytes([]byte{0xFF, 0x00, 0x0F}); got != 12 {
-		t.Errorf("PopCountBytes = %d, want 12", got)
-	}
-	if got := PopCountBytes(nil); got != 0 {
-		t.Errorf("PopCountBytes(nil) = %d, want 0", got)
-	}
-}
-
 func TestHammingBytes(t *testing.T) {
 	a := []byte{0x00, 0xFF}
 	b := []byte{0x01, 0xFF}
@@ -149,26 +122,6 @@ func TestFlipEncodeExactThreshold(t *testing.T) {
 	enc = FlipEncode(old, 0x01FF, 16) // 9 changes
 	if !enc.Flip {
 		t.Error("FlipEncode did not flip above width/2 changes")
-	}
-}
-
-func TestUint16sRoundTrip(t *testing.T) {
-	f := func(words []uint16) bool {
-		p := make([]byte, 2*len(words))
-		PutUint16s(p, words)
-		got := Uint16sOf(p)
-		if len(got) != len(words) {
-			return false
-		}
-		for i := range got {
-			if got[i] != words[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"tetriswrite/internal/bitutil"
-	"tetriswrite/internal/guard"
 	"tetriswrite/internal/linestore"
 	"tetriswrite/internal/pcm"
 	"tetriswrite/internal/runner"
@@ -76,10 +75,6 @@ type Options struct {
 	// full-system run so EpochSummary can report time-series behaviour
 	// per workload and scheme.
 	Epoch units.Duration
-	// Guard threads the runtime invariant checker through every
-	// full-system run; a violation aborts that cell and surfaces in
-	// FullResults.Errs.
-	Guard guard.Config
 }
 
 // Normalize fills defaults.
@@ -375,7 +370,6 @@ func CellConfig(opt Options) system.Config {
 		InstrBudget: opt.InstrBudget,
 		Seed:        opt.Seed,
 		Epoch:       opt.Epoch,
-		Guard:       opt.Guard,
 	}
 }
 

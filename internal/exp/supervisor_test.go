@@ -90,29 +90,3 @@ func TestSweepRunTimeout(t *testing.T) {
 		t.Error("no cells marked failed")
 	}
 }
-
-// TestSweepGuardEnabled: the guard threads through the sweep and a
-// guarded sweep completes violation-free.
-func TestSweepGuardEnabled(t *testing.T) {
-	opt := fastOptions()
-	opt.InstrBudget = 10_000
-	opt.Guard.Enabled = true
-	fr, err := RunFullSystem(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fr.Failed() != 0 {
-		t.Errorf("%d cells failed under guard", fr.Failed())
-	}
-	checked := false
-	for _, row := range fr.Results {
-		for _, res := range row {
-			if res.Guard != nil && res.Guard.WritePlans > 0 {
-				checked = true
-			}
-		}
-	}
-	if !checked {
-		t.Error("no cell reports guard activity")
-	}
-}

@@ -797,7 +797,7 @@ func (c *Controller) startRead(b *bank, req *request) {
 	if b.write != nil {
 		c.stats.SubarrayOverlaps++
 	}
-	svc := c.par.ReadServiceTime()
+	svc := c.par.TRead
 	b.busyTime += svc
 	done := c.eng.Now().Add(svc)
 	ev := c.newReadEvent()

@@ -716,23 +716,6 @@ func TestBankUtilization(t *testing.T) {
 	}
 }
 
-func TestBurstReadThroughController(t *testing.T) {
-	eng := &sim.Engine{}
-	par := pcm.DefaultParams()
-	par.BurstBytes = 8
-	dev := pcm.MustNewDevice(par)
-	c := New(eng, dev, schemes.NewDCW, Config{})
-	var at units.Time
-	eng.At(0, func() {
-		c.SubmitRead(0, func(t units.Time, _ []byte) { at = t })
-	})
-	eng.Run()
-	want := units.Time(par.ReadServiceTime())
-	if at != want {
-		t.Errorf("burst read completed at %v, want %v", at, want)
-	}
-}
-
 // TestAllFeaturesTogether: pausing + subarrays + tiny queues + coalescing
 // under random traffic, with the golden-model read check — the features
 // must compose without consistency or liveness failures.

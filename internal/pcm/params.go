@@ -43,12 +43,6 @@ type Params struct {
 	TRead  units.Duration // array read latency
 	TReset units.Duration // RESET (write '0') pulse length
 	TSet   units.Duration // SET (write '1') pulse length
-	// BurstBytes, when positive, models the prototype's synchronous
-	// burst-read interface: after the TRead array access, the line
-	// streams out over the bus in BurstBytes beats, one memory-clock
-	// cycle each. Zero disables burst modelling (the paper's evaluation
-	// charges a flat TRead).
-	BurstBytes int
 
 	// Power, expressed in units of one SET pulse's current draw.
 	CurrentSet       int  // current of one SET pulse, by definition 1
@@ -120,25 +114,7 @@ func (p Params) Validate() error {
 	if (p.MemClock == units.Clock{}) {
 		return errors.New("pcm: MemClock must be set")
 	}
-	if p.BurstBytes < 0 {
-		return errors.New("pcm: BurstBytes must be non-negative")
-	}
-	if p.BurstBytes > 0 && p.LineBytes%p.BurstBytes != 0 {
-		return errors.New("pcm: LineBytes must be a multiple of BurstBytes")
-	}
 	return nil
-}
-
-// ReadServiceTime returns the full service time of a line read: the
-// array access plus, when burst modelling is enabled, the bus transfer
-// beats.
-func (p Params) ReadServiceTime() units.Duration {
-	t := p.TRead
-	if p.BurstBytes > 0 {
-		beats := int64(p.LineBytes / p.BurstBytes)
-		t += p.MemClock.Cycles(beats)
-	}
-	return t
 }
 
 // WriteUnitBytes returns the number of bytes one bank programs in parallel

@@ -259,29 +259,6 @@ func TestDeviceConcurrency(t *testing.T) {
 	}
 }
 
-func TestBurstReadTiming(t *testing.T) {
-	p := DefaultParams()
-	if got := p.ReadServiceTime(); got != p.TRead {
-		t.Errorf("flat read service = %v, want TRead %v", got, p.TRead)
-	}
-	p.BurstBytes = 8 // 8 beats for a 64 B line at 2.5ns each
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	want := p.TRead + p.MemClock.Cycles(8)
-	if got := p.ReadServiceTime(); got != want {
-		t.Errorf("burst read service = %v, want %v", got, want)
-	}
-	p.BurstBytes = 7
-	if err := p.Validate(); err == nil {
-		t.Error("indivisible burst size accepted")
-	}
-	p.BurstBytes = -1
-	if err := p.Validate(); err == nil {
-		t.Error("negative burst size accepted")
-	}
-}
-
 func TestPreloadAndAttachWear(t *testing.T) {
 	d := MustNewDevice(DefaultParams())
 	// Preload installs contents without stats.

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"unsafe"
 
-	"tetriswrite/internal/bitutil"
 	"tetriswrite/internal/pcm"
 	"tetriswrite/internal/units"
 )
@@ -378,8 +377,6 @@ func BenchmarkPlanWrite(b *testing.B) {
 		})
 	}
 }
-
-var _ = bitutil.PopCount64 // silence unused-import drift during refactors
 
 // TestPulseSize pins the Pulse record at 32 bytes: every pass over a
 // plan's pulses (emission, sorting, Plan.Counts, the power oracle) moves

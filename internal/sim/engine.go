@@ -175,6 +175,3 @@ func (e *Engine) RunUntil(t units.Time) {
 		e.now = t
 	}
 }
-
-// RunFor executes events for d of simulated time from now.
-func (e *Engine) RunFor(d units.Duration) { e.RunUntil(e.now.Add(d)) }

@@ -101,9 +101,9 @@ func TestRunUntil(t *testing.T) {
 	if e.Pending() != 1 {
 		t.Errorf("Pending = %d, want 1", e.Pending())
 	}
-	e.RunFor(10)
+	e.RunUntil(30)
 	if ran != 3 || e.Now() != 30 {
-		t.Errorf("after RunFor: ran=%d now=%v", ran, e.Now())
+		t.Errorf("after RunUntil(30): ran=%d now=%v", ran, e.Now())
 	}
 }
 

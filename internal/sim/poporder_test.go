@@ -249,8 +249,7 @@ func (p *fuzzScript) delay() units.Duration {
 }
 
 // driveScript runs one fuzz program on s and returns everything
-// observable: each executed event with its time, each heartbeat, and
-// the engine state after every run command.
+// observable: each executed event with its time and the engine state after every run command.
 func driveScript(s scheduler, data []byte) []string {
 	p := &fuzzScript{data: data}
 	var log []string
@@ -276,22 +275,19 @@ func driveScript(s scheduler, data []byte) []string {
 			spawn(at, 0)
 		}
 	}
-	beat := func(pr Progress) {
-		log = append(log, fmt.Sprintf("beat %d @%v pending=%d", pr.Events, pr.Now, pr.Pending))
-	}
 	for cmd := 0; cmd < 16 && s.Pending() > 0; cmd++ {
 		res := "-"
 		switch c := p.next(); c % 5 {
 		case 0:
 			s.RunUntil(s.Now().Add(p.delay()))
 		case 1:
-			res = s.runBudget(uint64(p.next()%8), 0, uint64(c/5%4)+1, beat)
+			res = s.runBudget(uint64(p.next()%8), 0)
 		case 2:
-			res = s.runBudget(0, p.delay(), uint64(c/5%4)+1, beat)
+			res = s.runBudget(0, p.delay())
 		case 3:
 			s.Step()
 		default:
-			res = s.runBudget(uint64(p.next()%8), p.delay(), uint64(c/5%4)+1, beat)
+			res = s.runBudget(uint64(p.next()%8), p.delay())
 		}
 		log = append(log, fmt.Sprintf("cmd %d: %s now=%v processed=%d pending=%d", cmd, res, s.Now(), s.Processed(), s.Pending()))
 	}
@@ -303,8 +299,8 @@ func driveScript(s scheduler, data []byte) []string {
 // FuzzEnginePopOrder runs arbitrary schedules on the engine and on the
 // sorted-slice reference: zero delays, same-tick bursts, far-future
 // outliers and scheduling from inside callbacks, cut by RunUntil, Step
-// and watchdog budgets. Every executed event, heartbeat and intermediate
-// engine state must agree.
+// and watchdog budgets. Every executed event and intermediate engine
+// state must agree.
 func FuzzEnginePopOrder(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0, 2, 1, 1, 2, 4, 7, 0, 3, 9, 1, 6, 2, 11, 4, 5})

@@ -69,10 +69,9 @@ func (r *refEngine) RunUntil(t units.Time) {
 }
 
 // runBudget restates Watchdog's budget rules directly: the event budget
-// trips once maxEvents events ran and another is pending, the time
-// budget when the next event lies strictly past the deadline, and a
-// heartbeat follows every checkEvery-th event.
-func (r *refEngine) runBudget(maxEvents uint64, maxSim units.Duration, checkEvery uint64, beat func(Progress)) string {
+// trips once maxEvents events ran and another is pending, and the time
+// budget when the next event lies strictly past the deadline.
+func (r *refEngine) runBudget(maxEvents uint64, maxSim units.Duration) string {
 	deadline := r.now.Add(maxSim)
 	start := r.events
 	for len(r.q) > 0 {
@@ -84,9 +83,6 @@ func (r *refEngine) runBudget(maxEvents uint64, maxSim units.Duration, checkEver
 			return "time budget"
 		}
 		r.Step()
-		if (ran+1)%checkEvery == 0 {
-			beat(Progress{Events: ran + 1, Now: r.now, Pending: len(r.q)})
-		}
 	}
 	return "drained"
 }
@@ -102,15 +98,13 @@ type scheduler interface {
 	Step() bool
 	Run()
 	RunUntil(units.Time)
-	runBudget(maxEvents uint64, maxSim units.Duration, checkEvery uint64, beat func(Progress)) string
+	runBudget(maxEvents uint64, maxSim units.Duration) string
 }
 
 // runBudget runs RunContext with the given watchdog and names its
 // outcome the way refEngine.runBudget does.
-func (e *Engine) runBudget(maxEvents uint64, maxSim units.Duration, checkEvery uint64, beat func(Progress)) string {
-	err := e.RunContext(context.Background(), Watchdog{
-		MaxEvents: maxEvents, MaxSimTime: maxSim, CheckEvery: checkEvery, Heartbeat: beat,
-	})
+func (e *Engine) runBudget(maxEvents uint64, maxSim units.Duration) string {
+	err := e.RunContext(context.Background(), Watchdog{MaxEvents: maxEvents, MaxSimTime: maxSim})
 	var be *BudgetError
 	switch {
 	case err == nil:

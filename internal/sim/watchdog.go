@@ -26,22 +26,11 @@ type Watchdog struct {
 	// exactly on the deadline still executes; the first event strictly
 	// beyond it trips the budget.
 	MaxSimTime units.Duration
-	// CheckEvery is the number of events between context polls and
-	// heartbeats (default 1024). Lower values detect cancellation sooner
-	// at slightly higher overhead.
-	CheckEvery uint64
-	// Heartbeat, when non-nil, receives a progress report every
-	// CheckEvery events — the liveness signal that distinguishes a slow
-	// simulation from a livelocked one.
-	Heartbeat func(Progress)
 }
 
-// Progress is one heartbeat report.
-type Progress struct {
-	Events  uint64     // events executed by this RunContext call
-	Now     units.Time // current simulated time
-	Pending int        // events still queued
-}
+// checkEvery is the number of events between context polls: a run
+// stops within this many events of its context's cancellation.
+const checkEvery = 1024
 
 // BudgetError reports a tripped watchdog budget. The engine state is
 // intact: the queue still holds the unexecuted events and the clock
@@ -86,14 +75,10 @@ func (e *Engine) StopReason() error { return e.stopErr }
 // until the context is cancelled, a watchdog budget trips, or Stop is
 // called — returning the corresponding error with the engine state
 // intact (the queue keeps its unexecuted events). Cancellation is polled
-// every wd.CheckEvery events, so a livelocked simulation — one whose
-// callbacks keep rescheduling themselves forever — is terminated with a
+// every 1024 events, so a livelocked simulation — one whose callbacks
+// keep rescheduling themselves forever — is terminated with a
 // diagnosable error rather than hanging the caller.
 func (e *Engine) RunContext(ctx context.Context, wd Watchdog) error {
-	checkEvery := wd.CheckEvery
-	if checkEvery == 0 {
-		checkEvery = 1024
-	}
 	if err := ctx.Err(); err != nil {
 		return err // cancelled before the first event
 	}
@@ -102,7 +87,6 @@ func (e *Engine) RunContext(ctx context.Context, wd Watchdog) error {
 		deadline = e.now.Add(wd.MaxSimTime)
 	}
 	start := e.events
-	var lastBeat uint64
 	for {
 		if e.stopErr != nil {
 			return e.stopErr
@@ -119,12 +103,7 @@ func (e *Engine) RunContext(ctx context.Context, wd Watchdog) error {
 			return &BudgetError{Events: executed, Now: e.now, Deadline: deadline, SimTime: true}
 		}
 		e.Step()
-		executed = e.events - start
-		if executed != lastBeat && executed%checkEvery == 0 {
-			lastBeat = executed
-			if wd.Heartbeat != nil {
-				wd.Heartbeat(Progress{Events: executed, Now: e.now, Pending: len(e.q)})
-			}
+		if (e.events-start)%checkEvery == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}

@@ -63,22 +63,35 @@ func TestRunCtxEventBudget(t *testing.T) {
 	}
 }
 
-// TestRunCtxCancelMidRun: a cancellation landing mid-run, fired from a
-// heartbeat, ends the run with a fingerprinted *RunError and the
-// partial statistics gathered so far, and lands at the same point on
-// every rerun.
+// cancelAtPlan wraps a scheme so that its nth PlanWrite cancels the
+// run's context: a cancellation fired from inside the simulation, at
+// a point that depends only on the simulated write stream.
+type cancelAtPlan struct {
+	schemes.Scheme
+	n      int
+	cancel context.CancelFunc
+}
+
+func (s *cancelAtPlan) PlanWrite(addr pcm.LineAddr, old, new []byte) schemes.Plan {
+	if s.n--; s.n == 0 {
+		s.cancel()
+	}
+	return s.Scheme.PlanWrite(addr, old, new)
+}
+
+// TestRunCtxCancelMidRun: a cancellation landing mid-run, fired from
+// the 20th planned write, ends the run with a fingerprinted *RunError
+// and the partial statistics gathered so far, and lands at the same
+// point on every rerun.
 func TestRunCtxCancelMidRun(t *testing.T) {
 	prof, _ := workload.ProfileByName("vips")
 	run := func() (Result, error) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		cfg := smallConfig()
-		cfg.Heartbeat = func(p sim.Progress) {
-			if p.Events >= 4_000 {
-				cancel()
-			}
+		factory := func(p pcm.Params) schemes.Scheme {
+			return &cancelAtPlan{Scheme: schemes.NewDCW(p), n: 20, cancel: cancel}
 		}
-		return RunCtx(ctx, prof, schemes.NewDCW, cfg)
+		return RunCtx(ctx, prof, factory, smallConfig())
 	}
 	res, err := run()
 	if !errors.Is(err, context.Canceled) {
@@ -134,26 +147,6 @@ func TestRunCtxSimTimeBudgetFinalizesSampler(t *testing.T) {
 	// Full epochs recorded before the abort are at exact boundaries.
 	if times[0] != units.Time(cfg.Epoch) {
 		t.Errorf("first epoch at %v, want %v", times[0], units.Time(cfg.Epoch))
-	}
-}
-
-// TestRunCtxHeartbeat: a plain run emits progress reports with advancing
-// event counts and monotone simulated time.
-func TestRunCtxHeartbeat(t *testing.T) {
-	prof, _ := workload.ProfileByName("vips")
-	cfg := smallConfig()
-	var beats []sim.Progress
-	cfg.Heartbeat = func(p sim.Progress) { beats = append(beats, p) }
-	if _, err := RunCtx(context.Background(), prof, schemes.NewDCW, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if len(beats) == 0 {
-		t.Fatal("no heartbeats from a 200k-instruction run")
-	}
-	for i := 1; i < len(beats); i++ {
-		if beats[i].Events <= beats[i-1].Events || beats[i].Now < beats[i-1].Now {
-			t.Fatalf("heartbeat %d does not advance: %+v -> %+v", i, beats[i-1], beats[i])
-		}
 	}
 }
 

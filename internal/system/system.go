@@ -107,9 +107,6 @@ type Config struct {
 	// Result gathered so far.
 	MaxEvents  uint64
 	MaxSimTime units.Duration
-	// Heartbeat, when non-nil, receives watchdog progress reports —
-	// the liveness signal of a long run.
-	Heartbeat func(sim.Progress)
 }
 
 // cpuClock is the Table II core clock.
@@ -180,7 +177,7 @@ func (c *Config) Validate() error {
 
 // watchdog builds the engine watchdog from the config budgets.
 func (c *Config) watchdog() sim.Watchdog {
-	return sim.Watchdog{MaxEvents: c.MaxEvents, MaxSimTime: c.MaxSimTime, Heartbeat: c.Heartbeat}
+	return sim.Watchdog{MaxEvents: c.MaxEvents, MaxSimTime: c.MaxSimTime}
 }
 
 // Result is the outcome of one simulation.

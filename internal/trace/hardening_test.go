@@ -59,7 +59,7 @@ func TestHeaderValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := NewReader(bytes.NewReader(tc.data))
+			_, _, err := Parse(bytes.NewReader(tc.data))
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err = %v, want mention of %q", err, tc.want)
 			}
@@ -80,11 +80,10 @@ func TestTruncationNamesRecord(t *testing.T) {
 	// whole records (the cut fell exactly on a record boundary).
 	boundaries := map[int]bool{hdrLen: true}
 	for cut := hdrLen + 1; cut < len(data); cut++ {
-		r, err := NewReader(bytes.NewReader(data[:cut]))
-		if err != nil {
+		hdr, recs, err := Parse(bytes.NewReader(data[:cut]))
+		if hdr.Cores == 0 {
 			t.Fatalf("cut %d: header rejected: %v", cut, err)
 		}
-		recs, err := r.ReadAll()
 		if err == nil {
 			boundaries[cut] = true
 			continue
@@ -172,21 +171,31 @@ func TestParseRoundTrip(t *testing.T) {
 	if hdr.Cores != 3 || len(recs) != 50 {
 		t.Fatalf("hdr=%+v recs=%d", hdr, len(recs))
 	}
-	r, _ := NewReader(bytes.NewReader(data))
-	if _, err := r.ReadAll(); err != nil {
-		t.Fatal(err)
+}
+
+// TestParseReportsSourceError: a source that fails mid-record is
+// reported as its own error, positioned at the record it cut short, not
+// as a truncated trace; the whole records before it survive.
+func TestParseReportsSourceError(t *testing.T) {
+	data := validTrace(t, 2, 10)
+	boom := errors.New("disk on fire")
+	src := io.MultiReader(bytes.NewReader(data[:len(data)-3]), iotest.ErrReader(boom))
+	_, recs, err := Parse(src)
+	if !errors.Is(err, boom) || errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("err = %v, want the source's error", err)
 	}
-	if r.Records() != 50 {
-		t.Errorf("Records() = %d, want 50", r.Records())
+	if len(recs) != 9 || !strings.Contains(err.Error(), "record 10") {
+		t.Fatalf("%d records, err %v; want 9 and a mention of record 10", len(recs), err)
 	}
 }
 
-// FuzzParseTrace: the one-call ingestion path must never panic, never
-// allocate unboundedly, and always either decode whole valid records or
-// fail with a record-numbered error. It must also agree with the
-// streaming path, NewReader plus Next, fed one byte per read: the same
-// records field for field and byte for byte, the same error text, and
-// the same record count.
+// FuzzParseTrace: the decoder must never panic, never allocate
+// unboundedly, and always either decode whole valid records or fail
+// with a record-numbered error. Its two buffer-sizing branches must
+// agree: Parse over a bytes.Reader, whose Len sizes the buffer up
+// front, and over a source fed one byte per read, which hides Len and
+// grows the buffer, give the same header, the same records field for
+// field and byte for byte, and the same error text.
 func FuzzParseTrace(f *testing.F) {
 	f.Add(validTrace(f, 2, 5))
 	f.Add(header(Version, 2, 64))
@@ -199,7 +208,7 @@ func FuzzParseTrace(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		hdr, recs, err := Parse(bytes.NewReader(data))
-		checkStreamAgrees(t, data, hdr, recs, err)
+		checkUnsizedAgrees(t, data, hdr, recs, err)
 		if err != nil {
 			if len(recs) > 0 && !strings.Contains(err.Error(), "record ") {
 				t.Fatalf("record-level error without position: %v", err)
@@ -220,45 +229,23 @@ func FuzzParseTrace(f *testing.F) {
 	})
 }
 
-// checkStreamAgrees decodes data record by record through a source that
-// returns one byte per read, and fails unless it yields exactly what
-// Parse gave.
-func checkStreamAgrees(t *testing.T, data []byte, hdr Header, recs []Record, parseErr error) {
+// checkUnsizedAgrees parses data through a source that returns one
+// byte per read, and fails unless it yields exactly what Parse gave over
+// a bytes.Reader.
+func checkUnsizedAgrees(t *testing.T, data []byte, hdr Header, recs []Record, parseErr error) {
 	t.Helper()
-	r, err := NewReader(iotest.OneByteReader(bytes.NewReader(data)))
-	if err != nil {
-		if parseErr == nil || err.Error() != parseErr.Error() || len(recs) > 0 {
-			t.Fatalf("header: streaming error %v, Parse error %v with %d records", err, parseErr, len(recs))
-		}
-		return
+	gotHdr, got, err := Parse(iotest.OneByteReader(bytes.NewReader(data)))
+	if gotHdr != hdr || fmt.Sprint(err) != fmt.Sprint(parseErr) {
+		t.Fatalf("one byte per read: header %+v, error %v; sized: header %+v, error %v", gotHdr, err, hdr, parseErr)
 	}
-	if r.Header() != hdr {
-		t.Fatalf("header: streaming %+v, Parse %+v", r.Header(), hdr)
-	}
-	// Collect every record before comparing, so a payload the reader
-	// overwrote after returning it shows up as a difference.
-	var got []Record
-	for {
-		rec, err := r.Next()
-		if err != nil {
-			if err == io.EOF {
-				err = nil
-			}
-			if fmt.Sprint(err) != fmt.Sprint(parseErr) {
-				t.Fatalf("after %d records: streaming error %v, Parse error %v", len(got), err, parseErr)
-			}
-			break
-		}
-		got = append(got, rec)
-	}
-	if len(got) != len(recs) || r.Records() != int64(len(recs)) {
-		t.Fatalf("streaming decoded %d records (Records() = %d), Parse %d", len(got), r.Records(), len(recs))
+	if len(got) != len(recs) {
+		t.Fatalf("one byte per read decoded %d records, sized %d", len(got), len(recs))
 	}
 	for i, rec := range got {
 		want := recs[i]
 		if rec.Core != want.Core || rec.Op.Think != want.Op.Think || rec.Op.Addr != want.Op.Addr ||
 			rec.Op.Write != want.Op.Write || !bytes.Equal(rec.Op.Data, want.Op.Data) {
-			t.Fatalf("record %d: streaming %+v, Parse %+v", i+1, rec, want)
+			t.Fatalf("record %d: one byte per read %+v, sized %+v", i+1, rec, want)
 		}
 	}
 }
@@ -278,8 +265,9 @@ func varintTruncatedTrace() []byte {
 
 // TestVarintOverflowIsNotTruncation: a varint too long for 64 bits and
 // a varint cut off by the end of the stream are different faults, and
-// both decoders report them as such. Ten continuation bytes ending the
-// stream are an overflow, as binary.ReadUvarint reports them.
+// Parse reports them as such whether or not it can size its buffer.
+// Ten continuation bytes ending the stream are an overflow, as
+// binary.ReadUvarint reports them.
 func TestVarintOverflowIsNotTruncation(t *testing.T) {
 	tenAtEnd := append(header(Version, 1, 64), 0, kindRead)
 	tenAtEnd = append(tenAtEnd, bytes.Repeat([]byte{0x80}, binary.MaxVarintLen64)...)
@@ -295,13 +283,9 @@ func TestVarintOverflowIsNotTruncation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, perr := Parse(bytes.NewReader(tc.data))
-			r, err := NewReader(bytes.NewReader(tc.data))
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, nerr := r.Next()
-			for _, err := range []error{perr, nerr} {
+			_, _, sized := Parse(bytes.NewReader(tc.data))
+			_, _, unsized := Parse(iotest.OneByteReader(bytes.NewReader(tc.data)))
+			for _, err := range []error{sized, unsized} {
 				if err == nil || err.Error() != tc.want {
 					t.Fatalf("err = %v, want %q", err, tc.want)
 				}

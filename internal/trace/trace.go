@@ -129,47 +129,33 @@ func (w *Writer) Flush() error {
 	return w.w.Flush()
 }
 
-// Reader decodes a trace stream.
-type Reader struct {
-	src io.Reader     // the stream after the header
-	r   *bufio.Reader // buffers src for Next
-	hdr Header
-	n   int64 // records decoded so far, for error positions
-}
-
-// recordOverhead is the longest encoding of a record before its
-// payload: core, kind and two varints.
-const recordOverhead = 2 + 2*binary.MaxVarintLen64
-
-// NewReader validates the header and returns a decoder. Header fields
-// are bounds-checked here so every later allocation is sized by a
-// trusted value: a malformed or hostile stream fails fast with a
-// descriptive error instead of driving the decoder into huge
-// allocations or nonsense records.
-func NewReader(r io.Reader) (*Reader, error) {
+// readHeader reads and validates the stream header. Header fields are
+// bounds-checked here so every later allocation is sized by a trusted
+// value: a malformed or hostile stream fails fast with a descriptive
+// error instead of driving the decoder into huge allocations or
+// nonsense records.
+func readHeader(r io.Reader) (Header, error) {
 	var m [8]byte
 	if _, err := io.ReadFull(r, m[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", noEOF(err))
+		return Header{}, fmt.Errorf("trace: reading magic: %w", noEOF(err))
 	}
 	if m != magic {
-		return nil, errors.New("trace: bad magic; not a trace stream")
+		return Header{}, errors.New("trace: bad magic; not a trace stream")
 	}
 	var hdr Header
 	if err := binary.Read(r, binary.LittleEndian, &hdr); err != nil {
-		return nil, fmt.Errorf("trace: reading header: %w", noEOF(err))
+		return Header{}, fmt.Errorf("trace: reading header: %w", noEOF(err))
 	}
 	if hdr.Version != Version {
-		return nil, fmt.Errorf("trace: unsupported version %d", hdr.Version)
+		return Header{}, fmt.Errorf("trace: unsupported version %d", hdr.Version)
 	}
 	if hdr.Cores == 0 {
-		return nil, errors.New("trace: header declares zero cores")
+		return Header{}, errors.New("trace: header declares zero cores")
 	}
 	if hdr.LineBytes == 0 || hdr.LineBytes > MaxLineBytes {
-		return nil, fmt.Errorf("trace: header line size %d outside [1, %d]", hdr.LineBytes, MaxLineBytes)
+		return Header{}, fmt.Errorf("trace: header line size %d outside [1, %d]", hdr.LineBytes, MaxLineBytes)
 	}
-	// The buffer holds the longest record, so Next can Peek it whole.
-	br := bufio.NewReaderSize(r, max(4096, recordOverhead+int(hdr.LineBytes)))
-	return &Reader{src: r, r: br, hdr: hdr}, nil
+	return hdr, nil
 }
 
 // noEOF rewrites a bare io.EOF as io.ErrUnexpectedEOF: inside a header
@@ -180,12 +166,6 @@ func noEOF(err error) error {
 	}
 	return err
 }
-
-// Header returns the stream header.
-func (r *Reader) Header() Header { return r.hdr }
-
-// Records returns how many records have been decoded so far.
-func (r *Reader) Records() int64 { return r.n }
 
 // errOverflow is encoding/binary's error for a varint over 64 bits.
 var errOverflow = errors.New("binary: varint overflows a 64-bit integer")
@@ -263,90 +243,56 @@ func (h Header) decode(b []byte, rec *Record) (int, error) {
 	return i, nil
 }
 
-// fail positions a decode error: io.EOF, the clean end, passes through;
-// a truncation the source caused by failing is reported as the source's
-// error, readErr; anything else names the 1-based number of the record
-// it hit, so a corrupt multi-gigabyte trace pinpoints its bad record.
-func (r *Reader) fail(err, readErr error) error {
-	if readErr != nil && readErr != io.EOF && (err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF)) {
-		err = readErr
-	}
-	if err == io.EOF {
-		return io.EOF
-	}
-	return fmt.Errorf("trace: record %d: %w", r.n+1, err)
-}
-
-// Next decodes one record. It returns io.EOF at a clean end of stream;
-// any other failure — truncation mid-record, an out-of-range core, an
-// unknown kind — is an error naming the 1-based record number. A write
-// record's payload is a copy the caller owns.
-func (r *Reader) Next() (Record, error) {
-	b, readErr := r.r.Peek(recordOverhead + int(r.hdr.LineBytes))
-	var rec Record
-	n, err := r.hdr.decode(b, &rec)
-	if err != nil {
-		return Record{}, r.fail(err, readErr)
-	}
-	if rec.Op.Write {
-		rec.Op.Data = bytes.Clone(rec.Op.Data) // b is the buffer's, reused by the next read
-	}
-	r.r.Discard(n)
-	r.n++
-	return rec, nil
-}
-
-// ReadAll decodes the rest of the stream. On error it returns the
-// records decoded before the failure alongside the error.
+// Parse decodes an entire trace stream: header validation, then every
+// record. It is the one ingestion path of the tool chain; errors carry
+// the failing record number and the successfully decoded prefix is
+// returned even on failure.
 //
-// The rest of the stream is read into one buffer, sized up front when
-// the source reports its remaining length (as bytes.Reader does). A
-// first pass over the buffer validates and counts the records before
-// the first error; a second decodes them into an exactly sized slice.
-// Write payloads alias the buffer, which the records share read-only.
-func (r *Reader) ReadAll() ([]Record, error) {
-	var buf bytes.Buffer
-	if l, ok := r.src.(interface{ Len() int }); ok {
-		// MinRead: ReadFrom wants that much room for the read that ends.
-		buf.Grow(r.r.Buffered() + l.Len() + bytes.MinRead)
+// The rest of the stream after the header is read into one buffer,
+// sized up front when the source reports its remaining length (as
+// bytes.Reader does). A first pass over the buffer validates and counts
+// the records before the first error; a second decodes them into an
+// exactly sized slice.
+//
+// The records are read-only. Write payloads alias the buffer, so
+// writing into one record's Data would change what every later replay
+// of the trace sees; appending to it reallocates.
+func Parse(r io.Reader) (Header, []Record, error) {
+	hdr, err := readHeader(r)
+	if err != nil {
+		return Header{}, nil, err
 	}
-	_, readErr := buf.ReadFrom(r.r)
+	var buf bytes.Buffer
+	if l, ok := r.(interface{ Len() int }); ok {
+		// MinRead: ReadFrom wants that much room for the read that ends.
+		buf.Grow(l.Len() + bytes.MinRead)
+	}
+	_, readErr := buf.ReadFrom(r)
 	b := buf.Bytes()
 
 	var rec Record
 	count, off := 0, 0
-	n, err := r.hdr.decode(b, &rec)
-	for ; err == nil; n, err = r.hdr.decode(b[off:], &rec) {
+	n, err := hdr.decode(b, &rec)
+	for ; err == nil; n, err = hdr.decode(b[off:], &rec) {
 		off += n
 		count++
 	}
 	recs := make([]Record, count)
 	for i, off := 0, 0; i < count; i++ {
-		n, _ := r.hdr.decode(b[off:], &recs[i])
+		n, _ := hdr.decode(b[off:], &recs[i])
 		off += n
 	}
-	r.n += int64(count)
-	if err = r.fail(err, readErr); err == io.EOF {
-		err = nil
+	// A truncation the source caused by failing is reported as the
+	// source's error. io.EOF is then the clean end; anything else names
+	// the 1-based number of the record it hit, so a corrupt
+	// multi-gigabyte trace pinpoints its bad record.
+	if readErr != nil && (err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF)) {
+		err = readErr
 	}
-	return recs, err
-}
-
-// Parse decodes an entire trace stream: header validation, then every
-// record. It is the one-call ingestion path the tools use; errors carry
-// the failing record number and the successfully decoded prefix is
-// returned even on failure.
-//
-// The records are read-only. Write payloads alias one buffer holding
-// the whole stream, so writing into one record's Data would change what
-// every later replay of the trace sees; appending to it reallocates.
-func Parse(r io.Reader) (Header, []Record, error) {
-	tr, err := NewReader(r)
-	if err != nil {
-		return Header{}, nil, err
+	if err == io.EOF {
+		return hdr, recs, nil
 	}
-	recs, err := tr.ReadAll()
-	return tr.Header(), recs, err
+	return hdr, recs, fmt.Errorf("trace: record %d: %w", count+1, err)
 }
 
 // CoreSource adapts one core's records from a fully decoded trace into a

@@ -35,16 +35,12 @@ func TestRoundTrip(t *testing.T) {
 		t.Errorf("Count = %d", w.Count())
 	}
 
-	r, err := NewReader(&buf)
+	h, got, err := Parse(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h := r.Header(); h.Cores != 4 || h.LineBytes != 64 || h.Version != Version {
+	if h.Cores != 4 || h.LineBytes != 64 || h.Version != Version {
 		t.Errorf("header = %+v", h)
-	}
-	got, err := r.ReadAll()
-	if err != nil {
-		t.Fatal(err)
 	}
 	if len(got) != len(recs) {
 		t.Fatalf("read %d records, want %d", len(got), len(recs))
@@ -85,10 +81,10 @@ func TestWriterValidation(t *testing.T) {
 }
 
 func TestReaderRejectsGarbage(t *testing.T) {
-	if _, err := NewReader(bytes.NewReader([]byte("not a trace file at all"))); err == nil {
+	if _, _, err := Parse(bytes.NewReader([]byte("not a trace file at all"))); err == nil {
 		t.Error("garbage accepted")
 	}
-	if _, err := NewReader(bytes.NewReader(nil)); err == nil {
+	if _, _, err := Parse(bytes.NewReader(nil)); err == nil {
 		t.Error("empty stream accepted")
 	}
 }
@@ -101,11 +97,11 @@ func TestReaderTruncation(t *testing.T) {
 	w.Flush()
 	full := buf.Bytes()
 	// Chop mid-payload.
-	r, err := NewReader(bytes.NewReader(full[:len(full)-10]))
-	if err != nil {
-		t.Fatal(err)
+	hdr, recs, err := Parse(bytes.NewReader(full[:len(full)-10]))
+	if hdr.Cores != 1 || len(recs) != 0 {
+		t.Fatalf("header %+v, %d records; want the header and no record", hdr, len(recs))
 	}
-	if _, err := r.Next(); err == nil || err == io.EOF {
+	if err == nil || err == io.EOF {
 		t.Errorf("truncated payload gave err=%v, want a real error", err)
 	}
 }
