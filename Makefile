@@ -93,11 +93,12 @@ bench-gate: bench
 
 # Crash-consistency smoke: the seeded power-failure sweep under the race
 # detector (every cut recovered, resumed and diffed against the
-# crash-free oracle inside the test), then a slightly larger sweep via
+# crash-free oracle inside the test) and the pinned classification
+# table golden, then a slightly larger sweep via
 # the CLI whose per-scheme classification table lands in
 # crash_table.txt — the artifact CI uploads.
 crash-smoke: bin
-	$(GO) test -race -run TestCrashSweepContract ./internal/exp
+	$(GO) test -race -run 'TestCrashSweepContract|TestCrashTableGolden' ./internal/exp
 	bin/tetrisbench -crash-every 64 -crash-cuts 4 -writes 80 | tee crash_table.txt
 
 # End-to-end sweep-service smoke: broker + two workers on loopback, one

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -60,5 +61,46 @@ func TestCrashSweepContract(t *testing.T) {
 		if !strings.Contains(out, s) {
 			t.Errorf("classification table missing scheme %q:\n%s", s, out)
 		}
+	}
+}
+
+const crashGolden = "testdata/crash_golden.txt"
+
+// TestCrashTableGolden pins the crash classification table — the
+// artifact of `tetrisbench -crash-every 64 -crash-cuts 4 -writes 80` —
+// for the default grid and for a grid of composed schemes (the adaptive
+// meta-scheme and the three decorators over tagged and tagless inner
+// schemes). Rewrite the file with -update only for an intended change
+// to how torn lines are classified or repaired.
+func TestCrashTableGolden(t *testing.T) {
+	var b strings.Builder
+	for _, grid := range [][]string{
+		nil,
+		{"adaptive", "adaptive+mlc", "adaptive+remap", "dcw+flipmin", "fnw+remap", "tetris+remap", "tetris+mlc"},
+	} {
+		res, err := CrashSweep(CrashSweepOptions{
+			Options: Options{Writes: 80, Seed: 1, Schemes: grid},
+			Every:   64,
+			MaxCuts: 4,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.WriteString(res.Table().String())
+		b.WriteByte('\n')
+	}
+	got := b.String()
+	if *update {
+		if err := os.WriteFile(crashGolden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(crashGolden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got != string(want) {
+		t.Errorf("crash table differs from %s:\n%s", crashGolden, lineDiff(string(want), got))
 	}
 }

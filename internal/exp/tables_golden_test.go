@@ -11,7 +11,7 @@ import (
 	"tetriswrite/internal/stats"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/tables_golden.txt")
+var update = flag.Bool("update", false, "rewrite the testdata goldens")
 
 const tablesGolden = "testdata/tables_golden.txt"
 
