@@ -271,7 +271,7 @@ func (i *Injector) WriteCompleted(addr pcm.LineAddr) bool {
 			Detail: "completed write does not decode to the intended data"})
 		return false
 	}
-	if r, ok := sch.(schemes.FlipTagReader); ok {
+	if r, ok := sch.(schemes.FlipTagger); ok {
 		if mem, phys := r.FlipTags(addr), i.shadow.FlipTags(addr); mem != phys {
 			i.eng.Stop(&ContractError{Addr: addr, Scheme: sch.Name(),
 				Detail: fmt.Sprintf("scheme tags %#x diverge from physical flip cells %#x", mem, phys)})

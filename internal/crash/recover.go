@@ -9,11 +9,41 @@ import (
 	"tetriswrite/internal/units"
 )
 
+// TornVerdict classifies one in-flight line found after a power cut.
+type TornVerdict uint8
+
+const (
+	// TornClean: every pulse landed; the line already decodes to the
+	// intended data. Nothing to replay.
+	TornClean TornVerdict = iota
+	// TornRollforward: the line is torn but the scheme's tags still
+	// match the physical flip cells; recovery finishes the write forward
+	// from the surviving image, billed at a write phase.
+	TornRollforward
+	// TornReissue: the scheme's tags diverged from the physical flip
+	// cells (tag pulses lost, or data pulses landed under tags that did
+	// not); recovery re-anchors the tags and reissues the write whole,
+	// billed at full service time.
+	TornReissue
+)
+
+// String returns "clean", "rollforward" or "reissue".
+func (v TornVerdict) String() string {
+	switch v {
+	case TornClean:
+		return "clean"
+	case TornRollforward:
+		return "rollforward"
+	default:
+		return "reissue"
+	}
+}
+
 // LineReport is the recovery record of one armed intent.
 type LineReport struct {
 	Seq         int64
 	Addr        pcm.LineAddr
-	Verdict     schemes.TornVerdict
+	Verdict     TornVerdict
 	PulsesDone  int
 	PulsesTotal int
 	TagRepaired bool // scheme tags were re-anchored to the physical flip cells
@@ -48,57 +78,57 @@ func (r *Report) Stats(emit func(name string, value float64)) {
 }
 
 // Recover replays the intent log against the surviving image: every
-// armed intent's line is read back, its torn state classified by the
-// owning scheme, its coding state re-anchored to the physical flip
-// cells, and — unless already clean — replanned from its decoded
-// contents to the intended data and repaired on the device. After the
-// pass every intent line decodes to its Want bytes on both the shadow
-// and the device, or an error names the line that does not.
+// armed intent's line is read back, its torn state judged, the scheme's
+// tags re-anchored to the physical flip cells, and — unless already
+// clean — the line replanned from its decoded contents to the intended
+// data and repaired on the device. After the pass every intent line
+// decodes to its Want bytes on both the shadow and the device, or an
+// error names the line that does not.
 //
-// Classification runs before tag restoration on purpose: the verdict is
-// precisely the comparison between the scheme's in-memory coding state
-// (advanced at PlanWrite time) and what physically survived.
+// One rule judges every scheme. PlanWrite advances a scheme's tags
+// (schemes.FlipTagger) before any pulse lands, so a torn line whose
+// in-memory tags still equal the physical flip cells is coherent and
+// rolls forward; once they differ it is reissued, and it is a tag
+// repair. A scheme without tags counts as 0: it never pulses a flip
+// cell, so its lines' physical tags are 0 too and its torn lines always
+// roll forward. The verdict is taken before the tags are restored: it
+// is precisely the comparison between the two.
 func Recover(img *Image) (*Report, error) {
 	rep := &Report{Intents: len(img.Intents)}
 	for _, in := range img.Intents {
 		sch := img.Schemes[int(in.Addr)%len(img.Schemes)]
 		dec := img.Shadow.Logical(in.Addr)
 		phys := img.Shadow.FlipTags(in.Addr)
+		var mem uint64
+		tagger, tagged := sch.(schemes.FlipTagger)
+		if tagged {
+			mem = tagger.FlipTags(in.Addr)
+		}
 
-		verdict := schemes.TornClean
+		verdict := TornClean
 		if !bytes.Equal(dec, in.Want) {
-			// The always-safe verdict; a classifier may upgrade it to the
-			// cheap one when the coding state is still coherent.
-			verdict = schemes.TornReissue
-			if cl, ok := sch.(schemes.TornStateClassifier); ok {
-				st := schemes.TornState{Addr: in.Addr, Old: in.Old, Want: in.Want, Decoded: dec, Tags: phys}
-				if cl.ClassifyTorn(st) == schemes.TornRollforward {
-					verdict = schemes.TornRollforward
-				}
+			verdict = TornRollforward
+			if mem != phys {
+				verdict = TornReissue
 			}
 		}
 
 		// Re-anchor the scheme's tags to the array — even a clean line
 		// can carry diverged in-memory tags (e.g. a planned inversion
 		// whose pulses were all lost on a unit whose data was unchanged).
-		repaired := false
-		if r, ok := sch.(schemes.TagRestorer); ok {
-			if fr, hasMem := sch.(schemes.FlipTagReader); !hasMem || fr.FlipTags(in.Addr) != phys {
-				repaired = true
-			}
-			r.RestoreFlipTags(in.Addr, phys)
-		}
+		repaired := tagged && mem != phys
 		if repaired {
+			tagger.RestoreFlipTags(in.Addr, phys)
 			rep.TagRepairs++
 		}
 
 		rep.RecoveryTime += img.Params.TRead // the scan read of this line
-		if verdict != schemes.TornClean {
+		if verdict != TornClean {
 			plan := sch.PlanWrite(in.Addr, dec, in.Want)
 			sets, resets := plan.Counts()
 			rep.RecoverySets += int64(sets)
 			rep.RecoveryResets += int64(resets)
-			if verdict == schemes.TornRollforward {
+			if verdict == TornRollforward {
 				rep.RecoveryTime += plan.Analysis + plan.Write
 			} else {
 				rep.RecoveryTime += plan.ServiceTime()
@@ -116,9 +146,9 @@ func Recover(img *Image) (*Report, error) {
 		}
 
 		switch verdict {
-		case schemes.TornClean:
+		case TornClean:
 			rep.Clean++
-		case schemes.TornRollforward:
+		case TornRollforward:
 			rep.Rollforwards++
 		default:
 			rep.Reissues++

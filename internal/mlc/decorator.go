@@ -19,7 +19,7 @@ import (
 type cellMode struct {
 	inner schemes.Scheme
 	rec   schemes.PlanRecycler
-	tags  schemes.FlipTagReader
+	tags  schemes.FlipTagger
 	par   Params
 	dev   pcm.Params
 	name  string
@@ -41,7 +41,7 @@ func NewCellMode(inner schemes.Scheme, dev pcm.Params, par Params) (schemes.Sche
 	}
 	s := &cellMode{inner: inner, par: par, dev: dev, name: inner.Name() + "+mlc"}
 	s.rec, _ = inner.(schemes.PlanRecycler)
-	s.tags, _ = inner.(schemes.FlipTagReader)
+	s.tags, _ = inner.(schemes.FlipTagger)
 	return s, nil
 }
 
@@ -56,21 +56,11 @@ func (s *cellMode) FlipTags(addr pcm.LineAddr) uint64 {
 	return s.tags.FlipTags(addr)
 }
 
-// ClassifyTorn forwards to the inner scheme: the decorator never alters
-// the pulse train, so the torn-state question belongs to whoever coded
-// the cells.
-func (s *cellMode) ClassifyTorn(st schemes.TornState) schemes.TornVerdict {
-	if cl, ok := s.inner.(schemes.TornStateClassifier); ok {
-		return cl.ClassifyTorn(st)
-	}
-	return schemes.TornReissue
-}
-
 // RestoreFlipTags forwards crash-recovery tag restoration to the inner
 // scheme's coding state.
 func (s *cellMode) RestoreFlipTags(addr pcm.LineAddr, tags uint64) {
-	if r, ok := s.inner.(schemes.TagRestorer); ok {
-		r.RestoreFlipTags(addr, tags)
+	if s.tags != nil {
+		s.tags.RestoreFlipTags(addr, tags)
 	}
 }
 

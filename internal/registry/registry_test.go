@@ -226,9 +226,9 @@ func TestComposedSchemesDecode(t *testing.T) {
 // TestComposedSchemesCrashRecovery extends the decode oracle across a
 // power cut: every composition is torn at three seeded pulse boundaries
 // (only a schedule-order prefix of the plan lands) and then driven
-// through the scheme-side recovery contract — classify the torn line,
-// restore the coding state from the physical flip cells, replan from
-// the decoded contents — after which the array must decode to exactly
+// through the scheme-side recovery contract — restore the coding state
+// from the physical flip cells, replan from the decoded contents —
+// after which the array must decode to exactly
 // the intended line again.
 func TestComposedSchemesCrashRecovery(t *testing.T) {
 	names := []string{
@@ -299,14 +299,11 @@ func TestComposedSchemesCrashRecovery(t *testing.T) {
 
 				dec := append([]byte(nil), arr.Logical(addr)...)
 				phys := arr.FlipTags(addr)
-				if cl, ok := s.(schemes.TornStateClassifier); ok {
-					// The verdict prices recovery; any verdict must leave the
-					// replan below valid.
-					st := schemes.TornState{Addr: addr, Old: logical[li], Want: next, Decoded: dec, Tags: phys}
-					_ = cl.ClassifyTorn(st)
-				}
-				if tr, ok := s.(schemes.TagRestorer); ok {
-					tr.RestoreFlipTags(addr, phys)
+				if ft, ok := s.(schemes.FlipTagger); ok {
+					ft.RestoreFlipTags(addr, phys)
+				} else if phys != 0 {
+					// Recovery counts a tagless scheme's tags as 0.
+					t.Fatalf("tagless %s left flip cells %#x on line %d", name, phys, li)
 				}
 				if !bytes.Equal(dec, next) {
 					torn++

@@ -52,7 +52,7 @@ const (
 // that last wrote a line owns it and keeps planning its writes — its
 // coding state (inversion tags) matches the cells on the device. A line
 // is handed to the active candidate only when both owners' flip tags for
-// it are clear (FlipTagReader; schemes without per-line state are always
+// it are clear (FlipTagger; schemes without per-line state are always
 // clear), which is exactly the condition under which the receiving
 // scheme's implicit zero state still decodes the stored image.
 type adaptive struct {
@@ -60,7 +60,7 @@ type adaptive struct {
 
 	cands     []Scheme
 	names     []string
-	readers   []FlipTagReader // nil entries: scheme has no per-line tags
+	taggers   []FlipTagger // nil entries: scheme has no per-line tags
 	recyclers []PlanRecycler
 	needsRead bool
 
@@ -106,8 +106,8 @@ func NewAdaptive(cands []Candidate) Factory {
 			inst := c.Factory(par)
 			s.cands = append(s.cands, inst)
 			s.names = append(s.names, c.Name)
-			r, _ := inst.(FlipTagReader)
-			s.readers = append(s.readers, r)
+			t, _ := inst.(FlipTagger)
+			s.taggers = append(s.taggers, t)
 			rec, _ := inst.(PlanRecycler)
 			s.recyclers = append(s.recyclers, rec)
 			s.needsRead = s.needsRead || inst.NeedsReadBeforeWrite()
@@ -165,7 +165,36 @@ func (s *adaptive) SchemeStats(emit func(name string, value float64)) {
 // tagsClear reports whether candidate i's flip tags for the line are all
 // zero (schemes without per-line coding state always are).
 func (s *adaptive) tagsClear(i int, addr pcm.LineAddr) bool {
-	return s.readers[i] == nil || s.readers[i].FlipTags(addr) == 0
+	return s.taggers[i] == nil || s.taggers[i].FlipTags(addr) == 0
+}
+
+// ownerOf returns the index of the candidate that owns the line: the one
+// that last wrote it, whose coding state matches the cells (the active
+// candidate for a line never written). PlanWrite assigns ownership
+// before the candidate emits pulses, so a line with a write in flight
+// always has an owner.
+func (s *adaptive) ownerOf(addr pcm.LineAddr) int {
+	if w := s.owner.Get(int64(addr)); w != nil && w[0] != 0 {
+		return int(w[0]) - 1
+	}
+	return s.active
+}
+
+// FlipTags implements FlipTagger with the owning candidate's tags (0
+// when the owner keeps none).
+func (s *adaptive) FlipTags(addr pcm.LineAddr) uint64 {
+	if t := s.taggers[s.ownerOf(addr)]; t != nil {
+		return t.FlipTags(addr)
+	}
+	return 0
+}
+
+// RestoreFlipTags implements FlipTagger by restoring the owning
+// candidate's tags.
+func (s *adaptive) RestoreFlipTags(addr pcm.LineAddr, tags uint64) {
+	if t := s.taggers[s.ownerOf(addr)]; t != nil {
+		t.RestoreFlipTags(addr, tags)
+	}
 }
 
 // decide runs at each epoch boundary: probe epochs rotate through the

@@ -168,7 +168,7 @@ func (a *Array) SyncLogical(addr pcm.LineAddr, logical []byte) {
 }
 
 // FlipTags returns the line's physical flip-cell word in the
-// FlipTagReader layout (bit u*NumChips+c) — the tag image crash
+// FlipTagStore layout (bit u*NumChips+c) — the tag image crash
 // recovery restores scheme state from. With more than 64 (chip, unit)
 // pairs only the first 64 are representable; the default geometry has
 // 32.

@@ -29,7 +29,9 @@ type flipMin struct {
 	rec   PlanRecycler // inner's recycler, when it has one
 	par   pcm.Params
 	name  string
-	flips *flipState
+	// The decorator owns the line's tags (its inner scheme is tagless
+	// by registry contract), so FlipTagger stops here.
+	FlipTagStore
 
 	// Preallocated per-write scratch: the encoded old/new images handed
 	// to the inner scheme and the tag transitions of the current write.
@@ -53,12 +55,12 @@ type tagChange struct {
 // have that checked.
 func NewFlipMin(inner Scheme, par pcm.Params) Scheme {
 	s := &flipMin{
-		inner:  inner,
-		par:    par,
-		name:   inner.Name() + "+flipmin",
-		flips:  newFlipState(par.NumChips),
-		encOld: make([]byte, par.LineBytes),
-		encNew: make([]byte, par.LineBytes),
+		inner:        inner,
+		par:          par,
+		name:         inner.Name() + "+flipmin",
+		FlipTagStore: NewFlipTagStore(par.NumChips),
+		encOld:       make([]byte, par.LineBytes),
+		encNew:       make([]byte, par.LineBytes),
 	}
 	s.changes = make([]tagChange, 0, par.DataUnits()*par.NumChips)
 	s.rec, _ = inner.(PlanRecycler)
@@ -67,9 +69,6 @@ func NewFlipMin(inner Scheme, par pcm.Params) Scheme {
 
 func (s *flipMin) Name() string               { return s.name }
 func (s *flipMin) NeedsReadBeforeWrite() bool { return true }
-
-// FlipTags implements FlipTagReader with the decorator's own tag state.
-func (s *flipMin) FlipTags(addr pcm.LineAddr) uint64 { return s.flips.word(addr) }
 
 // RecyclePlan implements PlanRecycler by routing the buffer back to the
 // inner scheme's arena, where it was taken from.
@@ -106,7 +105,7 @@ func (s *flipMin) PlanWrite(addr pcm.LineAddr, old, new []byte) Plan {
 		for c := 0; c < s.par.NumChips; c++ {
 			lo := bitutil.ChipSlice(old, s.par.NumChips, wb, c, u)
 			ln := bitutil.ChipSlice(new, s.par.NumChips, wb, c, u)
-			oldTag := s.flips.get(addr, c, u)
+			oldTag := s.tag(addr, c, u)
 			storedOld := lo & mask
 			encKeep := ln & mask
 			if oldTag {
@@ -120,7 +119,7 @@ func (s *flipMin) PlanWrite(addr pcm.LineAddr, old, new []byte) Plan {
 			if togCost < keepCost {
 				enc = encTog
 				newTag := !oldTag
-				s.flips.set(addr, c, u, newTag)
+				s.setTag(addr, c, u, newTag)
 				s.changes = append(s.changes, tagChange{c: c, u: u, set: newTag})
 				s.stats.inversions++
 			}

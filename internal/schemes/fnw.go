@@ -13,21 +13,18 @@ import (
 // unit under the default budget, halving the serial write units to
 // (N/M)/2 — Equation 2: Tread + 1/2 x (N/M) x Tset.
 type fnw struct {
-	par   pcm.Params
-	flips *flipState
+	par pcm.Params
+	FlipTagStore
 	PulseArena
 }
 
 // NewFlipNWrite returns the Flip-N-Write scheme.
 func NewFlipNWrite(par pcm.Params) Scheme {
-	return &fnw{par: par, flips: newFlipState(par.NumChips)}
+	return &fnw{par: par, FlipTagStore: NewFlipTagStore(par.NumChips)}
 }
 
 func (s *fnw) Name() string               { return "fnw" }
 func (s *fnw) NeedsReadBeforeWrite() bool { return true }
-
-// FlipTags implements FlipTagReader.
-func (s *fnw) FlipTags(addr pcm.LineAddr) uint64 { return s.flips.word(addr) }
 
 func (s *fnw) PlanWrite(addr pcm.LineAddr, old, new []byte) Plan {
 	p := basePlan(s.par)
@@ -43,8 +40,8 @@ func (s *fnw) PlanWrite(addr pcm.LineAddr, old, new []byte) Plan {
 	wbits := s.par.ChipWidthBits
 	// One fetch of the line's whole tag word replaces a store probe per
 	// cell; the updated word goes back once at the end.
-	tagSlot := s.flips.m.Ensure(int64(addr))
-	tags := tagSlot[0]
+	tagSlot := s.TagSlot(addr)
+	tags := *tagSlot
 	if wb == 2 && nc*nu%4 == 0 && len(old) >= nc*nu*2 {
 		// Word-parallel pass for x16 parts (see the Tetris read stage):
 		// an unchanged cell re-encodes to exactly its stored state under
@@ -88,7 +85,7 @@ func (s *fnw) PlanWrite(addr pcm.LineAddr, old, new []byte) Plan {
 				}
 			}
 		}
-		tagSlot[0] = tags
+		*tagSlot = tags
 		return p
 	}
 	for u := 0; u < nu; u++ {
@@ -117,6 +114,6 @@ func (s *fnw) PlanWrite(addr pcm.LineAddr, old, new []byte) Plan {
 			}
 		}
 	}
-	tagSlot[0] = tags
+	*tagSlot = tags
 	return p
 }

@@ -26,11 +26,11 @@ import (
 // need. This keeps the composition correct under any inner scheme while
 // still simulating DATACON's steering decisions and their latency bill.
 type remapper struct {
-	inner  Scheme
-	rec    PlanRecycler
-	reader FlipTagReader
-	par    pcm.Params
-	name   string
+	inner Scheme
+	rec   PlanRecycler
+	tags  FlipTagger
+	par   pcm.Params
+	name  string
 
 	// fwd maps logical line -> [phys frame+1, density EWMA bits, writes
 	// since last migration]; rev maps phys frame -> logical line+1; wear
@@ -77,20 +77,28 @@ func NewRemap(inner Scheme, par pcm.Params) Scheme {
 		migCost: 2 * (par.TRead + units.Duration(lay.slots(par.DataUnits()))*par.TSet),
 	}
 	s.rec, _ = inner.(PlanRecycler)
-	s.reader, _ = inner.(FlipTagReader)
+	s.tags, _ = inner.(FlipTagger)
 	return s
 }
 
 func (s *remapper) Name() string               { return s.name }
 func (s *remapper) NeedsReadBeforeWrite() bool { return s.inner.NeedsReadBeforeWrite() }
 
-// FlipTags forwards the inner scheme's coding state, so a remapped
-// scheme remains eligible for adaptive line handover.
+// FlipTags forwards the inner scheme's coding state: remapping is
+// wear-accounting only, so the inner scheme's tags stay keyed by the
+// logical address.
 func (s *remapper) FlipTags(addr pcm.LineAddr) uint64 {
-	if s.reader == nil {
+	if s.tags == nil {
 		return 0
 	}
-	return s.reader.FlipTags(addr)
+	return s.tags.FlipTags(addr)
+}
+
+// RestoreFlipTags forwards to the inner scheme's coding state.
+func (s *remapper) RestoreFlipTags(addr pcm.LineAddr, tags uint64) {
+	if s.tags != nil {
+		s.tags.RestoreFlipTags(addr, tags)
+	}
 }
 
 // RecyclePlan implements PlanRecycler by routing to the inner arena.

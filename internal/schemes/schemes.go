@@ -304,15 +304,19 @@ type Presetter interface {
 	PlanPreset(addr pcm.LineAddr, old []byte) Plan
 }
 
-// FlipTagReader is implemented by schemes whose per-line coding state is
-// exactly one inversion tag per (chip, data unit), packed into a uint64
-// with bit index u*NumChips+c — the layout shared by flipState and the
-// Tetris scheme. FlipTags returns the line's tag word (zero for a line
-// never written). The adaptive meta-scheme uses it to hand a line over
-// between candidate schemes only when the tags are all clear, so the
-// receiving scheme's (implicitly zero) state still decodes the line.
-type FlipTagReader interface {
+// FlipTagger is implemented by schemes whose per-line coding state is
+// exactly one inversion tag per (chip, data unit), in the FlipTagStore
+// layout: bit u*NumChips+c of one uint64 word. FlipTags returns the
+// line's tag word (zero for a line never written); RestoreFlipTags
+// overwrites it wholesale. Crash recovery compares the word with the
+// physical flip cells to judge a torn line, then restores it from them.
+// The adaptive meta-scheme hands a line over between candidates only
+// when the tags are all clear, so the receiving scheme's (implicitly
+// zero) state still decodes the line. A scheme without the interface
+// keeps no tags and never pulses a flip cell: its tags count as 0.
+type FlipTagger interface {
 	FlipTags(addr pcm.LineAddr) uint64
+	RestoreFlipTags(addr pcm.LineAddr, tags uint64)
 }
 
 // QueueObserver is implemented by schemes that adapt to controller load.

@@ -14,21 +14,18 @@ import (
 // (but no cells are skipped — there is no read, so 2-Stage-Write does not
 // save energy). Service time is Equation 3: (1/K + 1/2L) x (N/M) x Tset.
 type twoStage struct {
-	par   pcm.Params
-	flips *flipState
+	par pcm.Params
+	FlipTagStore
 	PulseArena
 }
 
 // NewTwoStage returns the 2-Stage-Write scheme.
 func NewTwoStage(par pcm.Params) Scheme {
-	return &twoStage{par: par, flips: newFlipState(par.NumChips)}
+	return &twoStage{par: par, FlipTagStore: NewFlipTagStore(par.NumChips)}
 }
 
 func (s *twoStage) Name() string               { return "twostage" }
 func (s *twoStage) NeedsReadBeforeWrite() bool { return false }
-
-// FlipTags implements FlipTagReader.
-func (s *twoStage) FlipTags(addr pcm.LineAddr) uint64 { return s.flips.word(addr) }
 
 func (s *twoStage) PlanWrite(addr pcm.LineAddr, old, new []byte) Plan {
 	p := basePlan(s.par)
@@ -55,7 +52,7 @@ func (s *twoStage) PlanWrite(addr pcm.LineAddr, old, new []byte) Plan {
 			if bitutil.PopCount16(logical&width) > w/2 {
 				enc, flip = ^logical&width, true
 			}
-			s.flips.set(addr, c, u, flip)
+			s.setTag(addr, c, u, flip)
 			// Every cell is programmed: zeros in stage 0, ones in stage 1.
 			emitStreams(&p, lay0, clock0, c, u, stream{Reset, ^enc & width})
 			emitStreams(&p, lay1, clock1, c, u, stream{Set, enc})
@@ -76,21 +73,18 @@ func (s *twoStage) PlanWrite(addr pcm.LineAddr, old, new []byte) Plan {
 // are pulsed (energy is saved like Flip-N-Write). Service time is
 // Equation 4: Tread + (1/2K + 1/2L) x (N/M) x Tset.
 type threeStage struct {
-	par   pcm.Params
-	flips *flipState
+	par pcm.Params
+	FlipTagStore
 	PulseArena
 }
 
 // NewThreeStage returns the Three-Stage-Write scheme.
 func NewThreeStage(par pcm.Params) Scheme {
-	return &threeStage{par: par, flips: newFlipState(par.NumChips)}
+	return &threeStage{par: par, FlipTagStore: NewFlipTagStore(par.NumChips)}
 }
 
 func (s *threeStage) Name() string               { return "threestage" }
 func (s *threeStage) NeedsReadBeforeWrite() bool { return true }
-
-// FlipTags implements FlipTagReader.
-func (s *threeStage) FlipTags(addr pcm.LineAddr) uint64 { return s.flips.word(addr) }
 
 func (s *threeStage) PlanWrite(addr pcm.LineAddr, old, new []byte) Plan {
 	p := basePlan(s.par)
@@ -114,11 +108,11 @@ func (s *threeStage) PlanWrite(addr pcm.LineAddr, old, new []byte) Plan {
 			logicalOld := bitutil.ChipSlice(old, s.par.NumChips, wbytes, c, u)
 			logicalNew := bitutil.ChipSlice(new, s.par.NumChips, wbytes, c, u)
 			stored := bitutil.FlipWord{
-				Bits: s.flips.encoded(addr, c, u, w, logicalOld),
-				Flip: s.flips.get(addr, c, u),
+				Bits: s.encoded(addr, c, u, w, logicalOld),
+				Flip: s.tag(addr, c, u),
 			}
 			enc, tr, flipSet, flipReset := bitutil.FlipTransition(stored, logicalNew, w)
-			s.flips.set(addr, c, u, enc.Flip)
+			s.setTag(addr, c, u, enc.Flip)
 			emitStreams(&p, lay0, clock0, c, u, stream{Reset, tr.Resets})
 			emitStreams(&p, lay1, clock1, c, u, stream{Set, tr.Sets})
 			if flipSet {

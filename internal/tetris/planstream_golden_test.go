@@ -160,7 +160,7 @@ func (ph *planHasher) plan(tag byte, p schemes.Plan, flipTags uint64) {
 func replayDigest(s schemes.Scheme, stream []linePair, lineBytes int) string {
 	rec, _ := s.(schemes.PlanRecycler)
 	pre, _ := s.(schemes.Presetter)
-	tags, _ := s.(schemes.FlipTagReader)
+	tags, _ := s.(schemes.FlipTagger)
 	flipTags := func(addr pcm.LineAddr) uint64 {
 		if tags == nil {
 			return 0

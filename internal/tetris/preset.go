@@ -19,8 +19,8 @@ func (s *scheme) PlanPreset(addr pcm.LineAddr, old []byte) schemes.Plan {
 	// Presets share the write path's scratch and pulse arena, so they
 	// allocate nothing in steady state either.
 	s.prepare()
-	flipSlot := s.flips.Ensure(int64(addr))
-	flipSlot[0] = s.masks.preset(old, flipSlot[0])
+	tags := s.TagSlot(addr)
+	*tags = s.masks.preset(old, *tags)
 	var p schemes.Plan
 	s.plan(&p, true)
 	return p

@@ -4,7 +4,6 @@ import (
 	"math/bits"
 	"slices"
 
-	"tetriswrite/internal/linestore"
 	"tetriswrite/internal/pcm"
 	"tetriswrite/internal/schemes"
 	"tetriswrite/internal/units"
@@ -37,9 +36,10 @@ type Options struct {
 
 // scheme implements schemes.Scheme.
 type scheme struct {
-	par   pcm.Params
-	opt   Options
-	flips *linestore.Store // one word per line: flip tags, bit u*NumChips+c
+	par pcm.Params
+	opt Options
+	// The lines' inversion tags; the store implements schemes.FlipTagger.
+	schemes.FlipTagStore
 
 	// Per-write scratch, sized on first use by prepare: PlanWrite sits on
 	// every simulated write and schemes are single-owner by contract, so
@@ -75,19 +75,11 @@ func NewWithOptions(par pcm.Params, opt Options) schemes.Scheme {
 	if opt.AnalysisCycles < 0 {
 		opt.AnalysisCycles = 0
 	}
-	return &scheme{par: par, opt: opt, flips: linestore.NewStore(1)}
+	return &scheme{par: par, opt: opt, FlipTagStore: schemes.NewFlipTagStore(par.NumChips)}
 }
 
 func (s *scheme) Name() string { return "tetris" }
 
-// FlipTags implements schemes.FlipTagReader: the line's inversion tags,
-// bit u*NumChips+c, zero when the line was never written.
-func (s *scheme) FlipTags(addr pcm.LineAddr) uint64 {
-	if w := s.flips.Get(int64(addr)); w != nil {
-		return w[0]
-	}
-	return 0
-}
 func (s *scheme) NeedsReadBeforeWrite() bool { return true }
 
 func (s *scheme) PlanWrite(addr pcm.LineAddr, old, new []byte) schemes.Plan {
@@ -99,8 +91,8 @@ func (s *scheme) PlanWrite(addr pcm.LineAddr, old, new []byte) schemes.Plan {
 	case s.opt.TimeAwareFlip:
 		rule = flipTimeAware
 	}
-	flipSlot := s.flips.Ensure(int64(addr))
-	flipSlot[0] = s.masks.read(old, new, flipSlot[0], rule, s.k)
+	tags := s.TagSlot(addr)
+	*tags = s.masks.read(old, new, *tags, rule, s.k)
 	p := schemes.Plan{Analysis: s.par.MemClock.Cycles(int64(s.opt.AnalysisCycles))}
 	s.plan(&p, false)
 	return p
