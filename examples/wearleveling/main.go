@@ -10,6 +10,7 @@ import (
 	"log"
 	"math/rand"
 
+	"tetriswrite/internal/cpu"
 	"tetriswrite/internal/memctrl"
 	"tetriswrite/internal/pcm"
 	"tetriswrite/internal/sim"
@@ -31,7 +32,7 @@ func run(withLeveling bool) pcm.WearSummary {
 	ctrl := memctrl.New(eng, dev, tetris.New, memctrl.Config{OpportunisticWrites: true})
 	wear := pcm.NewWearTracker()
 
-	var port wearlevel.Mem = ctrl
+	var port cpu.MemPort = ctrl
 	var reg *wearlevel.Region
 	if withLeveling {
 		var err error

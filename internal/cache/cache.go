@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 
+	"tetriswrite/internal/cpu"
 	"tetriswrite/internal/linestore"
 	"tetriswrite/internal/pcm"
 	"tetriswrite/internal/sim"
@@ -225,7 +226,7 @@ func (l *level) insert(addr pcm.LineAddr, data []byte, dirty bool) (victimAddr p
 type Hierarchy struct {
 	eng    *sim.Engine
 	levels []*level
-	mem    Mem
+	mem    cpu.MemPort
 
 	// wbBuf holds write-backs the controller rejected; wbMax bounds it,
 	// beyond which the hierarchy back-pressures the cores.
@@ -251,16 +252,6 @@ type wbEntry struct {
 	data []byte
 }
 
-// Mem is the memory side of the hierarchy: implemented by
-// memctrl.Controller (possibly wrapped). SubmitWrite must copy the data
-// it keeps: the hierarchy hands it a victim buffer or a recycled
-// write-back buffer.
-type Mem interface {
-	SubmitRead(addr pcm.LineAddr, onDone func(at units.Time, data []byte)) bool
-	SubmitWrite(addr pcm.LineAddr, data []byte, onDone func(at units.Time)) bool
-	WhenWriteSpace(fn func())
-}
-
 // DefaultLevels returns the paper's Table II hierarchy for a 2 GHz core
 // clock: L1 32 KB 8-way 2 cycles, L2 2 MB 8-way 20 cycles, L3 32 MB
 // 16-way 50 cycles; 64 B lines throughout.
@@ -273,7 +264,7 @@ func DefaultLevels(cpuClock units.Clock) []LevelConfig {
 }
 
 // New builds a hierarchy over the memory side.
-func New(eng *sim.Engine, mem Mem, cfgs []LevelConfig) (*Hierarchy, error) {
+func New(eng *sim.Engine, mem cpu.MemPort, cfgs []LevelConfig) (*Hierarchy, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("cache: no levels")
 	}

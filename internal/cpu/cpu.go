@@ -27,8 +27,12 @@ type OpSource interface {
 	Next() workload.Op
 }
 
-// MemPort is the memory interface a core drives — implemented by the
-// memory controller directly, or by a cache hierarchy in front of it.
+// MemPort is the memory interface a core drives, and the one every
+// layer below it drives in turn: implemented by the memory controller,
+// and by each layer that may sit in front of it (the cache hierarchy,
+// the Start-Gap wear-leveling remapper, the spare-line remapper).
+// SubmitWrite must copy the data it keeps: callers reuse their write
+// buffers.
 type MemPort interface {
 	SubmitRead(addr pcm.LineAddr, onDone func(at units.Time, data []byte)) bool
 	SubmitWrite(addr pcm.LineAddr, data []byte, onDone func(at units.Time)) bool

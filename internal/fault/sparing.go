@@ -4,18 +4,11 @@ import (
 	"fmt"
 	"sort"
 
+	"tetriswrite/internal/cpu"
 	"tetriswrite/internal/linestore"
 	"tetriswrite/internal/pcm"
 	"tetriswrite/internal/units"
 )
-
-// Mem is the downstream memory port the spare remapper drives — the
-// memory controller, in practice (same shape as wearlevel.Mem).
-type Mem interface {
-	SubmitRead(addr pcm.LineAddr, onDone func(at units.Time, data []byte)) bool
-	SubmitWrite(addr pcm.LineAddr, data []byte, onDone func(at units.Time)) bool
-	WhenWriteSpace(fn func())
-}
 
 // SpareRemapper gives the platform graceful degradation under hard
 // errors: a reserved region of known-good spare lines plus a remap table
@@ -32,7 +25,7 @@ type Mem interface {
 // sparing redirects dead physical lines), so the gap rotation never
 // needs to know which lines died.
 type SpareRemapper struct {
-	mem   Mem
+	mem   cpu.MemPort
 	snoop func(addr pcm.LineAddr, dst []byte)
 
 	spareBase pcm.LineAddr // first spare slot
@@ -63,7 +56,7 @@ type SpareStats struct {
 // NewSpareRemapper reserves n spare lines starting at base in front of
 // mem. snoop must return the freshest physical contents of a line (use
 // Controller.Snoop); it backs reads that race a pending repair.
-func NewSpareRemapper(mem Mem, base pcm.LineAddr, n int, snoop func(pcm.LineAddr, []byte)) (*SpareRemapper, error) {
+func NewSpareRemapper(mem cpu.MemPort, base pcm.LineAddr, n int, snoop func(pcm.LineAddr, []byte)) (*SpareRemapper, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("fault: %d spare lines", n)
 	}

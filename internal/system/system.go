@@ -504,7 +504,7 @@ func (p *platform) assemble(cfg Config, factory schemes.Factory, fp guard.Finger
 		}
 	}
 
-	var mem wearlevel.Mem = ctrl
+	var mem cpu.MemPort = ctrl
 	snoop := ctrl.Snoop
 	if p.inj != nil {
 		spares := cfg.SpareLines

@@ -1,18 +1,11 @@
 package wearlevel
 
 import (
+	"tetriswrite/internal/cpu"
 	"tetriswrite/internal/linestore"
 	"tetriswrite/internal/pcm"
 	"tetriswrite/internal/units"
 )
-
-// Mem is the downstream memory port a Remapper drives (the memory
-// controller, in practice).
-type Mem interface {
-	SubmitRead(addr pcm.LineAddr, onDone func(at units.Time, data []byte)) bool
-	SubmitWrite(addr pcm.LineAddr, data []byte, onDone func(at units.Time)) bool
-	WhenWriteSpace(fn func())
-}
 
 // Remapper interposes Start-Gap wear leveling between the cores (or
 // caches) and the memory controller: logical line addresses are
@@ -25,7 +18,7 @@ type Mem interface {
 // copy until the controller accepts it, mirroring the controller's own
 // store-forwarding.
 type Remapper struct {
-	mem    Mem
+	mem    cpu.MemPort
 	region *Region
 	// snoop reads a physical line's freshest contents without timing
 	// side effects, including data still queued in the controller —
@@ -54,7 +47,7 @@ type RemapStats struct {
 // NewRemapper wires a region in front of mem. lineBytes is the device
 // line size; snoop must return the freshest physical contents (use
 // Controller.Snoop).
-func NewRemapper(mem Mem, region *Region, lineBytes int, snoop func(pcm.LineAddr, []byte)) *Remapper {
+func NewRemapper(mem cpu.MemPort, region *Region, lineBytes int, snoop func(pcm.LineAddr, []byte)) *Remapper {
 	return &Remapper{
 		mem:     mem,
 		region:  region,
