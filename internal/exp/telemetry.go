@@ -49,25 +49,3 @@ func (fr *FullResults) EpochSummary() *stats.Table {
 	}
 	return tb
 }
-
-// EpochSeries returns one named series for a workload/scheme pair of the
-// sweep, for callers that want the raw trajectory rather than the
-// summary table. Returns nil when the pair is unknown or the sweep ran
-// without telemetry.
-func (fr *FullResults) EpochSeries(workload, scheme, series string) []float64 {
-	for w, prof := range fr.Profiles {
-		if prof.Name != workload {
-			continue
-		}
-		for s := range fr.Schemes {
-			if fr.Schemes[s].Name != scheme {
-				continue
-			}
-			if t := fr.Results[w][s].Telemetry; t != nil {
-				return t.Series(series)
-			}
-			return nil
-		}
-	}
-	return nil
-}

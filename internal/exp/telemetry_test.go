@@ -25,15 +25,13 @@ func TestEpochSummaryAndSeries(t *testing.T) {
 		t.Error("summary claims no epoch despite Options.Epoch")
 	}
 
-	wq := fr.EpochSeries("vips", "tetris", "memctrl.write_queue_depth")
-	if len(wq) == 0 {
-		t.Fatal("no write-queue series for vips/tetris")
-	}
-	if fr.EpochSeries("vips", "nope", "memctrl.write_queue_depth") != nil {
-		t.Error("unknown scheme returned a series")
-	}
-	if fr.EpochSeries("nope", "tetris", "memctrl.write_queue_depth") != nil {
-		t.Error("unknown workload returned a series")
+	// The summary's source: every cell carries its raw epoch series.
+	for w, prof := range fr.Profiles {
+		for s, sch := range fr.Schemes {
+			if tel := fr.Results[w][s].Telemetry; tel == nil || len(tel.Series("memctrl.write_queue_depth")) == 0 {
+				t.Errorf("no write-queue series for %s/%s", prof.Name, sch.Name)
+			}
+		}
 	}
 }
 
@@ -46,7 +44,11 @@ func TestEpochSummaryWithoutEpoch(t *testing.T) {
 	if !strings.Contains(out, "no -epoch set") {
 		t.Errorf("summary should flag the missing epoch:\n%s", out)
 	}
-	if fr.EpochSeries("vips", "tetris", "memctrl.write_queue_depth") != nil {
-		t.Error("series returned without telemetry attached")
+	for w := range fr.Profiles {
+		for s := range fr.Schemes {
+			if fr.Results[w][s].Telemetry != nil {
+				t.Errorf("cell %d/%d has telemetry attached without an epoch", w, s)
+			}
+		}
 	}
 }

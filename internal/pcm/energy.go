@@ -23,20 +23,3 @@ func EnergyModelFor(p Params) EnergyModel {
 func (m EnergyModel) WriteEnergy(sets, resets int) float64 {
 	return float64(sets)*m.SetEnergy + float64(resets)*m.ResetEnergy
 }
-
-// TotalEnergy returns the programming energy of all activity in the stats.
-func (m EnergyModel) TotalEnergy(s DeviceStats) float64 {
-	return float64(s.BitSets)*m.SetEnergy + float64(s.BitResets)*m.ResetEnergy
-}
-
-// WorstCaseLineEnergy returns the energy of writing a full line assuming
-// every cell is pulsed and (pessimistically) every pulse costs the larger
-// of the two pulse energies — the conventional scheme's power model that
-// the paper's Observation 1 argues against.
-func (m EnergyModel) WorstCaseLineEnergy(p Params) float64 {
-	per := m.SetEnergy
-	if m.ResetEnergy > per {
-		per = m.ResetEnergy
-	}
-	return per * float64(8*p.LineBytes)
-}

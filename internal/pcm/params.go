@@ -146,11 +146,3 @@ func (p Params) BankBudget() int { return p.ChipBudget * p.NumChips }
 
 // Lines returns the number of cache lines the device stores.
 func (p Params) Lines() int64 { return p.CapacityBytes / int64(p.LineBytes) }
-
-// MaxConcurrentSets returns how many SET pulses one chip may drive at
-// once.
-func (p Params) MaxConcurrentSets() int { return p.ChipBudget / p.CurrentSet }
-
-// MaxConcurrentResets returns how many RESET pulses one chip may drive at
-// once.
-func (p Params) MaxConcurrentResets() int { return p.ChipBudget / p.CurrentReset }

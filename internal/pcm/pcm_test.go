@@ -33,12 +33,6 @@ func TestDefaultParamsDerived(t *testing.T) {
 	if got := p.BankBudget(); got != 128 {
 		t.Errorf("BankBudget = %d, want 128", got)
 	}
-	if got := p.MaxConcurrentSets(); got != 32 {
-		t.Errorf("MaxConcurrentSets = %d, want 32", got)
-	}
-	if got := p.MaxConcurrentResets(); got != 16 {
-		t.Errorf("MaxConcurrentResets = %d, want 16", got)
-	}
 	if got := p.Lines(); got != (4<<30)/64 {
 		t.Errorf("Lines = %d, want %d", got, (4<<30)/64)
 	}
@@ -191,19 +185,6 @@ func TestEnergyModelDefaults(t *testing.T) {
 	if got := m.WriteEnergy(2, 3); got != 2*430+3*106 {
 		t.Errorf("WriteEnergy(2,3) = %v, want %v", got, 2*430+3*106)
 	}
-	worst := m.WorstCaseLineEnergy(p)
-	if worst != 430*512 {
-		t.Errorf("WorstCaseLineEnergy = %v, want %v", worst, 430*512)
-	}
-}
-
-func TestEnergyTotalMatchesStats(t *testing.T) {
-	p := DefaultParams()
-	m := EnergyModelFor(p)
-	s := DeviceStats{BitSets: 10, BitResets: 4}
-	if got := m.TotalEnergy(s); got != 10*430+4*106 {
-		t.Errorf("TotalEnergy = %v", got)
-	}
 }
 
 func TestWearTracker(t *testing.T) {
@@ -317,14 +298,5 @@ func TestKFloorsAtOne(t *testing.T) {
 	p.TReset = p.TSet // degenerate: no time asymmetry
 	if got := p.K(); got != 1 {
 		t.Errorf("K = %d, want 1", got)
-	}
-}
-
-func TestWorstCaseEnergyResetDominant(t *testing.T) {
-	// If RESET were the pricier pulse, the worst case uses it.
-	m := EnergyModel{SetEnergy: 10, ResetEnergy: 20}
-	p := DefaultParams()
-	if got := m.WorstCaseLineEnergy(p); got != 20*512 {
-		t.Errorf("WorstCaseLineEnergy = %v, want %v", got, 20*512)
 	}
 }

@@ -129,16 +129,3 @@ func (c Clock) Period() Duration { return c.period }
 
 // Cycles converts a whole number of cycles to a duration.
 func (c Clock) Cycles(n int64) Duration { return Duration(n) * c.period }
-
-// CyclesIn reports how many full cycles fit in d.
-func (c Clock) CyclesIn(d Duration) int64 { return int64(d / c.period) }
-
-// NextEdge returns the earliest clock edge at or after t, assuming edges at
-// every integer multiple of the period from time zero.
-func (c Clock) NextEdge(t Time) Time {
-	rem := Duration(t) % c.period
-	if rem == 0 {
-		return t
-	}
-	return t.Add(c.period - rem)
-}
