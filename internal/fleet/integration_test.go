@@ -7,11 +7,14 @@ import (
 	"net"
 	"net/rpc"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"tetriswrite/internal/exp"
 	"tetriswrite/internal/runner"
+	"tetriswrite/internal/system"
 )
 
 // The integration tests run the real service stack — broker behind a
@@ -56,7 +59,8 @@ func serveBroker(t *testing.T, b *Broker) (addr string, stop func()) {
 }
 
 // startWorker runs a Worker against addr until ctx ends.
-func startWorker(ctx context.Context, t *testing.T, addr, name string, slots int) *Worker {
+// The returned channel is closed once the worker's Run has returned.
+func startWorker(ctx context.Context, t *testing.T, addr, name string, slots int) (*Worker, <-chan struct{}) {
 	t.Helper()
 	w := NewWorker(WorkerConfig{
 		Broker:    addr,
@@ -64,8 +68,12 @@ func startWorker(ctx context.Context, t *testing.T, addr, name string, slots int
 		Slots:     slots,
 		DialRetry: runner.Backoff{Base: 20 * time.Millisecond, Max: 200 * time.Millisecond, Jitter: 0.2},
 	})
-	go w.Run(ctx)
-	return w
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		w.Run(ctx)
+	}()
+	return w, done
 }
 
 // waitShardsDone polls until the job has at least n done shards.
@@ -118,8 +126,8 @@ func TestChaosWorkerKillMidSweep(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	w1 := startWorker(ctx, t, addr, "chaos-w1", 2)
-	w2 := startWorker(ctx, t, addr, "chaos-w2", 2)
+	w1, _ := startWorker(ctx, t, addr, "chaos-w1", 2)
+	w2, _ := startWorker(ctx, t, addr, "chaos-w2", 2)
 
 	spec := SweepSpec{Instr: 5_000, Figs: []int{13}}
 	if err := spec.Normalize(); err != nil {
@@ -177,25 +185,44 @@ func TestBrokerRestartResumesFromJournal(t *testing.T) {
 
 	// Phase 1: run the sweep partway, then stop everything. The worker
 	// is stopped gracefully *first* so no completion is in flight when
-	// the broker goes down — making the resume arithmetic exact.
+	// the broker goes down — making the resume arithmetic exact. However
+	// fast the host, phase 1 stays a strict partial sweep: the first
+	// phase1Shards shards run, every later one blocks until its context
+	// ends.
+	const phase1Shards = 8
+	var started atomic.Int64
+	runShard = func(ctx context.Context, sh ShardSpec) (system.Summary, error) {
+		if started.Add(1) > phase1Shards {
+			<-ctx.Done()
+			return system.Summary{}, context.Cause(ctx)
+		}
+		return RunShard(ctx, sh)
+	}
 	b1, err := New(testCadence(journal))
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr1, stop1 := serveBroker(t, b1)
 	wctx1, wcancel1 := context.WithCancel(context.Background())
-	w1 := startWorker(wctx1, t, addr1, "phase1", 2)
+	w1, w1done := startWorker(wctx1, t, addr1, "phase1", 2)
+	// Restore the seam only once the phase-1 worker has returned, so no
+	// shard of it still reads it.
+	stopPhase1 := sync.OnceFunc(func() {
+		wcancel1()
+		<-w1done
+		runShard = RunShard
+	})
+	defer stopPhase1()
 
 	id, err := b1.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	total := 40 // 8 workloads x 5 schemes x 1 seed
-	waitShardsDone(t, b1, id, 8)
-	wcancel1()
-	// Worker Run deregisters on its way out; give that goodbye a moment,
-	// then take the broker down hard (no drain — this is the crash).
-	time.Sleep(100 * time.Millisecond)
+	waitShardsDone(t, b1, id, phase1Shards)
+	// Worker Run deregisters on its way out; once it has returned, take
+	// the broker down hard (no drain — this is the crash).
+	stopPhase1()
 	stop1()
 	b1.Close()
 	phase1Runs := int(w1.Runs.Load())
@@ -222,7 +249,7 @@ func TestBrokerRestartResumesFromJournal(t *testing.T) {
 	defer stop2()
 	wctx2, wcancel2 := context.WithCancel(context.Background())
 	defer wcancel2()
-	w2 := startWorker(wctx2, t, addr2, "phase2", 2)
+	w2, _ := startWorker(wctx2, t, addr2, "phase2", 2)
 
 	dctx, dcancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer dcancel()

@@ -225,6 +225,10 @@ func (w *Worker) serve(ctx context.Context, client *rpc.Client, reg RegisterRepl
 	return context.Cause(sctx)
 }
 
+// runShard runs a leased shard: RunShard, held in a variable so tests
+// can control how long shards take.
+var runShard = RunShard
+
 // runAssignment executes one leased shard and reports the outcome.
 func (w *Worker) runAssignment(sctx context.Context, client *rpc.Client, workerID string, a Assignment) {
 	shardCtx, cancel := context.WithCancel(sctx)
@@ -234,7 +238,7 @@ func (w *Worker) runAssignment(sctx context.Context, client *rpc.Client, workerI
 
 	w.logf("shard %s/%d (%s) attempt %d", a.Job, a.Shard, a.Spec, a.Attempt)
 	sum, err := runner.Attempt(shardCtx, a.Spec.String(), a.Timeout,
-		func(ctx context.Context) (system.Summary, error) { return RunShard(ctx, a.Spec) })
+		func(ctx context.Context) (system.Summary, error) { return runShard(ctx, a.Spec) })
 	if sctx.Err() != nil {
 		// Session is gone (broker away, worker stopping, or killed):
 		// no Complete. The broker's lease machinery owns recovery.
