@@ -30,7 +30,7 @@ import (
 
 // BenchmarkArrayFlipCount measures the SoA cell store's read surface:
 // one full-line decode into a scratch buffer plus a flip-tag popcount,
-// the operation the crash-recovery classifiers and the deep-check guard
+// the operation crash recovery and the deep-check guard
 // run per inspected line. On the default x16 geometry this is the
 // word-parallel path — 4 cells per XOR — and must stay at 0 allocs/op.
 func BenchmarkArrayFlipCount(b *testing.B) {

@@ -172,8 +172,8 @@ func CrashSweep(opt CrashSweepOptions) (*CrashSweepResult, error) {
 	}
 	if len(opt.Schemes) == 0 {
 		// Default grid: the five compared schemes plus the conventional
-		// baseline — its always-rollforward classifier is the degenerate
-		// corner the others are measured against.
+		// baseline — tagless, so its torn lines always roll forward: the
+		// degenerate corner the others are measured against.
 		set = append([]NamedFactory{{"conventional", schemes.NewConventional}}, set...)
 	}
 	res := &CrashSweepResult{Opt: opt}
