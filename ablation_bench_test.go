@@ -6,7 +6,6 @@ package tetriswrite
 // what every ingredient of Tetris Write buys.
 
 import (
-	"math/rand"
 	"testing"
 
 	"tetriswrite/internal/exp"
@@ -198,41 +197,6 @@ func BenchmarkAblationWritePausing(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationTimeAwareFlip: the Hamming-minimizing flip rule vs the
-// time-aware rule, on a post-preset write pattern (data over all-ones)
-// where the two diverge most.
-func BenchmarkAblationTimeAwareFlip(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		opt  tetris.Options
-	}{
-		{"hamming", tetris.Options{}},
-		{"time-aware", tetris.Options{TimeAwareFlip: true}},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			par := DefaultParams()
-			s := tetris.NewWithOptions(par, tc.opt)
-			ones := make([]byte, 64)
-			for i := range ones {
-				ones[i] = 0xFF
-			}
-			rng := rand.New(rand.NewSource(4))
-			data := make([]byte, 64)
-			var wu float64
-			for i := 0; i < b.N; i++ {
-				wu = 0
-				for j := 0; j < 64; j++ {
-					rng.Read(data)
-					plan := s.PlanWrite(LineAddr(j), ones, data)
-					wu += plan.WriteUnits()
-				}
-				wu /= 64
-			}
-			b.ReportMetric(wu, "writeunits")
-		})
-	}
-}
-
 // BenchmarkAblationSubarrays: read latency with 1/2/4/8 subarrays per
 // bank on a write-heavy workload — the bank-internal parallelism of the
 // paper's references [13][15], orthogonal to the write scheme.
@@ -251,36 +215,6 @@ func BenchmarkAblationSubarrays(b *testing.B) {
 				readNS = res.ReadLatency.Nanoseconds()
 			}
 			b.ReportMetric(readNS, "readlat-ns")
-		})
-	}
-}
-
-// BenchmarkAblationCancellation: the adaptive cancel-or-pause policy vs
-// pause-only, on the baseline (long writes, most to gain).
-func BenchmarkAblationCancellation(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		cfg  memctrl.Config
-	}{
-		{"pause-only", memctrl.Config{WritePausing: true}},
-		{"cancel+pause", memctrl.Config{WritePausing: true, WriteCancellation: true}},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			var readNS float64
-			var cancels int64
-			for i := 0; i < b.N; i++ {
-				res, err := RunSystem("vips", "dcw", SystemConfig{
-					InstrBudget: 50_000,
-					Ctrl:        tc.cfg,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				readNS = res.ReadLatency.Nanoseconds()
-				cancels = res.Ctrl.Cancellations
-			}
-			b.ReportMetric(readNS, "readlat-ns")
-			b.ReportMetric(float64(cancels), "cancels")
 		})
 	}
 }

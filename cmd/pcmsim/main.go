@@ -304,8 +304,8 @@ func printResult(w io.Writer, res system.Result, par pcm.Params) {
 		fmt.Fprintf(w, "verify time    %v total bank time\n", res.Ctrl.VerifyOverhead)
 	}
 	if g := res.Guard; g != nil {
-		fmt.Fprintf(w, "guard          %d write plans, %d preset plans, %d queue checks, %d deep replays\n",
-			g.WritePlans, g.PresetPlans, g.QueueChecks, g.DeepReplays)
+		fmt.Fprintf(w, "guard          %d write plans, %d queue checks, %d deep replays\n",
+			g.WritePlans, g.QueueChecks, g.DeepReplays)
 	}
 	if s := res.Telemetry; s != nil {
 		fmt.Fprintf(w, "telemetry      %d epochs of %v, %d series",

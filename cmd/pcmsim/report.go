@@ -38,7 +38,6 @@ type jsonReport struct {
 
 type jsonGuard struct {
 	WritePlans  int64 `json:"write_plans"`
-	PresetPlans int64 `json:"preset_plans"`
 	QueueChecks int64 `json:"queue_checks"`
 	DeepReplays int64 `json:"deep_replays,omitempty"`
 }
@@ -98,7 +97,6 @@ func printJSON(w io.Writer, res system.Result, par pcm.Params) error {
 	if g := res.Guard; g != nil {
 		rep.Guard = &jsonGuard{
 			WritePlans:  g.WritePlans,
-			PresetPlans: g.PresetPlans,
 			QueueChecks: g.QueueChecks,
 			DeepReplays: g.DeepReplays,
 		}

@@ -240,11 +240,6 @@ type Hierarchy struct {
 	// write-back line buffers (see newWriteBack).
 	readFree []*readEvent
 	wbFree   [][]byte
-
-	// OnDirty, if set, is invoked whenever a store makes a line dirty
-	// that was not dirty before — the hook PreSET hint generation hangs
-	// off.
-	OnDirty func(addr pcm.LineAddr)
 }
 
 type wbEntry struct {
@@ -403,17 +398,10 @@ func (h *Hierarchy) SubmitWrite(addr pcm.LineAddr, data []byte, onDone func(at u
 	}
 	if li, ok := h.levels[0].lookup(addr); ok {
 		l := h.levels[0]
-		wasDirty := l.dirty[li]
 		copy(l.slotData(li), data)
 		l.dirty[li] = true
-		if !wasDirty && h.OnDirty != nil {
-			h.OnDirty(addr)
-		}
 	} else {
 		h.fill(0, addr, data, true)
-		if h.OnDirty != nil {
-			h.OnDirty(addr)
-		}
 	}
 	if onDone != nil {
 		at := h.eng.Now().Add(h.levels[0].cfg.Latency)
@@ -540,32 +528,6 @@ func (h *Hierarchy) drainWaiters() {
 	}
 	clear(h.waiters)
 	h.waiters = h.waiters[:0]
-}
-
-// IsDirty reports whether any level (or the write-back buffer) holds a
-// dirty copy of the line, i.e. whether the PCM copy is currently dead.
-// This is the dirtiness oracle PreSET consults before destroying a
-// memory copy.
-func (h *Hierarchy) IsDirty(addr pcm.LineAddr) bool {
-	for _, l := range h.levels {
-		if l.empty() {
-			continue
-		}
-		si := l.setOf(addr)
-		tag := l.tagOf(addr)
-		base := si * l.cfg.Ways
-		for r := 0; r < int(l.used[si]); r++ {
-			if l.tags[base+r] == tag && l.dirty[l.line[base+r]] {
-				return true
-			}
-		}
-	}
-	for _, wb := range h.wbBuf {
-		if wb.addr == addr {
-			return true
-		}
-	}
-	return false
 }
 
 // Flush writes every dirty line back to memory (functionally, ignoring

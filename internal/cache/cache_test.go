@@ -267,30 +267,6 @@ func TestNewRejectsBadConfigs(t *testing.T) {
 	}
 }
 
-func TestOnDirtyHook(t *testing.T) {
-	eng, h, _, _ := testHierarchy(t, tinyLevels())
-	var events []pcm.LineAddr
-	h.OnDirty = func(a pcm.LineAddr) { events = append(events, a) }
-	data := make([]byte, 64)
-	eng.At(0, func() {
-		h.SubmitWrite(5, data, nil) // miss -> dirty allocate: fires
-		h.SubmitWrite(5, data, nil) // already dirty: no event
-		h.SubmitRead(9, func(_ units.Time, _ []byte) {
-			h.SubmitWrite(9, data, nil) // clean hit -> dirty: fires
-		})
-	})
-	eng.Run()
-	if len(events) != 2 || events[0] != 5 || events[1] != 9 {
-		t.Errorf("OnDirty events = %v, want [5 9]", events)
-	}
-	if !h.IsDirty(5) || !h.IsDirty(9) {
-		t.Error("IsDirty false for dirty lines")
-	}
-	if h.IsDirty(77) {
-		t.Error("IsDirty true for untouched line")
-	}
-}
-
 // TestCapacityNeverExceeded: no set ever holds more than Ways lines,
 // regardless of traffic.
 func TestCapacityNeverExceeded(t *testing.T) {
@@ -331,9 +307,6 @@ func TestLevelsAllocateOnFirstInsert(t *testing.T) {
 		if !l.empty() || l.chunks != nil || l.dirty != nil || l.held != 0 {
 			t.Fatalf("%s allocated before any access", l.cfg.Name)
 		}
-	}
-	if h.IsDirty(9) {
-		t.Fatal("empty hierarchy reports a dirty line")
 	}
 	eng.At(0, func() { h.SubmitRead(9, func(units.Time, []byte) {}) })
 	eng.Run()

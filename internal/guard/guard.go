@@ -3,7 +3,7 @@
 // SET/RESET pulses into the fewest write units while never exceeding the
 // per-chip power budget — is exactly the kind of property a
 // parallelism-under-constraint scheduler silently violates once it is
-// composed with other machinery (wear leveling, verify-retry, PreSET).
+// composed with other machinery (wear leveling, verify-retry, write pausing).
 // Instead of trusting the composition, a Guard validates it per issued
 // write unit while the simulation runs:
 //
@@ -87,7 +87,6 @@ func (e *ViolationError) Error() string {
 // Stats counts the checks a guard performed.
 type Stats struct {
 	WritePlans  int64 // write plans checked
-	PresetPlans int64 // preset plans checked
 	QueueChecks int64
 	ClockChecks int64
 	DeepReplays int64 // shadow-array replays (DeepChecks only)
@@ -108,9 +107,8 @@ type Guard struct {
 	// owner's chance to stop the engine immediately.
 	onViolation func(*ViolationError)
 
-	shadow  *schemes.Array // DeepChecks: pulse-accurate encoded-cell oracle
-	allOnes []byte
-	stats   Stats
+	shadow *schemes.Array // DeepChecks: pulse-accurate encoded-cell oracle
+	stats  Stats
 }
 
 // New builds a guard for a device with the given parameters.
@@ -214,27 +212,6 @@ func (g *Guard) CheckWritePlan(now units.Time, addr pcm.LineAddr, old, new []byt
 	}
 	g.CheckClock(now)
 	g.stats.WritePlans++
-	g.checkPlan(now, addr, old, new, plan)
-}
-
-// CheckPresetPlan validates one idle-time PreSET plan, which must take
-// the stored contents old to logical all-ones.
-func (g *Guard) CheckPresetPlan(now units.Time, addr pcm.LineAddr, old []byte, plan schemes.Plan) {
-	if !g.active() {
-		return
-	}
-	g.CheckClock(now)
-	g.stats.PresetPlans++
-	if g.allOnes == nil {
-		g.allOnes = make([]byte, g.par.LineBytes)
-		for i := range g.allOnes {
-			g.allOnes[i] = 0xFF
-		}
-	}
-	g.checkPlan(now, addr, old, g.allOnes, plan)
-}
-
-func (g *Guard) checkPlan(now units.Time, addr pcm.LineAddr, old, want []byte, plan schemes.Plan) {
 	// Structure (pulses inside the write phase, non-empty masks, no cell
 	// pulsed twice) and power (peak simultaneous draw against the
 	// per-chip budget).
@@ -260,10 +237,10 @@ func (g *Guard) checkPlan(now units.Time, addr pcm.LineAddr, old, want []byte, p
 	g.shadow.Apply(addr, plan)
 	got := g.shadow.Logical(addr)
 	for i := range got {
-		if got[i] != want[i] {
+		if got[i] != new[i] {
 			g.report(KindCoverage, now,
 				"line %d: replayed pulse train decodes wrong contents (first mismatch at byte %d: got %02x want %02x)",
-				addr, i, got[i], want[i])
+				addr, i, got[i], new[i])
 			return
 		}
 	}

@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"tetriswrite/internal/guard"
-	"tetriswrite/internal/linestore"
 	"tetriswrite/internal/pcm"
 	"tetriswrite/internal/schemes"
 	"tetriswrite/internal/sim"
@@ -25,14 +24,6 @@ import (
 // default" (half the queue), so draining to exactly zero entries needs
 // its own named value; any negative DrainLow behaves like DrainToEmpty.
 const DrainToEmpty = -1
-
-const (
-	// cancelThreshold is the write progress below which a blocked read
-	// cancels the write rather than pausing it (WriteCancellation).
-	cancelThreshold = 0.5
-	// presetQueue bounds the number of outstanding PreSET hints.
-	presetQueue = 64
-)
 
 // Config tunes the controller. Zero values take the paper's defaults via
 // Normalize.
@@ -63,22 +54,6 @@ type Config struct {
 	// reason writes are "not on the critical path". Off by default (the
 	// paper's controller does not pause).
 	WritePausing bool
-	// WriteCancellation extends write pausing with the adaptive policy of
-	// Qureshi et al. (HPCA'10): when a blocked read arrives early in a
-	// write's execution (progress below one half), the write is
-	// cancelled outright — the bank frees after the current
-	// sub-write-unit and the write requeues at the head of the write
-	// queue — instead of merely pausing. Late-arriving reads still pause.
-	// Requires WritePausing.
-	WriteCancellation bool
-	// IdlePreset enables PreSET (Qureshi et al., ISCA'12): idle banks
-	// proactively SET the cells of lines hinted via PresetHint (lines
-	// that went dirty in the LLC, whose memory copy is dead anyway), so
-	// their eventual write-back needs only fast RESETs. Requires a
-	// scheme implementing schemes.Presetter and a dirty-checker wired
-	// with SetDirtyChecker; hints are dropped otherwise. At most
-	// presetQueue hints are outstanding.
-	IdlePreset bool
 	// Subarrays models subarray-level parallelism inside a bank (the
 	// paper's references [13][15]): reads to a different subarray may
 	// proceed while a write occupies the bank, because only the write
@@ -167,9 +142,9 @@ type Stats struct {
 	DrainExits       int64 // drains that ended by reaching the low-water mark
 	StallRejects     int64 // submissions rejected because a queue was full
 	Pauses           int64 // writes paused to service a read
-	Cancellations    int64 // writes cancelled and requeued for a read
-	Presets          int64 // idle-time PreSET operations executed
-	PresetDropped    int64 // hints dropped (queue full or stale)
+	Cancellations    int64 // always 0; kept only because the bench digest hashes it
+	Presets          int64 // always 0; kept only because the bench digest hashes it
+	PresetDropped    int64 // always 0; kept only because the bench digest hashes it
 	SubarrayOverlaps int64 // reads serviced while a write held the bank
 
 	// Write-verify activity (all zero unless Config.VerifyWrites).
@@ -207,12 +182,6 @@ type Controller struct {
 	idleWait  []func() // woken when everything drains
 	stats     Stats
 
-	// PreSET state.
-	presetQ    []presetHint
-	presetSet  *linestore.Set
-	stillDirty func(pcm.LineAddr) bool
-	allOnes    []byte
-
 	// wear, when attached, receives the scheme's actual pulse count per
 	// line write — the endurance-relevant quantity (redundant pulses of
 	// non-comparing schemes wear cells even when the value is unchanged).
@@ -248,8 +217,8 @@ type Controller struct {
 	// structs and dataFree their line-sized payload copies; recycling
 	// happens in finish, after which stale bank events reject the reused
 	// pointer via the generation counter. oldBuf and verifyBuf back the
-	// synchronous read-modify snapshots of startWrite/tryPreset and the
-	// verify loop — never retained across events.
+	// synchronous read-modify snapshots of startWrite and the verify
+	// loop — never retained across events.
 	reqFree   freelist[*request]
 	dataFree  freelist[[]byte]
 	oldBuf    []byte
@@ -312,8 +281,8 @@ type CrashHook interface {
 }
 
 // SetCrash attaches the power-failure hook. The hook assumes a frozen
-// pulse schedule, so the controller must not pause, cancel or preset:
-// system.Config.Validate rejects those together with crash injection.
+// pulse schedule, so the controller must not pause: system.Config.Validate
+// rejects pausing together with crash injection.
 func (c *Controller) SetCrash(h CrashHook) { c.crash = h }
 
 // SetFingerprint labels the run for attributable typed errors.
@@ -358,7 +327,7 @@ type bank struct {
 	// adaptive schemes react to load without touching the request path
 	// for everyone else.
 	observer schemes.QueueObserver
-	// write is the in-flight write (or preset), if any; reads[sub] is
+	// write is the in-flight write, if any; reads[sub] is
 	// the subarray's in-flight read (nreads counts them). With
 	// Subarrays == 1 the two are mutually exclusive (monolithic bank);
 	// with more, reads may overlap a write in a different subarray.
@@ -370,10 +339,9 @@ type bank struct {
 	// Write-pausing state: gen invalidates stale completion events after
 	// a pause extends the write; writeEnd is the current scheduled
 	// completion; pausing guards against double-pausing.
-	gen        uint64
-	writeStart units.Time
-	writeEnd   units.Time
-	pausing    bool
+	gen      uint64
+	writeEnd units.Time
+	pausing  bool
 	// verifying marks the program-and-verify tail of a write: the bank
 	// is still held by the write but its pulses are done, so pausing (a
 	// pulse-boundary mechanism) no longer applies.
@@ -448,9 +416,7 @@ func (c *Controller) newData() []byte {
 // freelists. Stale completion/pause events may still hold the pointer,
 // but every such event validates the bank's generation counter (which
 // only ever increments) before touching it, so reuse cannot be confused
-// with the request's previous life. Preset requests never come through
-// here — their data aliases c.allOnes, which must not enter the payload
-// freelist.
+// with the request's previous life.
 func (c *Controller) recycleRequest(req *request) {
 	if req.data != nil {
 		c.dataFree.push(req.data)
@@ -626,27 +592,15 @@ func (c *Controller) checkIdle() {
 // draining (or opportunistically, if configured).
 func (c *Controller) schedule() {
 	for _, b := range c.banks {
-		c.scheduleBank1(b)
+		c.scheduleBank(b)
 	}
 }
 
 // scheduleBank runs the policy for the one bank whose eligibility an
 // event changed. Every other bank is a fixed point — its last schedule
 // pass found nothing startable and none of its inputs moved — so
-// skipping it arms exactly the events the full sweep would. Idle PreSET
-// breaks that argument (tryPreset consults a dirtiness oracle whose
-// answers drift between events, and a sweep on any bank's event can
-// drop stale hints on every idle bank), so preset configurations keep
-// the full sweep.
+// skipping it arms exactly the events the full sweep would.
 func (c *Controller) scheduleBank(b *bank) {
-	if c.cfg.IdlePreset {
-		c.schedule()
-		return
-	}
-	c.scheduleBank1(b)
-}
-
-func (c *Controller) scheduleBank1(b *bank) {
 	c.startReads(b)
 	if b.write != nil {
 		c.tryPause(b)
@@ -657,9 +611,7 @@ func (c *Controller) scheduleBank1(b *bank) {
 	}
 	if req := c.pickWrite(b); req != nil {
 		c.startWrite(b, req)
-		return
 	}
-	c.tryPreset(b)
 }
 
 // startReads launches every queued read this bank can service right now.
@@ -826,7 +778,6 @@ func (c *Controller) startWrite(b *bank, req *request) {
 	}
 	svc := plan.ServiceTime()
 	b.busyTime += svc
-	b.writeStart = c.eng.Now()
 	b.writeEnd = c.eng.Now().Add(svc)
 	if c.crash != nil {
 		// Arm the write's intent while the plan is still alive: the hook
@@ -843,7 +794,7 @@ func (c *Controller) startWrite(b *bank, req *request) {
 
 // writeEvent is one armed write completion, recycled like readEvent so
 // the steady-state write path allocates nothing per completion. The
-// generation check preserves the self-invalidation of pause/cancel.
+// generation check preserves the self-invalidation of pause.
 type writeEvent struct {
 	c    *Controller
 	b    *bank
@@ -1027,28 +978,6 @@ func (c *Controller) tryPause(b *bank) {
 			b.pausing = false
 			return
 		}
-		// Adaptive policy: a read arriving early in the write cancels it
-		// (the little progress made is cheap to redo); a late read only
-		// pauses (most of the write would be wasted).
-		if c.cfg.WriteCancellation {
-			total := b.writeEnd.Sub(b.writeStart)
-			progress := float64(boundary.Sub(b.writeStart)) / float64(total)
-			if progress < cancelThreshold {
-				c.stats.Cancellations++
-				b.gen++
-				b.write = nil
-				b.pausing = false
-				// The cancelled write re-executes from scratch later:
-				// requeue at the head so it is not starved further.
-				c.writeQ = append([]*request{req}, c.writeQ...)
-				// Put the read back too: the normal scheduler path will
-				// start it on the now-free bank in order.
-				b.readQ = append([]*request{r}, b.readQ...)
-				c.nreadQ++
-				c.scheduleBank(b)
-				return
-			}
-		}
 		c.stats.Pauses++
 		// Invalidate the write's original completion event NOW: it could
 		// otherwise fire inside the pause window and complete a write
@@ -1130,121 +1059,6 @@ func (c *Controller) finish(req *request, at units.Time) {
 	c.scheduleBank(req.bank)
 	c.checkIdle()
 	c.recycleRequest(req)
-}
-
-// SetDirtyChecker wires the LLC's dirtiness oracle for PreSET: a hinted
-// line is preset only while its memory copy is dead (a dirty copy lives
-// in the cache hierarchy). Without a checker, hints are dropped.
-func (c *Controller) SetDirtyChecker(fn func(pcm.LineAddr) bool) { c.stillDirty = fn }
-
-// presetHint is one queued PreSET candidate and where its line lives.
-type presetHint struct {
-	addr pcm.LineAddr
-	bank *bank
-	sub  int
-}
-
-// PresetHint enqueues a line for idle-time presetting. Call it when the
-// line goes dirty in the last-level cache.
-func (c *Controller) PresetHint(addr pcm.LineAddr) {
-	if !c.cfg.IdlePreset {
-		return
-	}
-	if c.presetSet == nil {
-		c.presetSet = linestore.NewSet()
-	}
-	if c.presetSet.Has(int64(addr)) {
-		return
-	}
-	if len(c.presetQ) >= presetQueue {
-		c.stats.PresetDropped++
-		return
-	}
-	c.presetSet.Add(int64(addr))
-	b, sub := c.place(addr)
-	c.presetQ = append(c.presetQ, presetHint{addr: addr, bank: b, sub: sub})
-	c.schedule()
-}
-
-// tryPreset runs one preset on an idle bank if a suitable hint exists.
-// It returns true if the bank was put to work.
-func (c *Controller) tryPreset(b *bank) bool {
-	if !c.cfg.IdlePreset || c.draining || c.stillDirty == nil {
-		return false
-	}
-	if !b.idle() {
-		return false
-	}
-	ps, ok := b.scheme.(schemes.Presetter)
-	if !ok {
-		return false
-	}
-	for i, h := range c.presetQ {
-		if h.bank != b {
-			continue
-		}
-		addr := h.addr
-		c.presetQ = append(c.presetQ[:i], c.presetQ[i+1:]...)
-		c.presetSet.Delete(int64(addr))
-		// Stale hints: the line was cleaned (written back) or has a
-		// write queued; presetting now would destroy live data.
-		if !c.stillDirty(addr) || c.hasQueuedWrite(addr) {
-			c.stats.PresetDropped++
-			return false
-		}
-		c.stats.Presets++
-		if c.oldBuf == nil {
-			c.oldBuf = make([]byte, c.par.LineBytes)
-		}
-		old := c.oldBuf // synchronous use only
-		c.dev.PeekLine(addr, old)
-		plan := ps.PlanPreset(addr, old)
-		c.guard.CheckPresetPlan(c.eng.Now(), addr, old, plan)
-		sets, resets := plan.Counts()
-		c.stats.BitSets += int64(sets)
-		c.stats.BitResets += int64(resets)
-		if c.wear != nil {
-			c.wear.Record(addr, sets+resets)
-		}
-		if c.allOnes == nil {
-			c.allOnes = make([]byte, c.par.LineBytes)
-			for i := range c.allOnes {
-				c.allOnes[i] = 0xFF
-			}
-		}
-		// Preset requests deliberately bypass the freelists: data aliases
-		// the shared c.allOnes buffer, and the request never reaches
-		// finish, so neither may be recycled.
-		req := &request{write: true, addr: addr, bank: b, sub: h.sub, data: c.allOnes, enqueued: c.eng.Now()}
-		b.write = req
-		b.writeEnd = c.eng.Now().Add(plan.ServiceTime())
-		if b.recycler != nil {
-			b.recycler.RecyclePlan(plan)
-		}
-		gen := b.gen
-		end := b.writeEnd
-		c.eng.At(end, func() {
-			if b.gen != gen || b.write != req {
-				return
-			}
-			c.dev.Preload(addr, c.allOnes) // logical all-ones, no pulse recount
-			b.write = nil
-			b.gen++
-			c.schedule()
-			c.checkIdle()
-		})
-		return true
-	}
-	return false
-}
-
-func (c *Controller) hasQueuedWrite(addr pcm.LineAddr) bool {
-	for _, r := range c.writeQ {
-		if r.addr == addr {
-			return true
-		}
-	}
-	return false
 }
 
 // Snoop copies the freshest value of a line into dst, exactly as the

@@ -475,134 +475,6 @@ func TestWritePausingDataIntegrity(t *testing.T) {
 	eng.Run()
 }
 
-// presetDirtyOracle lets the test act as the LLC for PreSET.
-type presetDirtyOracle struct{ dirty map[pcm.LineAddr]bool }
-
-func (o *presetDirtyOracle) isDirty(a pcm.LineAddr) bool { return o.dirty[a] }
-
-// TestIdlePresetFavourableCase: a hot line is rewritten repeatedly with
-// balanced data, with idle time between writes for the preset to land.
-// Each preset turns the next write into pure RESETs, cutting its write
-// units far below 1.
-func TestIdlePresetFavourableCase(t *testing.T) {
-	eng := &sim.Engine{}
-	dev := pcm.MustNewDevice(pcm.DefaultParams())
-	factory := func(p pcm.Params) schemes.Scheme {
-		return tetris.NewWithOptions(p, tetris.Options{TimeAwareFlip: true})
-	}
-	c := New(eng, dev, factory, Config{OpportunisticWrites: true, IdlePreset: true})
-	oracle := &presetDirtyOracle{dirty: map[pcm.LineAddr]bool{}}
-	c.SetDirtyChecker(oracle.isDirty)
-
-	const addr = pcm.LineAddr(0)
-	rng := rand.New(rand.NewSource(9))
-	data := make([]byte, 64)
-	rng.Read(data)
-
-	writes := 0
-	var step func()
-	step = func() {
-		if writes >= 20 {
-			c.WhenIdle(func() {})
-			return
-		}
-		writes++
-		// The line goes dirty in the "LLC"; hint the controller, then
-		// write it back after an idle window long enough for the preset.
-		oracle.dirty[addr] = true
-		c.PresetHint(addr)
-		eng.After(5*units.Microsecond, func() {
-			rng.Read(data) // balanced 50/50 payload
-			oracle.dirty[addr] = false
-			c.SubmitWrite(addr, data, func(units.Time) {
-				eng.After(2*units.Microsecond, step)
-			})
-		})
-	}
-	eng.At(0, step)
-	eng.Run()
-
-	st := c.Stats()
-	if st.Presets < 15 {
-		t.Fatalf("only %d presets ran, want most of the 20 windows", st.Presets)
-	}
-	perWrite := st.WriteUnits / float64(st.WriteLatency.Count())
-	// Pure-RESET writes of ~50% zeros pack into ~4 sub-write-units
-	// (0.5); writes where an extreme slice still prefers inversion pay
-	// one write unit for the flip-cell SET (1.0). The mix must land well
-	// below the ~1.0 a non-preset rewrite of random data costs.
-	if perWrite >= 0.95 {
-		t.Errorf("mean write units %.3f with PreSET on a hot line, want < 0.95", perWrite)
-	}
-	// And data stays correct.
-	got := make([]byte, 64)
-	dev.PeekLine(addr, got)
-	for i := range got {
-		if got[i] != data[i] {
-			t.Fatal("final contents wrong after preset cycles")
-		}
-	}
-}
-
-// TestPresetGuards: hints are deduplicated and bounded, and stale hints
-// (line cleaned, or write queued) are dropped.
-func TestPresetGuards(t *testing.T) {
-	eng := &sim.Engine{}
-	dev := pcm.MustNewDevice(pcm.DefaultParams())
-	c := New(eng, dev, tetris.New, Config{IdlePreset: true})
-	oracle := &presetDirtyOracle{dirty: map[pcm.LineAddr]bool{}}
-
-	eng.At(0, func() {
-		// Without a dirty checker no hint leaves the queue, so the bound
-		// shows: of presetQueue+1 distinct hints the last is dropped,
-		// and a duplicate occupies no extra slot.
-		for a := 0; a <= presetQueue; a++ {
-			c.PresetHint(pcm.LineAddr(a))
-		}
-		c.PresetHint(2)
-		if got := c.Stats().PresetDropped; got != 1 {
-			t.Errorf("PresetDropped = %d after %d distinct hints, want 1", got, presetQueue+1)
-		}
-		// Not dirty at execution time: every queued hint is dropped.
-		c.SetDirtyChecker(oracle.isDirty)
-		for len(c.presetQ) > 0 {
-			c.schedule()
-		}
-	})
-	eng.Run()
-	st := c.Stats()
-	if st.Presets != 0 {
-		t.Errorf("%d presets ran on clean lines", st.Presets)
-	}
-	if want := int64(presetQueue + 1); st.PresetDropped != want {
-		t.Errorf("PresetDropped = %d, want %d", st.PresetDropped, want)
-	}
-}
-
-// TestPresetWithoutCheckerIsInert: hints without a dirty checker never
-// destroy data.
-func TestPresetWithoutCheckerIsInert(t *testing.T) {
-	eng := &sim.Engine{}
-	dev := pcm.MustNewDevice(pcm.DefaultParams())
-	c := New(eng, dev, tetris.New, Config{IdlePreset: true, OpportunisticWrites: true})
-	want := make([]byte, 64)
-	want[0] = 0x5A
-	eng.At(0, func() {
-		c.SubmitWrite(4, want, func(units.Time) {
-			c.PresetHint(4)
-		})
-	})
-	eng.Run()
-	got := make([]byte, 64)
-	dev.PeekLine(4, got)
-	if got[0] != 0x5A {
-		t.Fatal("preset without dirty checker destroyed data")
-	}
-	if c.Stats().Presets != 0 {
-		t.Error("preset executed without a dirty checker")
-	}
-}
-
 // TestSubarrayReadOverlapsWrite: with Subarrays > 1, a read to a
 // different subarray proceeds while a write holds the bank; with a
 // monolithic bank it waits.
@@ -722,10 +594,7 @@ func TestBankUtilization(t *testing.T) {
 func TestAllFeaturesTogether(t *testing.T) {
 	eng := &sim.Engine{}
 	dev := pcm.MustNewDevice(pcm.DefaultParams())
-	factory := func(p pcm.Params) schemes.Scheme {
-		return tetris.NewWithOptions(p, tetris.Options{TimeAwareFlip: true})
-	}
-	c := New(eng, dev, factory, Config{
+	c := New(eng, dev, tetris.New, Config{
 		WritePausing: true,
 		Subarrays:    4,
 		WriteQueue:   6,
@@ -773,111 +642,6 @@ func TestAllFeaturesTogether(t *testing.T) {
 	if st.Pauses == 0 && st.SubarrayOverlaps == 0 {
 		t.Error("neither overlap mechanism ever engaged under heavy traffic")
 	}
-}
-
-// TestWriteCancellation: a read arriving early in a long write cancels
-// it; the read completes promptly and the write re-executes afterwards
-// with correct final data.
-func TestWriteCancellation(t *testing.T) {
-	eng, c, dev := testController(Config{
-		OpportunisticWrites: true,
-		WritePausing:        true,
-		WriteCancellation:   true,
-	})
-	data := make([]byte, 64)
-	data[0] = 0xEE
-	var readAt, writeAt units.Time
-	eng.At(0, func() {
-		c.SubmitWrite(0, data, func(at units.Time) { writeAt = at })
-	})
-	// Read arrives 100ns into a ~3490ns write: progress ~3%, cancel.
-	eng.At(units.Time(100*units.Nanosecond), func() {
-		c.SubmitRead(8, func(at units.Time, _ []byte) { readAt = at })
-	})
-	eng.Run()
-	if c.Stats().Cancellations != 1 {
-		t.Fatalf("Cancellations = %d, want 1", c.Stats().Cancellations)
-	}
-	// Read completes right after the boundary + TRead: ~203ns.
-	if want := units.Time(units.Nanoseconds(100 + 53 + 50)); readAt != want {
-		t.Errorf("read completed at %v, want %v", readAt, want)
-	}
-	// The write re-executed after the read and committed its data.
-	if writeAt <= readAt {
-		t.Errorf("write (%v) did not re-execute after the read (%v)", writeAt, readAt)
-	}
-	buf := make([]byte, 64)
-	dev.PeekLine(0, buf)
-	if buf[0] != 0xEE {
-		t.Error("cancelled write never committed")
-	}
-}
-
-// TestWriteCancellationLateReadPausesInstead: a read arriving past the
-// threshold pauses rather than cancels.
-func TestWriteCancellationLateReadPausesInstead(t *testing.T) {
-	eng, c, _ := testController(Config{
-		OpportunisticWrites: true,
-		WritePausing:        true,
-		WriteCancellation:   true,
-	})
-	data := make([]byte, 64)
-	data[0] = 0xEE
-	eng.At(0, func() { c.SubmitWrite(0, data, nil) })
-	// DCW write: 3490ns; read at 3000ns: progress ~86% > 0.5 -> pause.
-	eng.At(units.Time(3000*units.Nanosecond), func() {
-		c.SubmitRead(8, func(units.Time, []byte) {})
-	})
-	eng.Run()
-	st := c.Stats()
-	if st.Cancellations != 0 {
-		t.Errorf("late read cancelled (%d), want pause", st.Cancellations)
-	}
-	if st.Pauses != 1 {
-		t.Errorf("Pauses = %d, want 1", st.Pauses)
-	}
-}
-
-// TestWriteCancellationConsistency: random traffic with cancellation on.
-func TestWriteCancellationConsistency(t *testing.T) {
-	eng, c, _ := testController(Config{
-		WritePausing:      true,
-		WriteCancellation: true,
-		WriteQueue:        8,
-		DrainLow:          2,
-	})
-	rng := rand.New(rand.NewSource(55))
-	golden := map[pcm.LineAddr][]byte{}
-	n := 0
-	var step func()
-	step = func() {
-		if n >= 800 {
-			c.WhenIdle(func() {})
-			return
-		}
-		n++
-		addr := pcm.LineAddr(rng.Intn(40))
-		if rng.Intn(2) == 0 {
-			data := make([]byte, 64)
-			rng.Read(data)
-			if c.SubmitWrite(addr, data, nil) {
-				golden[addr] = data
-			}
-		} else if want, ok := golden[addr]; ok {
-			wantCopy := append([]byte(nil), want...)
-			c.SubmitRead(addr, func(_ units.Time, got []byte) {
-				for i := range got {
-					if got[i] != wantCopy[i] {
-						t.Errorf("stale read at %d with cancellation", addr)
-						return
-					}
-				}
-			})
-		}
-		eng.After(units.Duration(rng.Intn(500))*units.Nanosecond, step)
-	}
-	eng.At(0, step)
-	eng.Run()
 }
 
 func TestReadQueueRejection(t *testing.T) {

@@ -292,18 +292,6 @@ type Scheme interface {
 // Factory builds a fresh scheme instance for one bank.
 type Factory func(pcm.Params) Scheme
 
-// Presetter is implemented by schemes that support PreSET (Qureshi et
-// al., ISCA'12): during idle time the controller proactively drives every
-// cell of a line to the SET state, so the eventual write needs only fast
-// RESET pulses. PlanPreset returns the pulse schedule that takes the
-// stored line (current logical contents old) to logical all-ones with no
-// inversion, updating the scheme's coding state accordingly. The caller
-// must then store all-ones as the line's logical contents.
-type Presetter interface {
-	Scheme
-	PlanPreset(addr pcm.LineAddr, old []byte) Plan
-}
-
 // FlipTagger is implemented by schemes whose per-line coding state is
 // exactly one inversion tag per (chip, data unit), in the FlipTagStore
 // layout: bit u*NumChips+c of one uint64 word. FlipTags returns the

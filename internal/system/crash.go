@@ -14,7 +14,7 @@ import (
 // when Config.Crash is armed. It returns nil with no side effects for
 // the zero config, keeping the zero-crash run bit-identical to the
 // seed. Config.Validate has already rejected crash injection together
-// with the fault model, write pausing, cancellation and idle PreSET.
+// with the fault model and write pausing.
 func attachCrash(eng *sim.Engine, dev *pcm.Device, ctrl *memctrl.Controller, cfg Config) (*crash.Injector, error) {
 	if !cfg.Crash.Enabled() {
 		return nil, nil

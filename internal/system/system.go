@@ -81,8 +81,7 @@ type Config struct {
 	// Recover. The zero value attaches nothing and the run is
 	// bit-identical to one without this field. Incompatible with the
 	// fault model (the device would drift from the crash shadow) and
-	// with write pausing/cancellation and idle PreSET (they move or
-	// bypass the frozen pulse schedule).
+	// with write pausing (it moves the frozen pulse schedule).
 	Crash crash.Config
 
 	// Epoch, when positive, attaches the telemetry sampler: every layer
@@ -144,8 +143,6 @@ func (c *Config) Validate() error {
 	}
 	crashOn := c.Crash.Enabled()
 	switch {
-	case c.Ctrl.IdlePreset && !c.UseCaches:
-		return errors.New("system: IdlePreset requires UseCaches (hints come from LLC dirtiness)")
 	case len(c.CacheLevels) > 0 && !c.UseCaches:
 		return errors.New("system: CacheLevels requires UseCaches")
 	// Injected cell failures make the device drift from the crash
@@ -153,16 +150,9 @@ func (c *Config) Validate() error {
 	case crashOn && c.Fault.Enabled():
 		return errors.New("system: crash injection is incompatible with the fault model")
 	// The crash hook assumes the pulse schedule fixed at issue: pausing
-	// and cancellation move pulse boundaries after it, and idle PreSET
-	// writes lines without arming an intent.
+	// moves pulse boundaries after it.
 	case crashOn && c.Ctrl.WritePausing:
 		return errors.New("system: crash injection is incompatible with Ctrl.WritePausing")
-	case crashOn && c.Ctrl.WriteCancellation:
-		return errors.New("system: crash injection is incompatible with Ctrl.WriteCancellation")
-	case crashOn && c.Ctrl.IdlePreset:
-		return errors.New("system: crash injection is incompatible with Ctrl.IdlePreset")
-	case c.Ctrl.WriteCancellation && !c.Ctrl.WritePausing:
-		return errors.New("system: Ctrl.WriteCancellation requires Ctrl.WritePausing")
 	case c.Guard.DeepChecks && !c.Guard.Enabled:
 		return errors.New("system: Guard.DeepChecks requires Guard.Enabled")
 	case c.Ctrl.Subarrays < 0:
@@ -461,10 +451,9 @@ func run(ctx context.Context, name string, factory schemes.Factory, cfg Config,
 // order, which the pinned Results and telemetry columns depend on:
 // device, fault injector, controller, crash injector, guard, spare
 // remapper, wear tracker, Start-Gap remapper, preload, caches, cores,
-// sampler. prog,
-// when non-nil, is the synthetic workload behind srcs: it drives the
-// first-touch preload, the cell store's capacity hint, Start-Gap's
-// resident region and the preload ahead of each PreSET hint.
+// sampler. prog, when non-nil, is the synthetic workload behind srcs:
+// it drives the first-touch preload, the cell store's capacity hint and
+// Start-Gap's resident region.
 func (p *platform) assemble(cfg Config, factory schemes.Factory, fp guard.Fingerprint, prog *workload.Program, srcs []cpu.OpSource) error {
 	eng := p.eng
 	dev, err := pcm.NewDevice(cfg.Params)
@@ -549,11 +538,9 @@ func (p *platform) assemble(cfg Config, factory schemes.Factory, fp guard.Finger
 
 	// A synthetic workload's lines start with its initial contents; a
 	// trace carries absolute line images over a zeroed device.
-	var preload *preloadPort
 	if prog != nil {
-		preload = &preloadPort{down: down, dev: dev, prog: prog, seen: newFirstTouch(prog), translate: translate}
-		p.preload = preload
-		down = preload
+		p.preload = &preloadPort{down: down, dev: dev, prog: prog, seen: newFirstTouch(prog), translate: translate}
+		down = p.preload
 	}
 
 	port := down
@@ -566,18 +553,6 @@ func (p *platform) assemble(cfg Config, factory schemes.Factory, fp guard.Finger
 			return err
 		}
 		port = p.hier
-		if cfg.Ctrl.IdlePreset {
-			// PreSET: dirty-transition hints flow from the LLC to the
-			// controller, which checks dirtiness again before acting.
-			ctrl.SetDirtyChecker(p.hier.IsDirty)
-			p.hier.OnDirty = ctrl.PresetHint
-			if preload != nil {
-				p.hier.OnDirty = func(addr pcm.LineAddr) {
-					preload.ensure(addr)
-					ctrl.PresetHint(addr)
-				}
-			}
-		}
 	}
 
 	p.cores = make([]*cpu.Core, len(srcs))

@@ -182,16 +182,15 @@ func TestRunWithCaches(t *testing.T) {
 	}
 }
 
-// TestIdlePresetRequiresCaches: both entry points share one
+// TestValidateRejectsConflicts: both entry points share one
 // Config.Validate. Every rule rejects its conflict with one exact
-// message, before building anything: PreSET without the cache
-// hierarchy its hints come from, crash injection together with the
-// fault model, write pausing, cancellation or PreSET, cancellation
-// without pausing, deep checks without the guard, negative counts, an
-// invalid sub-config, and (on traces, which have no profile to size
-// the resident region) Start-Gap wear leveling. The same config with
-// the conflict resolved runs.
-func TestIdlePresetRequiresCaches(t *testing.T) {
+// message, before building anything: cache levels without the cache
+// hierarchy, crash injection together with the fault model or write
+// pausing, deep checks without the guard, negative counts, an invalid
+// sub-config, and (on traces, which have no profile to size the
+// resident region) Start-Gap wear leveling. The same config with the
+// conflict resolved runs.
+func TestValidateRejectsConflicts(t *testing.T) {
 	prof, _ := workload.ProfileByName("vips")
 	recs := trace.Generate(prof, 2, 7, pcm.DefaultParams(), 200)
 	entries := []struct {
@@ -209,12 +208,6 @@ func TestIdlePresetRequiresCaches(t *testing.T) {
 		want      string
 		traceOnly bool // Run accepts the conflicting setting
 	}{
-		{
-			name:     "idle-preset-without-caches",
-			conflict: func(c *Config) { c.Ctrl.IdlePreset = true },
-			resolve:  func(c *Config) { c.UseCaches = true },
-			want:     "system: IdlePreset requires UseCaches (hints come from LLC dirtiness)",
-		},
 		{
 			name: "cache-levels-without-caches",
 			conflict: func(c *Config) {
@@ -242,34 +235,6 @@ func TestIdlePresetRequiresCaches(t *testing.T) {
 			},
 			resolve: func(c *Config) { c.Crash = crash.Config{} },
 			want:    "system: crash injection is incompatible with Ctrl.WritePausing",
-		},
-		{
-			name: "crash-with-cancellation",
-			conflict: func(c *Config) {
-				c.Crash = crash.Config{AtPulse: 100}
-				c.Ctrl.WriteCancellation = true
-			},
-			resolve: func(c *Config) {
-				c.Crash = crash.Config{}
-				c.Ctrl.WritePausing = true
-			},
-			want: "system: crash injection is incompatible with Ctrl.WriteCancellation",
-		},
-		{
-			name: "crash-with-idle-preset",
-			conflict: func(c *Config) {
-				c.Crash = crash.Config{AtPulse: 100}
-				c.UseCaches = true
-				c.Ctrl.IdlePreset = true
-			},
-			resolve: func(c *Config) { c.Crash = crash.Config{} },
-			want:    "system: crash injection is incompatible with Ctrl.IdlePreset",
-		},
-		{
-			name:     "cancellation-without-pausing",
-			conflict: func(c *Config) { c.Ctrl.WriteCancellation = true },
-			resolve:  func(c *Config) { c.Ctrl.WritePausing = true },
-			want:     "system: Ctrl.WriteCancellation requires Ctrl.WritePausing",
 		},
 		{
 			name:     "deep-checks-without-guard",
@@ -355,59 +320,6 @@ func TestRunTraceRejectsOutOfRangeAddress(t *testing.T) {
 			t.Errorf("out-of-range record panicked: %v", pe)
 		}
 	}
-}
-
-// TestIdlePresetEndToEnd: with PreSET on, idle banks preset dirty lines
-// and the write-backs that follow need fewer write units; data stays
-// correct (checked by the controller/device consistency built into the
-// run plus explicit spot reads via the hierarchy being exercised for
-// 200k instructions without divergence).
-func TestIdlePresetEndToEnd(t *testing.T) {
-	prof, _ := workload.ProfileByName("ferret")
-	prof.RPKI *= 20
-	prof.WPKI *= 20
-	prof.PrivateLines = 1 << 14
-	mk := func(preset bool) Result {
-		cfg := smallConfig()
-		cfg.UseCaches = true
-		cfg.CacheLevels = []cache.LevelConfig{
-			{Name: "L1", SizeBytes: 16 << 10, LineBytes: 64, Ways: 4, Latency: units.NewClock(2e9).Cycles(2)},
-			{Name: "L2", SizeBytes: 64 << 10, LineBytes: 64, Ways: 8, Latency: units.NewClock(2e9).Cycles(20)},
-		}
-		cfg.Ctrl.IdlePreset = preset
-		// PreSET needs the time-aware flip rule: the Hamming-minimizing
-		// rule would invert post-preset writes and reintroduce SETs.
-		factory := func(p pcm.Params) schemes.Scheme {
-			return tetris.NewWithOptions(p, tetris.Options{TimeAwareFlip: true})
-		}
-		res, err := Run(prof, factory, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	off := mk(false)
-	on := mk(true)
-	if on.Ctrl.Presets == 0 {
-		t.Fatal("PreSET never ran")
-	}
-	if off.Ctrl.Presets != 0 {
-		t.Fatal("presets ran with the feature off")
-	}
-	// Documented tradeoff, not a win: on this allocation-churn workload
-	// most presets land on write-once lines whose write-back then carries
-	// mostly-zero data — a RESET avalanche over the preset all-ones. This
-	// is exactly why the PreSET literature gates the mechanism by write
-	// locality. We assert the mechanism works (presets ran, simulation
-	// stays consistent, cost bounded) rather than pretend it always pays.
-	if on.WriteUnits > 2*off.WriteUnits {
-		t.Errorf("write units with PreSET %.3f vs %.3f: cost out of the expected band",
-			on.WriteUnits, off.WriteUnits)
-	}
-	// The favourable case (hot resident lines rewritten with balanced
-	// data) is demonstrated at controller level in the memctrl tests.
-	t.Logf("presets=%d writeUnits %0.3f -> %0.3f, writeLat %v -> %v",
-		on.Ctrl.Presets, off.WriteUnits, on.WriteUnits, off.WriteLatency, on.WriteLatency)
 }
 
 func TestRunTrace(t *testing.T) {

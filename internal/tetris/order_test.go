@@ -31,7 +31,6 @@ func orderConfigs() []orderConfig {
 			}{
 				{"paper", Options{}},
 				{"arrival", Options{ArrivalOrder: true}},
-				{"timeaware", Options{TimeAwareFlip: true}},
 				{"noflip", Options{DisableFlip: true}},
 			} {
 				par := pcm.DefaultParams()
@@ -68,12 +67,11 @@ func checkSorted(t testing.TB, what string, p schemes.Plan) {
 	}
 }
 
-// replayOrder drives one scheme with a random stream of line updates and
-// presets, recycling every plan, and checks each plan's order.
+// replayOrder drives one scheme with a random stream of line updates,
+// recycling every plan, and checks each plan's order.
 func replayOrder(t testing.TB, c orderConfig, rng *rand.Rand, writes int) {
 	s := NewWithOptions(c.par, c.opt)
 	rec := s.(schemes.PlanRecycler)
-	pre := s.(schemes.Presetter)
 	const lines = 8
 	mem := make([][]byte, lines)
 	for i := range mem {
@@ -83,15 +81,6 @@ func replayOrder(t testing.TB, c orderConfig, rng *rand.Rand, writes int) {
 	for i := 0; i < writes; i++ {
 		a := rng.Intn(lines)
 		addr := pcm.LineAddr(a)
-		if rng.Intn(16) == 0 {
-			p := pre.PlanPreset(addr, mem[a])
-			checkSorted(t, c.name+" preset", p)
-			rec.RecyclePlan(p)
-			for j := range mem[a] {
-				mem[a][j] = 0xFF
-			}
-			continue
-		}
 		copy(next, mem[a])
 		// Mix sparse updates (the common case) with dense rewrites that
 		// drive the split regime and inversion coding.
@@ -110,9 +99,9 @@ func replayOrder(t testing.TB, c orderConfig, rng *rand.Rand, writes int) {
 	}
 }
 
-// TestPlanWritePulseOrderMatchesSort pins PlanWrite's and PlanPreset's
-// sort-free emission to the SortPulses order, which stays the definition
-// of a plan's pulse order.
+// TestPlanWritePulseOrderMatchesSort pins PlanWrite's sort-free emission
+// to the SortPulses order, which stays the definition of a plan's pulse
+// order.
 func TestPlanWritePulseOrderMatchesSort(t *testing.T) {
 	for i, c := range orderConfigs() {
 		t.Run(c.name, func(t *testing.T) {
@@ -132,31 +121,4 @@ func FuzzPlanWritePulseOrder(f *testing.F) {
 		c := cfgs[int(cfg)%len(cfgs)]
 		replayOrder(t, c, rand.New(rand.NewSource(seed)), 64)
 	})
-}
-
-// TestPlanPresetZeroAllocsSteadyState pins the preset path to the write
-// path's scratch: with plans recycled, PlanPreset allocates nothing, in
-// every pulse-order configuration.
-func TestPlanPresetZeroAllocsSteadyState(t *testing.T) {
-	for _, c := range orderConfigs() {
-		t.Run(c.name, func(t *testing.T) {
-			s := NewWithOptions(c.par, c.opt)
-			rec := s.(schemes.PlanRecycler)
-			pre := s.(schemes.Presetter)
-			old := make([]byte, c.par.LineBytes)
-			for i := range old {
-				old[i] = byte(i * 37)
-			}
-			addr := pcm.LineAddr(5)
-			for i := 0; i < 4; i++ {
-				rec.RecyclePlan(pre.PlanPreset(addr, old))
-			}
-			allocs := testing.AllocsPerRun(100, func() {
-				rec.RecyclePlan(pre.PlanPreset(addr, old))
-			})
-			if allocs != 0 {
-				t.Fatalf("tetris PlanPreset allocates %v objects/op in steady state, want 0", allocs)
-			}
-		})
-	}
 }

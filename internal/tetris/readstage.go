@@ -102,19 +102,11 @@ func (m *lineMasks) size(lineBytes, widthBits int) {
 }
 
 // flipRule selects the read stage's inversion rule.
-//
-// The time-aware rule chooses the encoding that minimizes the schedule
-// contribution, weighting SETs by the time asymmetry k, instead of the
-// changed cells. The distinction matters after a PreSET: writing data
-// over an all-ones line directly needs only fast RESETs, while the
-// Hamming-minimizing rule would invert the data and reintroduce slow
-// SETs.
 type flipRule uint8
 
 const (
-	flipHamming   flipRule = iota // Flip-N-Write: flip when over half the cells change
-	flipNone                      // DisableFlip: always store direct
-	flipTimeAware                 // TimeAwareFlip: minimize schedule time
+	flipHamming flipRule = iota // Flip-N-Write: flip when over half the cells change
+	flipNone                    // DisableFlip: always store direct
 )
 
 // read runs the read stage (Algorithm 1) for a whole line in one
@@ -124,7 +116,7 @@ const (
 // Cells past bit 63 of the tag word have no tag: they are read as
 // stored direct, and their decision is dropped. Tag bits past the
 // line's last cell are never set.
-func (m *lineMasks) read(old, new []byte, flipWord uint64, rule flipRule, k int) uint64 {
+func (m *lineMasks) read(old, new []byte, flipWord uint64, rule flipRule) uint64 {
 	g := m.g
 	per := g.perWord()
 	lanesMask := uint64(1)<<per - 1
@@ -136,21 +128,12 @@ func (m *lineMasks) read(old, new []byte, flipWord uint64, rule flipRule, k int)
 		f := g.spread(nib)
 		st := o ^ f*g.ones // stored cells
 		var flip uint64    // lowest bit of every lane to store inverted
-		switch rule {
-		case flipHamming:
+		if rule == flipHamming {
 			// Flip when the Hamming distance of {data, tag} exceeds
 			// w/2: each lane's count plus its tag, biased so that
 			// w/2+1 reaches the lane's top bit.
 			t := g.count(st^n) + f + g.high - uint64(g.w/2+1)*g.lsb
 			flip = t & g.high >> (g.w - 1)
-		case flipTimeAware:
-			// Unchanged cells keep their tags (the rule re-derives the
-			// encoding they already have), so only changed words pay
-			// for the per-lane weighing.
-			flip = f
-			if o != n {
-				flip = g.timeAware(st, n, f, k)
-			}
 		}
 		enc := n ^ flip*g.ones
 		tr := st ^ enc
@@ -165,55 +148,4 @@ func (m *lineMasks) read(old, new []byte, flipWord uint64, rule flipRule, k int)
 		}
 	}
 	return flipWord
-}
-
-// timeAware returns the lowest bit of every lane the time-aware rule
-// stores inverted, given the stored cells st, the new data n and the
-// stored tags f (lane lowest bits).
-func (g lanes) timeAware(st, n, f uint64, k int) uint64 {
-	// Direct: SET the 0->1 cells, RESET the 1->0 cells and a set tag.
-	// Inverted: SET the 0->0 cells, RESET the 1->1 cells, SET a clear
-	// tag. SETs weigh k.
-	set0, reset0 := g.count(^st&n), g.count(st&^n)
-	set1, reset1 := g.count(^st&^n), g.count(st&n)
-	var flip uint64
-	for sh := 0; sh < 64; sh += g.w {
-		a, b := int(set0>>sh&g.ones), int(reset0>>sh&g.ones)
-		c, d := int(set1>>sh&g.ones), int(reset1>>sh&g.ones)
-		tag := int(f >> sh & 1)
-		direct := k*a + b + tag
-		flipped := k*c + d + k*(1-tag)
-		// On a tie, fewer pulsed data cells wins.
-		if flipped < direct || flipped == direct && c+d < a+b {
-			flip |= 1 << sh
-		}
-	}
-	return flip
-}
-
-// preset is the read stage of a PreSET: every stored cell at 0 must SET
-// and every set tag must clear, leaving the line logical all-ones. It
-// returns the cleared tag word.
-func (m *lineMasks) preset(old []byte, flipWord uint64) uint64 {
-	g := m.g
-	per := g.perWord()
-	clear(m.flipSet)
-	clear(m.flipReset)
-	for j := range m.sets {
-		valid := ^uint64(0)
-		if rest := len(old) - j*8; rest < 8 {
-			valid >>= 64 - 8*rest
-		}
-		base := j * per
-		nib := flipWord >> base & (1<<per - 1)
-		st := lineWord(old, j) ^ g.spread(nib)*g.ones
-		m.sets[j], m.resets[j] = ^st&valid, 0
-		if nib != 0 {
-			m.flipReset[base>>6] |= nib << (base & 63)
-		}
-	}
-	if len(m.sets)*per < 64 {
-		return flipWord &^ (1<<(len(m.sets)*per) - 1)
-	}
-	return 0
 }

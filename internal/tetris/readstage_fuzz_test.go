@@ -35,14 +35,14 @@ func (g maskGeometry) tagMask() uint64 {
 	return ^uint64(0)
 }
 
-// checkReadMasks compares lineMasks.read with the per-cell ReadStage /
-// ReadStageTimeAware reference on one line.
-func checkReadMasks(t *testing.T, g maskGeometry, rule flipRule, k int, old, new []byte, flipWord uint64) {
+// checkReadMasks compares lineMasks.read with the per-cell ReadStage
+// reference on one line.
+func checkReadMasks(t *testing.T, g maskGeometry, rule flipRule, old, new []byte, flipWord uint64) {
 	t.Helper()
 	flipWord &= g.tagMask()
 	var m lineMasks
 	m.size(g.lineBytes, g.width)
-	got := m.read(old, new, flipWord, rule, k)
+	got := m.read(old, new, flipWord, rule)
 
 	wb := g.width / 8
 	nu := g.lineBytes / (g.chips * wb)
@@ -60,13 +60,7 @@ func checkReadMasks(t *testing.T, g maskGeometry, rule flipRule, k int, old, new
 			if flipWord&tag != 0 {
 				stored = bitutil.FlipWord{Bits: ^logicalOld & bitutil.WidthMask(g.width), Flip: true}
 			}
-			var uc UnitCounts
-			switch rule {
-			case flipTimeAware:
-				uc = ReadStageTimeAware(stored, logicalNew, g.width, k)
-			default:
-				uc = ReadStage(stored, logicalNew, g.width, rule == flipNone)
-			}
+			uc := ReadStage(stored, logicalNew, g.width, rule == flipNone)
 			if uc.Enc.Flip {
 				want |= tag
 			} else {
@@ -92,46 +86,6 @@ func checkReadMasks(t *testing.T, g maskGeometry, rule flipRule, k int, old, new
 	}
 }
 
-// checkPresetMasks compares lineMasks.preset with the per-cell rule: SET
-// every stored 0, RESET every set tag, clear every tag.
-func checkPresetMasks(t *testing.T, g maskGeometry, old []byte, flipWord uint64) {
-	t.Helper()
-	flipWord &= g.tagMask()
-	var m lineMasks
-	m.size(g.lineBytes, g.width)
-	got := m.preset(old, flipWord)
-
-	wb := g.width / 8
-	nu := g.lineBytes / (g.chips * wb)
-	mask := bitutil.WidthMask(g.width)
-	want := flipWord
-	for i := 0; i < nu*g.chips; i++ {
-		u, c := i/g.chips, i%g.chips
-		var tag uint64
-		if i < 64 {
-			tag = 1 << i
-		}
-		stored := bitutil.ChipSlice(old, g.chips, wb, c, u)
-		if flipWord&tag != 0 {
-			stored = ^stored & mask
-		}
-		want &^= tag
-		if s := m.g.cell(m.sets, i); s != ^stored&mask {
-			t.Fatalf("cell %d: preset SET mask %#x, want %#x", i, s, ^stored&mask)
-		}
-		if r := m.g.cell(m.resets, i); r != 0 {
-			t.Fatalf("cell %d: preset RESET mask %#x, want 0", i, r)
-		}
-		if bit(m.flipSet, i) || bit(m.flipReset, i) != (flipWord&tag != 0) {
-			t.Fatalf("cell %d: preset flip pulses SET %v RESET %v, tag %v",
-				i, bit(m.flipSet, i), bit(m.flipReset, i), flipWord&tag != 0)
-		}
-	}
-	if got != want {
-		t.Fatalf("preset flip tags %#x, want %#x", got, want)
-	}
-}
-
 // fillLine returns a line of n bytes cycling through src (zeros when src
 // is empty).
 func fillLine(src []byte, n int) []byte {
@@ -145,23 +99,20 @@ func fillLine(src []byte, n int) []byte {
 }
 
 // FuzzReadStageMasks checks the bitwise mask read stage against the
-// per-cell ReadStage / ReadStageTimeAware reference for arbitrary lines
-// and tag words, under the paper rule, DisableFlip and TimeAwareFlip, on
-// every maskGeometries entry; and the preset read stage against its
-// per-cell rule.
+// per-cell ReadStage reference for arbitrary lines and tag words, under
+// the paper rule and DisableFlip, on every maskGeometries entry.
 func FuzzReadStageMasks(f *testing.F) {
-	f.Add(uint8(0), uint8(8), []byte{0x00}, []byte{0xFF}, uint64(0))
-	f.Add(uint8(1), uint8(8), []byte{0x0F, 0xF0}, []byte{0x3C}, uint64(0xAAAA_AAAA))
-	f.Add(uint8(2), uint8(3), []byte{0xFF}, []byte{0xFF}, ^uint64(0))
-	f.Add(uint8(7), uint8(1), []byte{1, 2, 3, 4, 5}, []byte{9, 8, 7}, uint64(0x8000_0000_0000_0001))
-	f.Add(uint8(16), uint8(8), []byte{0x55}, []byte{0xAA}, uint64(0xF0F0))
-	rules := []flipRule{flipHamming, flipNone, flipTimeAware}
-	f.Fuzz(func(t *testing.T, cfg, k uint8, oldSrc, newSrc []byte, flipWord uint64) {
+	f.Add(uint8(0), []byte{0x00}, []byte{0xFF}, uint64(0))
+	f.Add(uint8(1), []byte{0x0F, 0xF0}, []byte{0x3C}, uint64(0xAAAA_AAAA))
+	f.Add(uint8(2), []byte{0xFF}, []byte{0xFF}, ^uint64(0))
+	f.Add(uint8(7), []byte{1, 2, 3, 4, 5}, []byte{9, 8, 7}, uint64(0x8000_0000_0000_0001))
+	f.Add(uint8(16), []byte{0x55}, []byte{0xAA}, uint64(0xF0F0))
+	rules := []flipRule{flipHamming, flipNone}
+	f.Fuzz(func(t *testing.T, cfg uint8, oldSrc, newSrc []byte, flipWord uint64) {
 		g := maskGeometries[int(cfg)%len(maskGeometries)]
 		rule := rules[int(cfg)/len(maskGeometries)%len(rules)]
 		old, new := fillLine(oldSrc, g.lineBytes), fillLine(newSrc, g.lineBytes)
-		checkReadMasks(t, g, rule, 1+int(k)%16, old, new, flipWord)
-		checkPresetMasks(t, g, old, flipWord)
+		checkReadMasks(t, g, rule, old, new, flipWord)
 	})
 }
 
@@ -171,7 +122,7 @@ func FuzzReadStageMasks(f *testing.F) {
 func TestReadStageMasksMatchReference(t *testing.T) {
 	rng := newSplitmix(1)
 	for _, g := range maskGeometries {
-		for _, rule := range []flipRule{flipHamming, flipNone, flipTimeAware} {
+		for _, rule := range []flipRule{flipHamming, flipNone} {
 			t.Run(fmt.Sprintf("%dB-x%d-%dchips/rule=%d", g.lineBytes, g.width, g.chips, rule), func(t *testing.T) {
 				old, new := make([]byte, g.lineBytes), make([]byte, g.lineBytes)
 				for trial := 0; trial < 200; trial++ {
@@ -188,8 +139,7 @@ func TestReadStageMasksMatchReference(t *testing.T) {
 						new[b/8] ^= 1 << (b % 8)
 					}
 					tags := rng.next() & rng.next()
-					checkReadMasks(t, g, rule, 8, old, new, tags)
-					checkPresetMasks(t, g, old, tags)
+					checkReadMasks(t, g, rule, old, new, tags)
 				}
 			})
 		}
@@ -209,9 +159,9 @@ func (s *splitmix) next() uint64 {
 	return z ^ (z >> 31)
 }
 
-// TestPlanWriteGeometries replays random writes and presets on the mask
-// geometries with a full scheme: every plan must be in SortPulses order
-// and must leave the encoded-cell oracle decoding to the written line.
+// TestPlanWriteGeometries replays random writes on the mask geometries
+// with a full scheme: every plan must be in SortPulses order and must
+// leave the encoded-cell oracle decoding to the written line.
 // Lines of more than 64 cells are left out: the scheme keeps one 64-bit
 // tag word per line, so a cell past bit 63 that the read stage stores
 // inverted decodes wrongly on its next write (a known defect).
@@ -228,7 +178,6 @@ func TestPlanWriteGeometries(t *testing.T) {
 		}
 		t.Run(fmt.Sprintf("%dB-x%d-%dchips", g.lineBytes, g.width, g.chips), func(t *testing.T) {
 			s := New(par)
-			pre := s.(schemes.Presetter)
 			arr := schemes.NewArray(par)
 			rng := newSplitmix(uint64(g.lineBytes + g.chips))
 			const lines = 4
@@ -239,17 +188,6 @@ func TestPlanWriteGeometries(t *testing.T) {
 			for w := 0; w < 300; w++ {
 				a := int(rng.next() % lines)
 				addr := pcm.LineAddr(a)
-				if rng.next()%16 == 0 {
-					p := pre.PlanPreset(addr, mem[a])
-					for j := range mem[a] {
-						mem[a][j] = 0xFF
-					}
-					checkSorted(t, "preset", p)
-					if err := arr.CheckWrite(addr, p, mem[a]); err != nil {
-						t.Fatalf("preset %d: %v", w, err)
-					}
-					continue
-				}
 				next := append([]byte(nil), mem[a]...)
 				for n := 1 + int(rng.next()%40); n > 0; n-- {
 					b := int(rng.next() % uint64(len(next)*8))

@@ -53,52 +53,6 @@ func ReadStage(stored bitutil.FlipWord, next uint16, widthBits int, disableFlip 
 	return UnitCounts{Enc: enc, Tr: tr, FlipSet: fs, FlipReset: fr}
 }
 
-// ReadStageTimeAware is the time-aware variant of the read stage: instead
-// of minimizing changed cells (the Flip-N-Write rule), it chooses the
-// encoding that minimizes the *schedule* contribution, weighting SETs by
-// the time asymmetry k. The distinction matters after a PreSET: writing
-// data over an all-ones line directly needs only fast RESETs, while the
-// Hamming-minimizing rule would invert the data and reintroduce slow
-// SETs — inversion coding and PreSET interact destructively unless the
-// flip decision knows about time.
-func ReadStageTimeAware(stored bitutil.FlipWord, next uint16, widthBits, k int) UnitCounts {
-	mask := bitutil.WidthMask(widthBits)
-	direct := UnitCounts{
-		Enc:       bitutil.FlipWord{Bits: next & mask},
-		Tr:        bitutil.Transition16(stored.Bits&mask, next&mask),
-		FlipReset: stored.Flip,
-	}
-	flipped := UnitCounts{
-		Enc:     bitutil.FlipWord{Bits: ^next & mask, Flip: true},
-		Tr:      bitutil.Transition16(stored.Bits&mask, ^next&mask),
-		FlipSet: !stored.Flip,
-	}
-	// The flip cell's own pulse counts like any other: a flip-cell SET
-	// drags a Tset-long pulse into the schedule even when every data
-	// cell only RESETs, so it must be charged at SET weight.
-	cost := func(u UnitCounts) int {
-		c := k*u.N1() + u.N0()
-		if u.FlipSet {
-			c += k
-		}
-		if u.FlipReset {
-			c++
-		}
-		return c
-	}
-	dc, fc := cost(direct), cost(flipped)
-	switch {
-	case dc < fc:
-		return direct
-	case fc < dc:
-		return flipped
-	case flipped.Tr.NumChanged() < direct.Tr.NumChanged():
-		return flipped // tie on time: fewer pulsed cells wins (energy)
-	default:
-		return direct
-	}
-}
-
 // RegFile models the Reg0/Reg1 register pair of the Tetris Write datapath
 // (Figure 6): two 48-bit registers that hold, for each of the 8 data
 // units, a 3-bit label and a 3-bit count — 6 bits per unit, 48 bits per

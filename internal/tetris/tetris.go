@@ -28,10 +28,6 @@ type Options struct {
 	// ArrivalOrder packs units first-fit in arrival order instead of
 	// first-fit-decreasing (ablation).
 	ArrivalOrder bool
-	// TimeAwareFlip replaces the Hamming-minimizing inversion rule with
-	// a schedule-time-minimizing one (SETs weighted by K). Required for
-	// PreSET to pay off; see flipRule.
-	TimeAwareFlip bool
 }
 
 // scheme implements schemes.Scheme.
@@ -85,16 +81,13 @@ func (s *scheme) NeedsReadBeforeWrite() bool { return true }
 func (s *scheme) PlanWrite(addr pcm.LineAddr, old, new []byte) schemes.Plan {
 	s.prepare()
 	rule := flipHamming
-	switch {
-	case s.opt.DisableFlip:
+	if s.opt.DisableFlip {
 		rule = flipNone
-	case s.opt.TimeAwareFlip:
-		rule = flipTimeAware
 	}
 	tags := s.TagSlot(addr)
-	*tags = s.masks.read(old, new, *tags, rule, s.k)
+	*tags = s.masks.read(old, new, *tags, rule)
 	p := schemes.Plan{Analysis: s.par.MemClock.Cycles(int64(s.opt.AnalysisCycles))}
-	s.plan(&p, false)
+	s.plan(&p)
 	return p
 }
 
@@ -118,10 +111,8 @@ func (s *scheme) prepare() {
 }
 
 // plan fills in p from the read stage's masks: it runs the analysis
-// stage — one packing per power domain — and emits the pulses. A preset packs
-// first-fit-decreasing whatever the options and puts its flip-cell
-// RESETs with the unit's SETs.
-func (s *scheme) plan(p *schemes.Plan, preset bool) {
+// stage — one packing per power domain — and emits the pulses.
+func (s *scheme) plan(p *schemes.Plan) {
 	p.TSet, p.TReset = s.par.TSet, s.par.TReset
 	p.CurrentSet, p.CurrentReset = s.par.CurrentSet, s.par.CurrentReset
 	p.Read = s.par.TRead
@@ -131,14 +122,14 @@ func (s *scheme) plan(p *schemes.Plan, preset bool) {
 
 	// Each domain is emitted as soon as it is packed: start times depend
 	// on the domain's own schedule only.
-	e := s.startEmission(p, preset)
+	e := s.startEmission(p)
 	maxResult, maxSub := 0, 0
 	s.pack.Reset() // reclaims the schedules of the previous write
 	for _, dom := range s.domains {
 		pk := Packer{
 			Budget:       dom.budget,
 			K:            s.k,
-			ArrivalOrder: s.opt.ArrivalOrder && !preset,
+			ArrivalOrder: s.opt.ArrivalOrder,
 			Cost1:        s.par.CurrentSet,
 			Cost0:        s.par.CurrentReset,
 		}
@@ -228,7 +219,7 @@ func anyBit(bs []uint64) bool {
 // startEmission returns an emitter for the plan's pulses. Sub-slot
 // pitch is Tset/K, so Equation 5 holds exactly and a RESET pulse
 // (Treset <= Tset/K) always fits its sub-slot.
-func (s *scheme) startEmission(p *schemes.Plan, preset bool) emitter {
+func (s *scheme) startEmission(p *schemes.Plan) emitter {
 	pitch := s.par.TSet / units.Duration(s.k)
 	return emitter{
 		pulses: p.Pulses,
@@ -238,7 +229,6 @@ func (s *scheme) startEmission(p *schemes.Plan, preset bool) emitter {
 		nc:     s.nc,
 		cost1:  s.par.CurrentSet,
 		cost0:  s.par.CurrentReset,
-		preset: preset,
 	}
 }
 
@@ -350,9 +340,6 @@ type emitter struct {
 	clk          slotClock
 	nc           int
 	cost1, cost0 int // per-cell SET and RESET currents
-	// preset puts RESET riders with the unit's SETs: a PreSET has no
-	// RESET allocations.
-	preset bool
 }
 
 // reserve sizes the key histogram for a domain of the given number of
@@ -383,9 +370,6 @@ func (e *emitter) domain(sched *Schedule, dom packDomain, anySet, anyReset bool)
 	for u, w1 := range sched.Write1 {
 		w0 := sched.Write0[u]
 		set, reset := firstSlot(w1)*k, firstSlot(w0)
-		if e.preset {
-			reset = set
-		}
 		if len(w1) == 1 {
 			e.whole(dom, u, m.sets, schemes.Set, set)
 		} else if len(w1) > 1 {
