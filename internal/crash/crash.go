@@ -5,7 +5,7 @@
 // replays it against the surviving image.
 //
 // The model splits one write into its physical halves. At issue time
-// the controller arms an intent {seq, addr, old, want} — the durable
+// the controller arms an intent {seq, addr, want} — the durable
 // record a real controller would force to its NVM intent log before
 // driving the array; the pulse schedule itself is NOT part of the
 // record (a controller does not persist pulse trains), which is what
@@ -56,12 +56,11 @@ func (c Config) Validate() error {
 }
 
 // Intent is one armed entry of the write-ahead intent log: the durable
-// fields a controller persists before driving the array. Old and Want
-// are private copies.
+// fields a controller persists before driving the array. Want is a
+// private copy.
 type Intent struct {
 	Seq         int64 // arm order, globally unique within the run
 	Addr        pcm.LineAddr
-	Old         []byte // logical contents before the write
 	Want        []byte // logical contents the write intends
 	PulsesDone  int    // pulses that landed before the cut
 	PulsesTotal int    // pulses the schedule held
@@ -115,7 +114,6 @@ func (e *ContractError) Error() string {
 type flight struct {
 	seq  int64
 	addr pcm.LineAddr
-	old  []byte
 	want []byte
 	base units.Time // absolute start of the write phase
 	plan schemes.Plan
@@ -200,9 +198,10 @@ func durOf(p schemes.Plan, k schemes.PulseKind) units.Duration {
 }
 
 // WriteStarted arms the intent for a write the controller just issued
-// and records its absolute pulse schedule. old, want and the plan's
-// pulse buffer are owned by the controller and copied here — the
-// controller recycles the plan immediately after this call returns.
+// and records its absolute pulse schedule. want and the plan's pulse
+// buffer are owned by the controller and copied here — the controller
+// recycles the plan immediately after this call returns; old is read
+// only during the call.
 func (i *Injector) WriteStarted(addr pcm.LineAddr, old, want []byte, plan schemes.Plan, now units.Time) {
 	if i.cutDone {
 		return
@@ -217,7 +216,6 @@ func (i *Injector) WriteStarted(addr pcm.LineAddr, old, want []byte, plan scheme
 	f := &flight{
 		seq:  i.seq,
 		addr: addr,
-		old:  append([]byte(nil), old...),
 		want: append([]byte(nil), want...),
 		base: now.Add(plan.Read + plan.Analysis),
 		plan: plan,
@@ -331,7 +329,6 @@ func (i *Injector) cutNow() {
 		intents = append(intents, Intent{
 			Seq:         f.seq,
 			Addr:        f.addr,
-			Old:         f.old,
 			Want:        f.want,
 			PulsesDone:  len(sub.Pulses),
 			PulsesTotal: len(f.plan.Pulses),
