@@ -21,7 +21,7 @@ COMMIT ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 DATE ?= $(shell date -u +%Y-%m-%dT%H:%M:%SZ)
 LDFLAGS = -X tetriswrite/internal/version.Commit=$(COMMIT) -X tetriswrite/internal/version.Date=$(DATE)
 
-.PHONY: build lint test race fuzz-smoke bench bench-filter bench-baseline bench-gate fleet-smoke crash-smoke
+.PHONY: build lint test race fuzz-smoke bench-smoke bench bench-filter bench-baseline bench-gate fleet-smoke crash-smoke
 
 build:
 	$(GO) build -ldflags '$(LDFLAGS)' ./...
@@ -66,6 +66,12 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzRunTrace -fuzztime=$(FUZZTIME) ./internal/system
 	$(GO) test -run='^$$' -fuzz=FuzzLevelMatchesLRUReference -fuzztime=$(FUZZTIME) ./internal/cache
 	$(GO) test -run='^$$' -fuzz=FuzzLatencyBucket -fuzztime=$(FUZZTIME) ./internal/stats
+
+# Run every benchmark of every package once (a few seconds): catches a
+# benchmark that no longer builds or fails, including the ablation
+# suite, which the gated list below leaves out.
+bench-smoke:
+	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
 # Run the gated benchmarks and leave the output in bench_new.txt for
 # benchgate. -count=$(BENCHCOUNT): benchgate takes the best run per
