@@ -62,6 +62,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadStageMasks -fuzztime=$(FUZZTIME) ./internal/tetris
 	$(GO) test -run='^$$' -fuzz=FuzzStructuralEquivalence -fuzztime=$(FUZZTIME) ./internal/tetris
 	$(GO) test -run='^$$' -fuzz=FuzzSourceMatchesMathRand -fuzztime=$(FUZZTIME) ./internal/workload
+	$(GO) test -run='^$$' -fuzz=FuzzReplayMatchesGenerator -fuzztime=$(FUZZTIME) ./internal/workload
 	$(GO) test -run='^$$' -fuzz=FuzzEnginePopOrder -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run='^$$' -fuzz=FuzzRunTrace -fuzztime=$(FUZZTIME) ./internal/system
 	$(GO) test -run='^$$' -fuzz=FuzzLevelMatchesLRUReference -fuzztime=$(FUZZTIME) ./internal/cache

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"context"
+
 	"tetriswrite/internal/schemes"
 	"tetriswrite/internal/stats"
 	"tetriswrite/internal/system"
@@ -42,12 +44,17 @@ func EnduranceTable(opt Options) (*stats.Table, error) {
 		{"tetris", tetris.New, 0},
 		{"tetris+sg", tetris.New, 100},
 	}
+	// Every configuration runs the same program: draw its stream once.
+	rec, err := workload.Record(prof, opt.Cores, opt.Seed, opt.Params, opt.InstrBudget)
+	if err != nil {
+		return nil, err
+	}
 	var baseMax int64
 	for i, c := range cfgs {
 		cfg := CellConfig(opt)
 		cfg.WearLevelPsi = c.psi
 		cfg.TrackWear = true
-		res, err := system.Run(prof, c.factory, cfg)
+		res, err := system.RunRecordedCtx(context.Background(), rec, c.factory, cfg)
 		if err != nil {
 			return nil, err
 		}

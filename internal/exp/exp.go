@@ -9,6 +9,7 @@ package exp
 import (
 	"context"
 	"runtime"
+	"sync"
 	"time"
 
 	"tetriswrite/internal/bitutil"
@@ -149,28 +150,29 @@ func Figure3(opt Options) *stats.Table {
 	for _, prof := range workload.Profiles() {
 		// Count as the Tetris read stage does: per chip slice,
 		// inversion then transition counting; aggregate to 64-bit units.
-		flips := linestore.NewStore(1)
+		// Each line keeps one flip tag per (unit, chip) cell, bit
+		// u*nc+c of its tag words.
+		flips := linestore.NewStore((nu*nc + 63) / 64)
 		var sets, resets, unitsSeen float64
 		writeStream(prof, opt, func(addr pcm.LineAddr, old, new []byte) {
-			slot := flips.Ensure(int64(addr))
-			fw := slot[0]
+			tags := flips.Ensure(int64(addr))
 			for u := 0; u < nu; u++ {
 				for c := 0; c < nc; c++ {
-					bit := uint(u*nc + c)
+					bit := u*nc + c
+					w, m := bit/64, uint64(1)<<(bit%64)
 					lo := bitutil.ChipSlice(old, nc, wb, c, u)
-					stored := flipWord(lo, fw&(1<<bit) != 0, wbits)
+					stored := flipWord(lo, tags[w]&m != 0, wbits)
 					enc, tr, _, _ := bitutil.FlipTransition(stored, bitutil.ChipSlice(new, nc, wb, c, u), wbits)
 					if enc.Flip {
-						fw |= 1 << bit
+						tags[w] |= m
 					} else {
-						fw &^= 1 << bit
+						tags[w] &^= m
 					}
 					sets += float64(tr.NumSets())
 					resets += float64(tr.NumResets())
 				}
 				unitsSeen++
 			}
-			slot[0] = fw
 		})
 		r := resets / unitsSeen
 		s := sets / unitsSeen
@@ -201,17 +203,28 @@ func Table3(opt Options) *stats.Table {
 // ablation benchmarks.
 func MeasureWriteUnits(prof workload.Profile, s schemes.Scheme, opt Options) float64 {
 	opt.Normalize()
-	var wu float64
+	return measureWriteUnits(prof, []schemes.Scheme{s}, opt)[0]
+}
+
+// measureWriteUnits feeds every write of one drawn write stream to each
+// of the schemes in turn and returns each one's mean write units per
+// write. The stream does not depend on the scheme, so one draw serves
+// them all; each scheme keeps its own state.
+func measureWriteUnits(prof workload.Profile, ss []schemes.Scheme, opt Options) []float64 {
+	wu := make([]float64, len(ss))
 	var n int
 	writeStream(prof, opt, func(addr pcm.LineAddr, old, new []byte) {
-		plan := s.PlanWrite(addr, old, new)
-		wu += plan.WriteUnits()
+		for i, s := range ss {
+			wu[i] += s.PlanWrite(addr, old, new).WriteUnits()
+		}
 		n++
 	})
-	if n == 0 {
-		return 0
+	if n > 0 {
+		for i := range wu {
+			wu[i] /= float64(n)
+		}
 	}
-	return wu / float64(n)
+	return wu
 }
 
 // Figure10 measures the average number of write units per cache-line
@@ -230,19 +243,21 @@ func Figure10(opt Options) *stats.Table {
 	return tb
 }
 
-// writeUnitGrid runs MeasureWriteUnits for every workload (rows, in
-// Profiles order) under every paper scheme (columns, in SchemeSet
-// order): the one measurement loop behind Figure 10 and the line-size
-// and budget sweeps.
+// writeUnitGrid measures the mean write units per write of every
+// workload (rows, in Profiles order) under every paper scheme
+// (columns, in SchemeSet order), drawing each workload's write stream
+// once: the one measurement loop behind Figure 10 and the line-size and
+// budget sweeps.
 func writeUnitGrid(opt Options) [][]float64 {
 	set := SchemeSet()
 	profiles := workload.Profiles()
 	grid := make([][]float64, len(profiles))
 	for w, prof := range profiles {
-		grid[w] = make([]float64, len(set))
+		ss := make([]schemes.Scheme, len(set))
 		for s, nf := range set {
-			grid[w][s] = MeasureWriteUnits(prof, nf.Factory(opt.Params), opt)
+			ss[s] = nf.Factory(opt.Params)
 		}
+		grid[w] = measureWriteUnits(prof, ss, opt)
 	}
 	return grid
 }
@@ -329,14 +344,16 @@ func RunFullSystemCtx(ctx context.Context, opt Options) (*FullResults, error) {
 	}
 	fr := NewFullResults(opt, workload.Profiles(), schemeSet)
 	cfg := CellConfig(fr.Options)
+	streams := make([]sharedStream, len(fr.Profiles))
 	jobs := make([]runner.Job[struct{}], 0, len(fr.Profiles)*len(fr.Schemes))
 	for w, prof := range fr.Profiles {
+		streams[w].cells = len(fr.Schemes)
 		for s, nf := range fr.Schemes {
 			jobs = append(jobs, runner.Job[struct{}]{
 				Name: prof.Name + "/" + nf.Name,
 				Run: func(ctx context.Context) (struct{}, error) {
 					// Each job writes only its own cell.
-					res, err := system.RunCtx(ctx, prof, nf.Factory, cfg)
+					res, err := streams[w].run(ctx, prof, nf.Factory, cfg)
 					fr.SetCell(w, s, res, err)
 					return struct{}{}, err
 				},
@@ -356,6 +373,54 @@ func RunFullSystemCtx(ctx context.Context, opt Options) (*FullResults, error) {
 		}
 	}
 	return fr, runner.FirstErr(results)
+}
+
+// sharedStream is one workload's recorded op stream, shared by its
+// scheme cells. The stream does not depend on the scheme, so the sweep
+// draws it once per workload instead of once per cell: the first cell
+// to run records it, the others wait for it and replay the same
+// recording, and the workload's last cell drops it.
+type sharedStream struct {
+	mu    sync.Mutex
+	rec   *workload.Recording
+	cells int // cells that have not yet finished with rec
+}
+
+// run simulates one scheme cell of the workload from the shared
+// recording.
+func (ss *sharedStream) run(ctx context.Context, prof workload.Profile, factory schemes.Factory, cfg system.Config) (system.Result, error) {
+	defer ss.release()
+	rec, err := ss.acquire(prof, cfg)
+	if err != nil {
+		return system.Result{}, err
+	}
+	return system.RunRecordedCtx(ctx, rec, factory, cfg)
+}
+
+// acquire returns the recording, drawing it if no cell has yet. The
+// draw does not watch the context: it costs less than the simulation
+// of one cell, and a cancelled cell then ends in the run, whose error
+// carries the run fingerprint.
+func (ss *sharedStream) acquire(prof workload.Profile, cfg system.Config) (*workload.Recording, error) {
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	if ss.rec == nil {
+		rec, err := workload.Record(prof, cfg.Cores, cfg.Seed, cfg.Params, cfg.InstrBudget)
+		if err != nil {
+			return nil, err
+		}
+		ss.rec = rec
+	}
+	return ss.rec, nil
+}
+
+// release marks one cell done, dropping the recording after the last.
+func (ss *sharedStream) release() {
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	if ss.cells--; ss.cells == 0 {
+		ss.rec = nil
+	}
 }
 
 // CellConfig is the system.Config of one full-system grid cell under

@@ -1,12 +1,15 @@
 package exp
 
 import (
+	"fmt"
 	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
+	"tetriswrite/internal/bitutil"
 	"tetriswrite/internal/pcm"
+	"tetriswrite/internal/workload"
 )
 
 func fastOptions() Options {
@@ -38,6 +41,57 @@ func TestFigure3Shape(t *testing.T) {
 	if avg[1] <= avg[0] {
 		t.Errorf("average SET %.2f not dominant over RESET %.2f", avg[1], avg[0])
 	}
+}
+
+// TestFigure3WideLines checks Figure 3 at 128- and 256-byte lines,
+// whose 64 and 128 flip tags per line fill and overflow one 64-bit
+// word, against a reference that keeps each line's tags as a []bool.
+func TestFigure3WideLines(t *testing.T) {
+	for _, lineBytes := range []int{128, 256} {
+		opt := fastOptions()
+		opt.Normalize()
+		opt.Params.LineBytes = lineBytes
+		rows := Figure3(opt).Values
+		for _, prof := range workload.Profiles() {
+			resets, sets := figure3Reference(prof, opt)
+			want := []float64{shown(resets), shown(sets)}
+			if got := rows(prof.Name)[:2]; !reflect.DeepEqual(got, want) {
+				t.Errorf("%d-byte lines, %s: RESET, SET = %v, reference %v", lineBytes, prof.Name, got, want)
+			}
+		}
+	}
+}
+
+// figure3Reference is one workload's Figure 3 measurement, RESET and SET
+// operations per 64-bit unit, with each line's flip tags kept as one
+// bool per (unit, chip) cell.
+func figure3Reference(prof workload.Profile, opt Options) (resets, sets float64) {
+	nc, nu, wbits := opt.Params.NumChips, opt.Params.DataUnits(), opt.Params.ChipWidthBits
+	tags := map[pcm.LineAddr][]bool{}
+	var units float64
+	writeStream(prof, opt, func(addr pcm.LineAddr, old, new []byte) {
+		if tags[addr] == nil {
+			tags[addr] = make([]bool, nu*nc)
+		}
+		flip := tags[addr]
+		for u := 0; u < nu; u++ {
+			for c := 0; c < nc; c++ {
+				stored := flipWord(bitutil.ChipSlice(old, nc, wbits/8, c, u), flip[u*nc+c], wbits)
+				enc, tr, _, _ := bitutil.FlipTransition(stored, bitutil.ChipSlice(new, nc, wbits/8, c, u), wbits)
+				flip[u*nc+c] = enc.Flip
+				sets += float64(tr.NumSets())
+				resets += float64(tr.NumResets())
+			}
+			units++
+		}
+	})
+	return resets / units, sets / units
+}
+
+// shown is a table cell's value as the table displays it.
+func shown(v float64) float64 {
+	x, _ := strconv.ParseFloat(fmt.Sprintf("%.3f", v), 64)
+	return x
 }
 
 func TestTable3(t *testing.T) {

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"context"
+
 	"tetriswrite/internal/fault"
 	"tetriswrite/internal/schemes"
 	"tetriswrite/internal/stats"
@@ -55,11 +57,16 @@ func FaultToleranceTable(opt Options) (*stats.Table, error) {
 		{"2stage", schemes.NewTwoStage},
 		{"tetris", tetris.New},
 	}
+	// Every configuration runs the same program: draw its stream once.
+	rec, err := workload.Record(prof, opt.Cores, opt.Seed, opt.Params, opt.InstrBudget)
+	if err != nil {
+		return nil, err
+	}
 	for _, c := range cfgs {
 		cfg := CellConfig(opt)
 		cfg.Fault = fcfg
 		cfg.SpareLines = 512
-		res, err := system.Run(prof, c.factory, cfg)
+		res, err := system.RunRecordedCtx(context.Background(), rec, c.factory, cfg)
 		if err != nil {
 			return nil, err
 		}

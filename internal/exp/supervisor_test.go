@@ -12,7 +12,10 @@ import (
 // TestParallelSweepBitIdenticalToSerial is the supervisor's core
 // promise: the same sweep run serially and with four workers renders
 // byte-identical tables, because every cell owns its seeded state and
-// the pool only places results positionally.
+// the pool only places results positionally. Jobs are handed out in
+// workload-major order, so the four workers start on four scheme cells
+// of one workload and replay its one recording at the same time: under
+// -race this also checks that sharing a recording is read-only.
 func TestParallelSweepBitIdenticalToSerial(t *testing.T) {
 	opt := fastOptions()
 	opt.InstrBudget = 10_000

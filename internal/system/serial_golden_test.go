@@ -1,6 +1,7 @@
 package system
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -85,6 +86,10 @@ func writeGolden(t *testing.T, path string, digests map[string]string) {
 // reproduce those Results exactly, so a change to event order, stat
 // accumulation or scheme planning anywhere in the full system shows up
 // here. Rerun with -update only for an intended change of results.
+//
+// Every cell also runs through RunRecordedCtx, replaying one recording
+// of its workload that the workload's cells share, as the sweep's do;
+// it must give the same Result.
 func TestEngineModeCrossCheck(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workload x scheme sweep")
@@ -102,17 +107,31 @@ func TestEngineModeCrossCheck(t *testing.T) {
 	if *update {
 		t.Cleanup(func() { writeGolden(t, golden, got) })
 	}
+	cfg := Config{InstrBudget: 60_000, Seed: 7}
+	cfg.Normalize()
 	for _, prof := range workload.Profiles() {
+		rec, err := workload.Record(prof, cfg.Cores, cfg.Seed, cfg.Params, cfg.InstrBudget)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, name := range serialGoldenNames {
 			prof, name := prof, name
 			cell := prof.Name + "/" + name
 			t.Run(cell, func(t *testing.T) {
 				t.Parallel()
-				res, err := Run(prof, serialGoldenFactory(t, name), Config{InstrBudget: 60_000, Seed: 7})
+				factory := serialGoldenFactory(t, name)
+				res, err := Run(prof, factory, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				d := canonicalDigest(t, res)
+				replayed, err := RunRecordedCtx(context.Background(), rec, factory, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rd := canonicalDigest(t, replayed); rd != d {
+					t.Errorf("recorded run differs from the generated one: got %s, want %s\nresult: %+v", rd, d, replayed)
+				}
 				if *update {
 					mu.Lock()
 					got[cell] = d

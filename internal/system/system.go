@@ -376,6 +376,32 @@ func RunCtx(ctx context.Context, prof workload.Profile, factory schemes.Factory,
 	})
 }
 
+// RunRecordedCtx is RunCtx with each core's operations replayed from rec
+// instead of generated live: the Result is the one RunCtx returns for
+// rec's profile. The draws are rec's, and the payloads are built by
+// applying them to the run's own program shadow. rec is read-only, so
+// the scheme cells of one workload can share it, concurrently too. cfg
+// must match the recording in Cores, Seed and Params.LineBytes, and
+// may not ask for more instructions per core than it covers.
+func RunRecordedCtx(ctx context.Context, rec *workload.Recording, factory schemes.Factory, cfg Config) (Result, error) {
+	cfg.Normalize()
+	if err := cfg.Validate(); err != nil {
+		return Result{}, err
+	}
+	if err := rec.Check(cfg.Cores, cfg.Seed, cfg.Params.LineBytes, cfg.InstrBudget); err != nil {
+		return Result{}, fmt.Errorf("system: %w", err)
+	}
+	prof := rec.Profile()
+	return run(ctx, prof.Name, factory, cfg, func() (*workload.Program, []cpu.OpSource) {
+		prog := workload.NewProgram(prof, cfg.Cores, cfg.Seed, cfg.Params)
+		srcs := make([]cpu.OpSource, cfg.Cores)
+		for i := range srcs {
+			srcs[i] = rec.Replay(prog, i)
+		}
+		return prog, srcs
+	})
+}
+
 // RunTrace replays a pre-recorded memory trace through the platform
 // instead of generating operations on the fly: the platform Run builds,
 // but each core's stream comes from the trace's records. The workload

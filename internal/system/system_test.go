@@ -1,10 +1,15 @@
 package system
 
 import (
+	"context"
 	"errors"
+	"fmt"
+	"regexp"
+	"strings"
 	"testing"
 
 	"tetriswrite/internal/cache"
+	"tetriswrite/internal/cpu"
 	"tetriswrite/internal/crash"
 	"tetriswrite/internal/pcm"
 	"tetriswrite/internal/schemes"
@@ -346,5 +351,74 @@ func TestRunTrace(t *testing.T) {
 	}
 	if res.RunningTime != res2.RunningTime || res.ReadLatency != res2.ReadLatency {
 		t.Error("trace replay nondeterministic")
+	}
+}
+
+// TestRunRecordedRejectsMismatch: a config that would not replay the
+// recording exactly is refused before anything runs, naming the field;
+// a smaller budget, which replays a prefix of each stream, is not.
+func TestRunRecordedRejectsMismatch(t *testing.T) {
+	prof, _ := workload.ProfileByName("vips")
+	cfg := smallConfig()
+	cfg.Normalize()
+	rec, err := workload.Record(prof, cfg.Cores, cfg.Seed, cfg.Params, cfg.InstrBudget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"cores", func(c *Config) { c.Cores = 2 }},
+		{"seed", func(c *Config) { c.Seed = 8 }},
+		{"lines", func(c *Config) { c.Params.LineBytes = 128 }},
+		{"instructions", func(c *Config) { c.InstrBudget++ }},
+	} {
+		c := cfg
+		tc.set(&c)
+		res, err := RunRecordedCtx(context.Background(), rec, schemes.NewDCW, c)
+		if err == nil || !strings.Contains(err.Error(), tc.name) {
+			t.Errorf("%s mismatch: err = %v, want an error naming %s", tc.name, err, tc.name)
+		}
+		if res.Cores != nil {
+			t.Errorf("%s mismatch: the run started: %+v", tc.name, res.Cores)
+		}
+	}
+	c := cfg
+	c.InstrBudget /= 2
+	if _, err := RunRecordedCtx(context.Background(), rec, schemes.NewDCW, c); err != nil {
+		t.Errorf("half the recorded budget: %v", err)
+	}
+}
+
+// TestReplayPastEndIsPanicError: a replay fed to cores with a larger
+// budget than it was recorded for runs out mid-run; the panic, naming
+// the core and op, surfaces as a *PanicError with the run fingerprint.
+func TestReplayPastEndIsPanicError(t *testing.T) {
+	prof, _ := workload.ProfileByName("vips")
+	cfg := smallConfig()
+	cfg.Normalize()
+	rec, err := workload.Record(prof, cfg.Cores, cfg.Seed, cfg.Params, cfg.InstrBudget/4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// run bypasses RunRecordedCtx's budget check.
+	_, err = run(context.Background(), prof.Name, schemes.NewDCW, cfg, func() (*workload.Program, []cpu.OpSource) {
+		prog := workload.NewProgram(prof, cfg.Cores, cfg.Seed, cfg.Params)
+		srcs := make([]cpu.OpSource, cfg.Cores)
+		for i := range srcs {
+			srcs[i] = rec.Replay(prog, i)
+		}
+		return prog, srcs
+	})
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %T %v, want *PanicError", err, err)
+	}
+	if msg := fmt.Sprint(pe.Value); !regexp.MustCompile(`core \d replay ran past its end: op \d+ `).MatchString(msg) {
+		t.Errorf("panic %q does not name the core and op", msg)
+	}
+	if pe.Fp.Workload != "vips" || pe.Fp.Scheme != "dcw" || pe.Fp.Seed != cfg.Seed {
+		t.Errorf("fingerprint %+v, want vips/dcw seed %d", pe.Fp, cfg.Seed)
 	}
 }

@@ -143,10 +143,18 @@ type Generator struct {
 	// reproduces both Figure 3 means — a closed bit-flip process alone
 	// cannot sustain SET-dominance, allocation churn is what does.
 	freshFrac float64
+	// writeFrac is the fraction of accesses that are writes, per Table
+	// III: WPKI/(RPKI+WPKI).
+	writeFrac float64
 	// expUnitMean caches exp(-(MeanSets+MeanResets)*scale) for the
 	// per-unit Poisson draw — the mean is a generator constant, and
 	// math.Exp per draw was a measurable slice of full-system profiles.
 	expUnitMean float64
+	// masks holds the last drawn write's per-unit bit masks. maskBuf
+	// backs it for lines of up to 256 bytes, so that it costs a
+	// generator no allocation of its own.
+	masks   []uint64
+	maskBuf [32]uint64
 	// payload is the line buffer every write's Data borrows (see Op).
 	payload []byte
 }
@@ -240,6 +248,12 @@ func (p *Program) Generator(core int) *Generator {
 		payload:   make([]byte, p.par.LineBytes),
 		meanGap:   1000 / apki,
 		freshFrac: (p.prof.MeanSets - p.prof.MeanResets) / total,
+		writeFrac: p.prof.WPKI / apki,
+	}
+	if n := p.units(); n <= len(g.maskBuf) {
+		g.masks = g.maskBuf[:n]
+	} else {
+		g.masks = make([]uint64, n)
 	}
 	base, lines := p.FrontierWindow(core)
 	g.frontier, g.frontEnd = base, base+pcm.LineAddr(lines)
@@ -347,20 +361,87 @@ func (p *Program) InitialContentsInto(addr pcm.LineAddr, dst []byte) {
 // Next produces the core's next operation. A write's Data is valid
 // until the following Next call (see Op).
 func (g *Generator) Next() Op {
-	op := Op{Think: g.thinkGap()}
-	// Read/write mix per Table III.
-	op.Write = g.rng.float64() < g.prof.WPKI/(g.prof.RPKI+g.prof.WPKI)
-	if op.Write && g.rng.float64() < g.freshFrac {
-		op.Addr = g.allocFresh()
-		op.Data = g.freshPayload(op.Addr)
-		return op
-	}
-	op.Addr = g.pickAddr()
-	if op.Write {
-		op.Data = g.mutateResident(op.Addr)
-	}
-	return op
+	return g.prog.apply(g.draw(), g.masks, g.payload)
 }
+
+// The kinds of a drawn operation.
+const (
+	opRead     uint8 = iota
+	opFresh          // write to a fresh line: its masks OR into the shadow
+	opResident       // write to a resident line: its masks XOR into it
+)
+
+// drawn is one operation as the random stream decides it: everything
+// but the payload, which depends on the shadow. A write's per-unit bit
+// masks are drawn alongside, into the generator's mask buffer.
+type drawn struct {
+	think int64
+	addr  pcm.LineAddr
+	kind  uint8
+}
+
+// draw takes the core's next operation from its random stream. It
+// reads no shadow, so a core's sequence of draws depends only on the
+// program (profile, seed, core count and line size): it is the same
+// under every scheme and every interleaving of the cores.
+func (g *Generator) draw() drawn {
+	d := drawn{think: g.thinkGap()}
+	switch {
+	case g.rng.float64() >= g.writeFrac:
+		d.addr = g.pickAddr()
+		return d
+	case g.rng.float64() < g.freshFrac:
+		d.kind, d.addr = opFresh, g.allocFresh()
+	default:
+		d.kind, d.addr = opResident, g.pickAddr()
+	}
+	g.drawMasks()
+	return d
+}
+
+// drawMasks draws a write's per-unit bit masks into g.masks: per data
+// unit, MeanSets+MeanResets distinct bits, or none when the unit is left
+// untouched. Over a fresh (all-zero) line they are pure SET work, the
+// source of the suite's SET-dominance; toggled over the 50/50 resident
+// mix they split evenly between SETs and RESETs, which together with
+// the fresh-write stream reproduces both Figure 3 means.
+func (g *Generator) drawMasks() {
+	for u := range g.masks {
+		var m uint64
+		if g.rng.float64() >= g.prof.UntouchedUnits {
+			// Bit b of the 64-bit unit is bit b of the little-endian word.
+			m = g.rng.unitMask(g.rng.poisson(g.expUnitMean))
+		}
+		g.masks[u] = m
+	}
+}
+
+// apply applies a drawn operation to the program's shadow and returns
+// it as an Op; masks holds a write's per-unit masks, and payload is the
+// buffer its Data is unpacked into. Kept small enough to inline, so a
+// read costs no call.
+func (p *Program) apply(d drawn, masks []uint64, payload []byte) Op {
+	if d.kind == opRead {
+		return Op{Think: d.think, Addr: d.addr}
+	}
+	return p.applyWrite(d, masks, payload)
+}
+
+func (p *Program) applyWrite(d drawn, masks []uint64, payload []byte) Op {
+	words := p.shadowWords(d.addr)
+	for u, m := range masks {
+		if d.kind == opFresh {
+			words[u] |= m
+		} else {
+			words[u] ^= m
+		}
+	}
+	linestore.UnpackLine(payload, words)
+	return Op{Think: d.think, Write: true, Addr: d.addr, Data: payload}
+}
+
+// units is the number of 64-bit data units a write mutates.
+func (p *Program) units() int { return p.par.LineBytes / 8 }
 
 // allocFresh advances the core's allocation frontier, wrapping (and thus
 // recycling very old allocations) if the region is exhausted.
@@ -408,39 +489,4 @@ func (g *Generator) pickAddr() pcm.LineAddr {
 		return g.prog.shrdBase + pcm.LineAddr(g.zipfShrd.uint64(&g.rng))
 	}
 	return g.privBase + pcm.LineAddr(g.zipfPriv.uint64(&g.rng))
-}
-
-// freshPayload builds the first write to a fresh (all-zero) line into
-// the generator's payload buffer: per data unit, MeanSets+MeanResets
-// bits are set — pure SET work over untouched PCM, the source of the
-// suite's SET-dominance.
-func (g *Generator) freshPayload(addr pcm.LineAddr) []byte {
-	words := g.prog.shadowWords(addr)
-	for u := 0; u < len(g.payload)/8; u++ {
-		if g.rng.float64() < g.prof.UntouchedUnits {
-			continue
-		}
-		// Bit b of the 64-bit unit is bit b of the little-endian word.
-		words[u] |= g.rng.unitMask(g.rng.poisson(g.expUnitMean))
-	}
-	linestore.UnpackLine(g.payload, words)
-	return g.payload
-}
-
-// mutateResident toggles bits of a resident line's shadow and unpacks it
-// into the generator's payload buffer: per data unit,
-// MeanSets+MeanResets uniformly chosen bits flip. Over the 50/50 resident
-// mix, flips split evenly between SETs and RESETs, so resident writes
-// contribute (MeanSets+MeanResets)/2 of each — which combined with the
-// fresh-write stream reproduces both Figure 3 means.
-func (g *Generator) mutateResident(addr pcm.LineAddr) []byte {
-	words := g.prog.shadowWords(addr)
-	for u := 0; u < len(g.payload)/8; u++ {
-		if g.rng.float64() < g.prof.UntouchedUnits {
-			continue
-		}
-		words[u] ^= g.rng.unitMask(g.rng.poisson(g.expUnitMean))
-	}
-	linestore.UnpackLine(g.payload, words)
-	return g.payload
 }
