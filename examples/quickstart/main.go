@@ -34,7 +34,6 @@ func main() {
 			log.Fatal(err)
 		}
 		plan := s.PlanWrite(0x2A, old, new)
-		sets, resets := plan.Counts()
 		note := ""
 		if plan.Read > 0 {
 			note = "read-before-write"
@@ -43,7 +42,7 @@ func main() {
 			note += " + analysis"
 		}
 		fmt.Printf("%-14s %-12v %-12v %-10.3f %2d+%-5d %s\n",
-			s.Name(), plan.ServiceTime(), plan.Write, plan.WriteUnits(), sets, resets, note)
+			s.Name(), plan.ServiceTime(), plan.Write, plan.WriteUnits(), plan.Sets, plan.Resets, note)
 	}
 
 	fmt.Println("\nTetris Write packs the five changed bits into a single write unit;")

@@ -111,11 +111,12 @@ func BenchmarkSchemePlanWriteDense(b *testing.B) {
 // Unlike BenchmarkSchemePlanWrite, which rewrites one fixed pair, every
 // op plans a different write with the workload's own transition counts,
 // and the stream is captured before the timer so generation is
-// excluded. Plans are recycled, so 0 allocs/op.
+// excluded. Plans are recycled, so 0 allocs/op. It runs the five schemes
+// of the paper's figures; the paper's baseline is dcw.
 func BenchmarkSchemePlanStream(b *testing.B) {
 	par := pcm.DefaultParams()
 	stream := captureWriteStream(b, "vips", 4096, par)
-	for _, name := range []string{"dcw", "fnw", "tetris"} {
+	for _, name := range []string{"dcw", "fnw", "2stage", "3stage", "tetris"} {
 		b.Run(name, func(b *testing.B) {
 			s, err := NewScheme(name, DefaultParams())
 			if err != nil {

@@ -324,6 +324,7 @@ func (i *Injector) cutNow() {
 				sub.Pulses = append(sub.Pulses, p)
 			}
 		}
+		sub.Sets, sub.Resets = sub.Counts()
 		i.shadow.Apply(f.addr, sub)
 		i.dev.Preload(f.addr, i.shadow.Logical(f.addr))
 		intents = append(intents, Intent{

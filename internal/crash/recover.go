@@ -125,9 +125,8 @@ func Recover(img *Image) (*Report, error) {
 		rep.RecoveryTime += img.Params.TRead // the scan read of this line
 		if verdict != TornClean {
 			plan := sch.PlanWrite(in.Addr, dec, in.Want)
-			sets, resets := plan.Counts()
-			rep.RecoverySets += int64(sets)
-			rep.RecoveryResets += int64(resets)
+			rep.RecoverySets += int64(plan.Sets)
+			rep.RecoveryResets += int64(plan.Resets)
 			if verdict == TornRollforward {
 				rep.RecoveryTime += plan.Analysis + plan.Write
 			} else {

@@ -45,7 +45,7 @@ func EnduranceTable(opt Options) (*stats.Table, error) {
 		{"tetris+sg", tetris.New, 100},
 	}
 	// Every configuration runs the same program: draw its stream once.
-	rec, err := workload.Record(prof, opt.Cores, opt.Seed, opt.Params, opt.InstrBudget)
+	rec, err := workload.Record(context.Background(), prof, opt.Cores, opt.Seed, opt.Params, opt.InstrBudget)
 	if err != nil {
 		return nil, err
 	}

@@ -387,25 +387,25 @@ type sharedStream struct {
 }
 
 // run simulates one scheme cell of the workload from the shared
-// recording.
+// recording. A draw that fails, because the cell's context ended it or
+// otherwise, fails the cell with the fingerprint its run would carry.
 func (ss *sharedStream) run(ctx context.Context, prof workload.Profile, factory schemes.Factory, cfg system.Config) (system.Result, error) {
 	defer ss.release()
-	rec, err := ss.acquire(prof, cfg)
+	rec, err := ss.acquire(ctx, prof, cfg)
 	if err != nil {
-		return system.Result{}, err
+		return system.Result{}, &system.RunError{Fp: system.Fingerprint(prof.Name, factory, cfg), Err: err}
 	}
 	return system.RunRecordedCtx(ctx, rec, factory, cfg)
 }
 
-// acquire returns the recording, drawing it if no cell has yet. The
-// draw does not watch the context: it costs less than the simulation
-// of one cell, and a cancelled cell then ends in the run, whose error
-// carries the run fingerprint.
-func (ss *sharedStream) acquire(prof workload.Profile, cfg system.Config) (*workload.Recording, error) {
+// acquire returns the recording, drawing it under ctx if no cell has
+// yet. A draw ctx stops leaves no recording: the next cell draws again,
+// under its own context.
+func (ss *sharedStream) acquire(ctx context.Context, prof workload.Profile, cfg system.Config) (*workload.Recording, error) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	if ss.rec == nil {
-		rec, err := workload.Record(prof, cfg.Cores, cfg.Seed, cfg.Params, cfg.InstrBudget)
+		rec, err := workload.Record(ctx, prof, cfg.Cores, cfg.Seed, cfg.Params, cfg.InstrBudget)
 		if err != nil {
 			return nil, err
 		}

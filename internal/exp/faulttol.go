@@ -58,7 +58,7 @@ func FaultToleranceTable(opt Options) (*stats.Table, error) {
 		{"tetris", tetris.New},
 	}
 	// Every configuration runs the same program: draw its stream once.
-	rec, err := workload.Record(prof, opt.Cores, opt.Seed, opt.Params, opt.InstrBudget)
+	rec, err := workload.Record(context.Background(), prof, opt.Cores, opt.Seed, opt.Params, opt.InstrBudget)
 	if err != nil {
 		return nil, err
 	}

@@ -100,6 +100,7 @@ func TestPowerViolation(t *testing.T) {
 			plan.Pulses = append(plan.Pulses, schemes.Pulse{
 				Chip: c, Unit: u, Kind: schemes.Reset, Mask: 0xFFFF,
 			})
+			plan.Resets += 16
 		}
 	}
 	old := make([]byte, par.LineBytes)
@@ -131,6 +132,7 @@ func TestPerChipPowerViolation(t *testing.T) {
 			{Chip: 2, Unit: 0, Kind: schemes.Reset, Mask: 0xFFFF},
 			{Chip: 2, Unit: 1, Kind: schemes.Reset, Mask: 0xFFFF},
 		},
+		Resets: 32,
 	}
 	old := make([]byte, par.LineBytes)
 	neu := make([]byte, par.LineBytes)
@@ -152,6 +154,7 @@ func TestStructuralCoverageViolation(t *testing.T) {
 			{Chip: 0, Unit: 0, Kind: schemes.Reset, Mask: 0x0001},
 			{Chip: 0, Unit: 0, Kind: schemes.Set, Mask: 0x0001},
 		},
+		Sets: 1, Resets: 1,
 	}
 	old := make([]byte, par.LineBytes)
 	neu := make([]byte, par.LineBytes)
@@ -202,8 +205,8 @@ func TestRealSchemesPassDeepChecks(t *testing.T) {
 }
 
 // TestDeepCheckCatchesMissingPulse: dropping one pulse from a correct
-// plan leaves a flipped bit unscheduled. The cheap checks cannot see
-// that; the deep replay must.
+// plan, and its cells from the plan's counts, leaves a flipped bit
+// unscheduled. The cheap checks cannot see that; the deep replay must.
 func TestDeepCheckCatchesMissingPulse(t *testing.T) {
 	par := pcm.DefaultParams()
 	s := schemes.NewDCW(par)
@@ -216,6 +219,7 @@ func TestDeepCheckCatchesMissingPulse(t *testing.T) {
 	}
 	truncated := plan
 	truncated.Pulses = plan.Pulses[:len(plan.Pulses)-1]
+	truncated.Sets, truncated.Resets = truncated.Counts()
 
 	cheap := New(par, Config{Enabled: true})
 	cheap.CheckWritePlan(units.Time(1), 0, old, neu, truncated)

@@ -769,7 +769,7 @@ func (c *Controller) startWrite(b *bank, req *request) {
 	}
 	plan := b.scheme.PlanWrite(req.addr, old, req.data)
 	c.guard.CheckWritePlan(c.eng.Now(), req.addr, old, req.data, plan)
-	sets, resets := plan.Counts()
+	sets, resets := plan.Sets, plan.Resets
 	c.stats.BitSets += int64(sets)
 	c.stats.BitResets += int64(resets)
 	c.stats.WriteUnits += plan.WriteUnits()

@@ -261,8 +261,7 @@ func (s *adaptive) PlanWrite(addr pcm.LineAddr, old, new []byte) Plan {
 	s.candWrites[idx]++
 
 	wu := p.WriteUnits()
-	sets, resets := p.Counts()
-	pulses := float64(sets + resets)
+	pulses := float64(p.Sets + p.Resets)
 	s.updateCost(&s.costWU[idx], wu)
 	s.updateCost(&s.costPulses[idx], pulses)
 	return p

@@ -36,10 +36,7 @@ func (s *conventional) PlanWrite(addr pcm.LineAddr, old, new []byte) Plan {
 	for u := 0; u < nu; u++ {
 		for c := 0; c < s.par.NumChips; c++ {
 			w := bitutil.ChipSlice(new, s.par.NumChips, wb, c, u)
-			emitStreams(&p, lay, clock, c, u,
-				stream{Reset, ^w & width},
-				stream{Set, w},
-			)
+			emitStreams(&p, lay, clock, c, u, ^w&width, w)
 		}
 	}
 	return p

@@ -55,10 +55,7 @@ func (s *dcw) PlanWrite(addr pcm.LineAddr, old, new []byte) Plan {
 				i := w*4 + lane
 				o := uint16(ow >> (16 * uint(lane)))
 				n := uint16(nw >> (16 * uint(lane)))
-				emitStreams(&p, lay, clock, i%nc, i/nc,
-					stream{Reset, d & o},
-					stream{Set, d & n},
-				)
+				emitStreams(&p, lay, clock, i%nc, i/nc, d&o, d&n)
 			}
 		}
 		return p
@@ -68,10 +65,7 @@ func (s *dcw) PlanWrite(addr pcm.LineAddr, old, new []byte) Plan {
 			ow := bitutil.ChipSlice(old, nc, wb, c, u)
 			nw := bitutil.ChipSlice(new, nc, wb, c, u)
 			tr := bitutil.Transition16(ow, nw)
-			emitStreams(&p, lay, clock, c, u,
-				stream{Reset, tr.Resets},
-				stream{Set, tr.Sets},
-			)
+			emitStreams(&p, lay, clock, c, u, tr.Resets, tr.Sets)
 		}
 	}
 	return p

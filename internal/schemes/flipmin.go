@@ -58,7 +58,7 @@ func NewFlipMin(inner Scheme, par pcm.Params) Scheme {
 		inner:        inner,
 		par:          par,
 		name:         inner.Name() + "+flipmin",
-		FlipTagStore: NewFlipTagStore(par.NumChips),
+		FlipTagStore: NewFlipTagStore(),
 		encOld:       make([]byte, par.LineBytes),
 		encNew:       make([]byte, par.LineBytes),
 	}
@@ -97,15 +97,21 @@ func (s *flipMin) SchemeStats(emit func(name string, value float64)) {
 
 func (s *flipMin) PlanWrite(addr pcm.LineAddr, old, new []byte) Plan {
 	nu := s.par.DataUnits()
+	nc := s.par.NumChips
 	wbits := s.par.ChipWidthBits
 	wb := wbits / 8
 	mask := bitutil.WidthMask(wbits)
 	s.changes = s.changes[:0]
+	// One read of the line's tag word, coded against a local copy; it is
+	// stored back only when a tag toggles, so a line the minimizer never
+	// inverted keeps no entry.
+	tags := s.FlipTags(addr)
 	for u := 0; u < nu; u++ {
-		for c := 0; c < s.par.NumChips; c++ {
-			lo := bitutil.ChipSlice(old, s.par.NumChips, wb, c, u)
-			ln := bitutil.ChipSlice(new, s.par.NumChips, wb, c, u)
-			oldTag := s.tag(addr, c, u)
+		for c := 0; c < nc; c++ {
+			bit := uint64(1) << uint(u*nc+c)
+			lo := bitutil.ChipSlice(old, nc, wb, c, u)
+			ln := bitutil.ChipSlice(new, nc, wb, c, u)
+			oldTag := tags&bit != 0
 			storedOld := lo & mask
 			encKeep := ln & mask
 			if oldTag {
@@ -118,14 +124,16 @@ func (s *flipMin) PlanWrite(addr pcm.LineAddr, old, new []byte) Plan {
 			enc := encKeep
 			if togCost < keepCost {
 				enc = encTog
-				newTag := !oldTag
-				s.setTag(addr, c, u, newTag)
-				s.changes = append(s.changes, tagChange{c: c, u: u, set: newTag})
+				tags ^= bit
+				s.changes = append(s.changes, tagChange{c: c, u: u, set: !oldTag})
 				s.stats.inversions++
 			}
-			bitutil.SetChipSlice(s.encOld, s.par.NumChips, wb, c, u, storedOld)
-			bitutil.SetChipSlice(s.encNew, s.par.NumChips, wb, c, u, enc)
+			bitutil.SetChipSlice(s.encOld, nc, wb, c, u, storedOld)
+			bitutil.SetChipSlice(s.encNew, nc, wb, c, u, enc)
 		}
+	}
+	if len(s.changes) > 0 {
+		*s.TagSlot(addr) = tags
 	}
 	p := s.inner.PlanWrite(addr, s.encOld, s.encNew)
 	// The minimizer compares against the stored image, so the composed
@@ -138,13 +146,15 @@ func (s *flipMin) PlanWrite(addr pcm.LineAddr, old, new []byte) Plan {
 		if ch.set {
 			kind = Set
 			s.stats.tagSets++
+			p.Sets++
 		} else {
 			s.stats.tagResets++
+			p.Resets++
 		}
 		if d := p.dur(kind); p.Write < d {
 			p.Write = d
 		}
-		p.Pulses = append(p.Pulses, Pulse{Chip: ch.c, Unit: ch.u, Kind: kind, Start: 0, FlipCell: true})
+		p.push(ch.c, ch.u, kind, 0, 0, true)
 	}
 	return p
 }

@@ -20,7 +20,7 @@ type fnw struct {
 
 // NewFlipNWrite returns the Flip-N-Write scheme.
 func NewFlipNWrite(par pcm.Params) Scheme {
-	return &fnw{par: par, FlipTagStore: NewFlipTagStore(par.NumChips)}
+	return &fnw{par: par, FlipTagStore: NewFlipTagStore()}
 }
 
 func (s *fnw) Name() string               { return "fnw" }
@@ -74,10 +74,7 @@ func (s *fnw) PlanWrite(addr pcm.LineAddr, old, new []byte) Plan {
 					tags &^= bit
 				}
 				c, u := i%nc, i/nc
-				emitStreams(&p, lay, clock, c, u,
-					stream{Reset, tr.Resets},
-					stream{Set, tr.Sets},
-				)
+				emitStreams(&p, lay, clock, c, u, tr.Resets, tr.Sets)
 				if flipSet {
 					emitFlip(&p, lay, clock, c, u, Set)
 				} else if flipReset {
@@ -103,10 +100,7 @@ func (s *fnw) PlanWrite(addr pcm.LineAddr, old, new []byte) Plan {
 			} else {
 				tags &^= bit
 			}
-			emitStreams(&p, lay, clock, c, u,
-				stream{Reset, tr.Resets},
-				stream{Set, tr.Sets},
-			)
+			emitStreams(&p, lay, clock, c, u, tr.Resets, tr.Sets)
 			if flipSet {
 				emitFlip(&p, lay, clock, c, u, Set)
 			} else if flipReset {

@@ -160,9 +160,8 @@ func (s *remapper) PlanWrite(addr pcm.LineAddr, old, new []byte) Plan {
 	}
 
 	// Wear follows the pulses onto the line's current frame.
-	sets, resets := p.Counts()
 	ww := s.wear.Ensure(phys)
-	ww[0] += uint64(sets + resets)
+	ww[0] += uint64(p.Sets + p.Resets)
 	curWear := ww[0]
 
 	hot := lineEWMA > remapHotFactor*s.globalEWMA && s.globalEWMA > 0

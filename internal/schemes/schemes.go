@@ -98,6 +98,11 @@ type Plan struct {
 	// parameters so a Plan can be checked without them.
 	TSet, TReset             units.Duration
 	CurrentSet, CurrentReset int
+
+	// Sets and Resets are the SET and RESET cell pulses of Pulses,
+	// flip cells included: the counts Counts recomputes, kept by the
+	// scheme as it emits so consumers need not walk the pulses.
+	Sets, Resets int
 }
 
 // ServiceTime returns the total array occupancy of the write.
@@ -114,8 +119,9 @@ func (p Plan) WriteUnits() float64 {
 	return float64(p.Write) / float64(p.TSet)
 }
 
-// Counts returns the number of SET and RESET cell pulses in the plan,
-// including flip cells.
+// Counts recounts the SET and RESET cell pulses of the plan's pulses,
+// including flip cells: the reference Validate holds the carried Sets
+// and Resets to.
 func (p Plan) Counts() (sets, resets int) {
 	for _, pl := range p.Pulses {
 		if pl.Kind == Set {
@@ -156,7 +162,8 @@ func (p Plan) Profile(origin units.Time) *power.Profile {
 }
 
 // Validate performs structural checks every plan must satisfy: pulses lie
-// within the write phase, masks are nonempty, and no cell is pulsed twice.
+// within the write phase, masks are nonempty, no cell is pulsed twice,
+// and the carried Sets and Resets match the pulses.
 func (p Plan) Validate(par pcm.Params) error {
 	type cell struct {
 		chip, unit int
@@ -195,6 +202,10 @@ func (p Plan) Validate(par pcm.Params) error {
 			}
 			seen[c] = true
 		}
+	}
+	if sets, resets := p.Counts(); sets != p.Sets || resets != p.Resets {
+		return fmt.Errorf("plan carries %d SET and %d RESET cell pulses, its pulses hold %d and %d",
+			p.Sets, p.Resets, sets, resets)
 	}
 	return nil
 }

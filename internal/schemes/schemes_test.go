@@ -1,7 +1,6 @@
 package schemes
 
 import (
-	"math/bits"
 	"math/rand"
 	"testing"
 	"unsafe"
@@ -38,37 +37,66 @@ func mutate(rng *rand.Rand, line []byte, nbits int) {
 	}
 }
 
-// TestSchemesWriteCorrectness drives every scheme through a long random
-// write sequence and checks, after every write, that the plan is
-// structurally valid, respects the per-chip power budget, and leaves the
-// array storing exactly the logical data written.
+// geometries are the configurations TestSchemesWriteCorrectness runs
+// every static scheme under: the shared slot regime with and without a
+// global charge pump, the split regime of a tiny per-chip budget, where
+// emission takes the accumulator walk, and x8 chips, where the x16
+// word-parallel passes give way to the per-cell loops.
+func geometries() []struct {
+	name string
+	par  pcm.Params
+} {
+	gcp := pcm.DefaultParams()
+	gcp.GlobalChargePump = true
+	split := strictParams()
+	split.ChipBudget = 8
+	x8 := strictParams()
+	x8.ChipWidthBits = 8
+	return []struct {
+		name string
+		par  pcm.Params
+	}{{"strict", strictParams()}, {"gcp", gcp}, {"budget8", split}, {"x8", x8}}
+}
+
+// TestSchemesWriteCorrectness drives every scheme, and the flip-minimizer
+// over DCW, through a long random write sequence under each of
+// geometries and checks, after every write, that the plan is
+// structurally valid with counts that match its pulses, respects the
+// power budget, and leaves the array storing exactly the logical data
+// written.
 func TestSchemesWriteCorrectness(t *testing.T) {
-	for _, tc := range factories {
+	flipMinDCW := func(par pcm.Params) Scheme { return NewFlipMin(NewDCW(par), par) }
+	for _, tc := range append(factories, struct {
+		name string
+		f    Factory
+	}{"dcw+flipmin", flipMinDCW}) {
 		t.Run(tc.name, func(t *testing.T) {
-			par := strictParams()
-			s := tc.f(par)
-			arr := NewArray(par)
-			rng := rand.New(rand.NewSource(42))
-			old := make([]byte, par.LineBytes)
-			want := make([]byte, par.LineBytes)
-			const addr = pcm.LineAddr(17)
-			for step := 0; step < 300; step++ {
-				copy(want, old)
-				switch step % 3 {
-				case 0: // sparse mutation, the common case per Observation 1
-					mutate(rng, want, 1+rng.Intn(12))
-				case 1: // dense rewrite
-					rng.Read(want)
-				case 2: // silent or near-silent write
-					if rng.Intn(2) == 0 {
-						mutate(rng, want, 1)
+			for _, g := range geometries() {
+				par := g.par
+				s := tc.f(par)
+				arr := NewArray(par)
+				rng := rand.New(rand.NewSource(42))
+				old := make([]byte, par.LineBytes)
+				want := make([]byte, par.LineBytes)
+				const addr = pcm.LineAddr(17)
+				for step := 0; step < 300; step++ {
+					copy(want, old)
+					switch step % 3 {
+					case 0: // sparse mutation, the common case per Observation 1
+						mutate(rng, want, 1+rng.Intn(12))
+					case 1: // dense rewrite
+						rng.Read(want)
+					case 2: // silent or near-silent write
+						if rng.Intn(2) == 0 {
+							mutate(rng, want, 1)
+						}
 					}
+					plan := s.PlanWrite(addr, old, want)
+					if err := arr.CheckWrite(addr, plan, want); err != nil {
+						t.Fatalf("%s: step %d: %v", g.name, step, err)
+					}
+					copy(old, want)
 				}
-				plan := s.PlanWrite(addr, old, want)
-				if err := arr.CheckWrite(addr, plan, want); err != nil {
-					t.Fatalf("step %d: %v", step, err)
-				}
-				copy(old, want)
 			}
 		})
 	}
@@ -292,6 +320,8 @@ func TestPlanValidateCatchesBadPlans(t *testing.T) {
 		{"pulse past end", func(p *Plan) { p.Pulses[0].Start = p.Write }},
 		{"negative start", func(p *Plan) { p.Pulses[0].Start = -1 }},
 		{"double pulse", func(p *Plan) { p.Pulses = append(p.Pulses, p.Pulses[0]) }},
+		{"stale SET count", func(p *Plan) { p.Sets++ }},
+		{"stale RESET count", func(p *Plan) { p.Resets-- }},
 	}
 	for _, c := range corrupt {
 		p := good
@@ -306,28 +336,6 @@ func TestPlanValidateCatchesBadPlans(t *testing.T) {
 func TestPulseKindString(t *testing.T) {
 	if Set.String() != "SET" || Reset.String() != "RESET" {
 		t.Error("PulseKind.String wrong")
-	}
-}
-
-func TestSplitMaskByBits(t *testing.T) {
-	chunks := splitMaskByBits(0xFFFF, 5)
-	if len(chunks) != 4 {
-		t.Fatalf("got %d chunks, want 4", len(chunks))
-	}
-	var union uint16
-	total := 0
-	for _, c := range chunks {
-		if union&c != 0 {
-			t.Fatal("chunks overlap")
-		}
-		union |= c
-		total += bits.OnesCount16(c)
-	}
-	if union != 0xFFFF || total != 16 {
-		t.Fatalf("chunks do not partition the mask: union=%#x total=%d", union, total)
-	}
-	if splitMaskByBits(0, 3) != nil {
-		t.Error("empty mask should produce no chunks")
 	}
 }
 

@@ -21,7 +21,7 @@ type twoStage struct {
 
 // NewTwoStage returns the 2-Stage-Write scheme.
 func NewTwoStage(par pcm.Params) Scheme {
-	return &twoStage{par: par, FlipTagStore: NewFlipTagStore(par.NumChips)}
+	return &twoStage{par: par, FlipTagStore: NewFlipTagStore()}
 }
 
 func (s *twoStage) Name() string               { return "twostage" }
@@ -44,18 +44,28 @@ func (s *twoStage) PlanWrite(addr pcm.LineAddr, old, new []byte) Plan {
 
 	width := bitutil.WidthMask(w)
 	wbytes := w / 8
+	nc := s.par.NumChips
+	// One fetch of the line's tag word, coded against a local copy and
+	// stored back once.
+	tagSlot := s.TagSlot(addr)
+	tags := *tagSlot
 	for u := 0; u < nu; u++ {
-		for c := 0; c < s.par.NumChips; c++ {
-			logical := bitutil.ChipSlice(new, s.par.NumChips, wbytes, c, u)
+		for c := 0; c < nc; c++ {
+			bit := uint64(1) << uint(u*nc+c)
+			logical := bitutil.ChipSlice(new, nc, wbytes, c, u)
 			enc := logical & width
 			flip := false
 			if bitutil.PopCount16(logical&width) > w/2 {
 				enc, flip = ^logical&width, true
 			}
-			s.setTag(addr, c, u, flip)
+			if flip {
+				tags |= bit
+			} else {
+				tags &^= bit
+			}
 			// Every cell is programmed: zeros in stage 0, ones in stage 1.
-			emitStreams(&p, lay0, clock0, c, u, stream{Reset, ^enc & width})
-			emitStreams(&p, lay1, clock1, c, u, stream{Set, enc})
+			emitStreams(&p, lay0, clock0, c, u, ^enc&width, 0)
+			emitStreams(&p, lay1, clock1, c, u, 0, enc)
 			if flip {
 				emitFlip(&p, lay1, clock1, c, u, Set)
 			} else {
@@ -63,6 +73,7 @@ func (s *twoStage) PlanWrite(addr pcm.LineAddr, old, new []byte) Plan {
 			}
 		}
 	}
+	*tagSlot = tags
 	return p
 }
 
@@ -80,7 +91,7 @@ type threeStage struct {
 
 // NewThreeStage returns the Three-Stage-Write scheme.
 func NewThreeStage(par pcm.Params) Scheme {
-	return &threeStage{par: par, FlipTagStore: NewFlipTagStore(par.NumChips)}
+	return &threeStage{par: par, FlipTagStore: NewFlipTagStore()}
 }
 
 func (s *threeStage) Name() string               { return "threestage" }
@@ -103,18 +114,27 @@ func (s *threeStage) PlanWrite(addr pcm.LineAddr, old, new []byte) Plan {
 	clock1 := slotClock{base: stage0Span, pitch: s.par.TSet}
 
 	wbytes := w / 8
+	width := bitutil.WidthMask(w)
+	nc := s.par.NumChips
+	tagSlot := s.TagSlot(addr)
+	tags := *tagSlot
 	for u := 0; u < nu; u++ {
-		for c := 0; c < s.par.NumChips; c++ {
-			logicalOld := bitutil.ChipSlice(old, s.par.NumChips, wbytes, c, u)
-			logicalNew := bitutil.ChipSlice(new, s.par.NumChips, wbytes, c, u)
-			stored := bitutil.FlipWord{
-				Bits: s.encoded(addr, c, u, w, logicalOld),
-				Flip: s.tag(addr, c, u),
+		for c := 0; c < nc; c++ {
+			bit := uint64(1) << uint(u*nc+c)
+			logicalOld := bitutil.ChipSlice(old, nc, wbytes, c, u)
+			logicalNew := bitutil.ChipSlice(new, nc, wbytes, c, u)
+			stored := bitutil.FlipWord{Bits: logicalOld, Flip: false}
+			if tags&bit != 0 {
+				stored = bitutil.FlipWord{Bits: ^logicalOld & width, Flip: true}
 			}
 			enc, tr, flipSet, flipReset := bitutil.FlipTransition(stored, logicalNew, w)
-			s.setTag(addr, c, u, enc.Flip)
-			emitStreams(&p, lay0, clock0, c, u, stream{Reset, tr.Resets})
-			emitStreams(&p, lay1, clock1, c, u, stream{Set, tr.Sets})
+			if enc.Flip {
+				tags |= bit
+			} else {
+				tags &^= bit
+			}
+			emitStreams(&p, lay0, clock0, c, u, tr.Resets, 0)
+			emitStreams(&p, lay1, clock1, c, u, 0, tr.Sets)
 			if flipSet {
 				emitFlip(&p, lay1, clock1, c, u, Set)
 			} else if flipReset {
@@ -122,5 +142,6 @@ func (s *threeStage) PlanWrite(addr pcm.LineAddr, old, new []byte) Plan {
 			}
 		}
 	}
+	*tagSlot = tags
 	return p
 }

@@ -110,7 +110,7 @@ func TestEngineModeCrossCheck(t *testing.T) {
 	cfg := Config{InstrBudget: 60_000, Seed: 7}
 	cfg.Normalize()
 	for _, prof := range workload.Profiles() {
-		rec, err := workload.Record(prof, cfg.Cores, cfg.Seed, cfg.Params, cfg.InstrBudget)
+		rec, err := workload.Record(context.Background(), prof, cfg.Cores, cfg.Seed, cfg.Params, cfg.InstrBudget)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -443,6 +443,14 @@ func RunTraceCtx(ctx context.Context, label string, recs []trace.Record, cores i
 	})
 }
 
+// Fingerprint returns the fingerprint the errors of a run of the named
+// workload under factory's scheme and cfg carry, at cycle 0: for a
+// caller that fails such a run before it starts.
+func Fingerprint(name string, factory schemes.Factory, cfg Config) guard.Fingerprint {
+	cfg.Normalize()
+	return guard.Fingerprint{Seed: cfg.Seed, Workload: name, Scheme: factory(cfg.Params).Name()}
+}
+
 // run assembles the platform for a validated config, drives it, and
 // reports. feed returns one operation source per core and, for a
 // synthetic workload, the program behind them (nil for a trace). It is
@@ -451,7 +459,7 @@ func RunTraceCtx(ctx context.Context, label string, recs []trace.Record, cores i
 func run(ctx context.Context, name string, factory schemes.Factory, cfg Config,
 	feed func() (*workload.Program, []cpu.OpSource)) (res Result, err error) {
 	p := &platform{eng: &sim.Engine{}}
-	fp := guard.Fingerprint{Seed: cfg.Seed, Workload: name, Scheme: factory(cfg.Params).Name()}
+	fp := Fingerprint(name, factory, cfg)
 	defer recoverRun(&err, p.eng, fp)
 
 	prog, srcs := feed()

@@ -361,7 +361,7 @@ func TestRunRecordedRejectsMismatch(t *testing.T) {
 	prof, _ := workload.ProfileByName("vips")
 	cfg := smallConfig()
 	cfg.Normalize()
-	rec, err := workload.Record(prof, cfg.Cores, cfg.Seed, cfg.Params, cfg.InstrBudget)
+	rec, err := workload.Record(context.Background(), prof, cfg.Cores, cfg.Seed, cfg.Params, cfg.InstrBudget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +398,7 @@ func TestReplayPastEndIsPanicError(t *testing.T) {
 	prof, _ := workload.ProfileByName("vips")
 	cfg := smallConfig()
 	cfg.Normalize()
-	rec, err := workload.Record(prof, cfg.Cores, cfg.Seed, cfg.Params, cfg.InstrBudget/4)
+	rec, err := workload.Record(context.Background(), prof, cfg.Cores, cfg.Seed, cfg.Params, cfg.InstrBudget/4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,7 @@ func NewWithOptions(par pcm.Params, opt Options) schemes.Scheme {
 	if opt.AnalysisCycles < 0 {
 		opt.AnalysisCycles = 0
 	}
-	return &scheme{par: par, opt: opt, FlipTagStore: schemes.NewFlipTagStore(par.NumChips)}
+	return &scheme{par: par, opt: opt, FlipTagStore: schemes.NewFlipTagStore()}
 }
 
 func (s *scheme) Name() string { return "tetris" }
@@ -119,6 +119,9 @@ func (s *scheme) plan(p *schemes.Plan) {
 	p.Pulses = s.TakePulses()
 	m := &s.masks
 	anySet, anyReset := anyBit(m.flipSet), anyBit(m.flipReset)
+	// The emission pulses every cell of the masks exactly once.
+	p.Sets = popAll(m.sets) + popAll(m.flipSet)
+	p.Resets = popAll(m.resets) + popAll(m.flipReset)
 
 	// Each domain is emitted as soon as it is packed: start times depend
 	// on the domain's own schedule only.
@@ -205,6 +208,15 @@ func popBits(ws []uint64, lo, n int) int {
 
 // bit reports whether bit i of the bitset bs is set.
 func bit(bs []uint64, i int) bool { return bs[i>>6]>>(i&63)&1 != 0 }
+
+// popAll counts the set bits of ws.
+func popAll(ws []uint64) int {
+	n := 0
+	for _, w := range ws {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
 
 // anyBit reports whether the bitset bs has any bit set.
 func anyBit(bs []uint64) bool {

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
@@ -46,7 +47,10 @@ type stream struct {
 // to size the buffers, then into buffers of exactly that size. Drawing
 // once into growing buffers was cheaper, but the garbage it left raised
 // paper_grid's peak RSS more than the recording itself did.
-func Record(prof Profile, cores int, seed int64, par pcm.Params, budget int64) (*Recording, error) {
+//
+// The draw polls ctx every drawPoll draws and, once ctx is done, stops
+// and returns no recording and an error wrapping ctx.Err().
+func Record(ctx context.Context, prof Profile, cores int, seed int64, par pcm.Params, budget int64) (*Recording, error) {
 	prog := NewProgram(prof, cores, seed, par)
 	r := &Recording{prof: prog.prof, cores: cores, seed: seed, lineBytes: par.LineBytes, budget: budget,
 		streams: make([]stream, cores)}
@@ -59,7 +63,7 @@ func Record(prof Profile, cores int, seed int64, par pcm.Params, budget int64) (
 		sizer := *g
 		var s stream
 		nops, nmasks := 0, 0
-		err := drawStream(&sizer, budget, func(d drawn) {
+		err := drawStream(ctx, &sizer, budget, func(d drawn) {
 			s.n++
 			nops += uvarintLen(uint64(d.think)<<2|uint64(d.kind)) + uvarintLen(uint64(d.addr))
 			if d.kind != opRead {
@@ -75,8 +79,8 @@ func Record(prof Profile, cores int, seed int64, par pcm.Params, budget int64) (
 			return nil, fmt.Errorf("workload: %s core %d: %w", prof.Name, c, err)
 		}
 		s.ops, s.masks = make([]byte, 0, nops), make([]uint64, 0, nmasks)
-		// The same draws as the sizing pass, which would have failed.
-		_ = drawStream(g, budget, func(d drawn) {
+		// The same draws as the sizing pass: only ctx can stop them now.
+		err = drawStream(ctx, g, budget, func(d drawn) {
 			s.ops = binary.AppendUvarint(s.ops, uint64(d.think)<<2|uint64(d.kind))
 			s.ops = binary.AppendUvarint(s.ops, uint64(d.addr))
 			if d.kind == opRead {
@@ -93,16 +97,28 @@ func Record(prof Profile, cores int, seed int64, par pcm.Params, budget int64) (
 				}
 			}
 		})
+		if err != nil {
+			return nil, fmt.Errorf("workload: %s core %d: %w", prof.Name, c, err)
+		}
 		r.streams[c] = s
 	}
 	return r, nil
 }
 
+// drawPoll is how many draws Record makes between two polls of its
+// context: a few hundred microseconds of drawing at most.
+const drawPoll = 1024
+
 // drawStream draws g's ops until their think total reaches budget,
 // passing each to emit. It fails on a think gap of 2⁶² or more, which a
-// recording cannot hold beside the op's kind.
-func drawStream(g *Generator, budget int64, emit func(drawn)) error {
-	for retired := int64(0); ; {
+// recording cannot hold beside the op's kind, and when ctx is done.
+func drawStream(ctx context.Context, g *Generator, budget int64, emit func(drawn)) error {
+	for retired, n := int64(0), 0; ; n++ {
+		if n%drawPoll == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
 		d := g.draw()
 		if d.think >= 1<<62 {
 			return fmt.Errorf("think gap %d is too large to record", d.think)

@@ -2,6 +2,8 @@ package workload
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -19,7 +21,7 @@ func checkReplay(t testing.TB, prof Profile, cores int, seed int64, lineBytes in
 	t.Helper()
 	par := pcm.DefaultParams()
 	par.LineBytes = lineBytes
-	rec, err := Record(prof, cores, seed, par, budget)
+	rec, err := Record(context.Background(), prof, cores, seed, par, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,4 +87,19 @@ func FuzzReplayMatchesGenerator(f *testing.F) {
 		lineBytes := []int{64, 128, 256}[int(line)%3]
 		checkReplay(t, prof, 1+int(cores)%4, seed, lineBytes, 1+int64(budget)%200_000)
 	})
+}
+
+// TestRecordStopsOnDoneContext: a draw whose context is done stops at
+// its next poll and returns no recording and the context's error.
+func TestRecordStopsOnDoneContext(t *testing.T) {
+	prof, err := ProfileByName("vips")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rec, err := Record(ctx, prof, 2, 1, pcm.DefaultParams(), 1<<40)
+	if rec != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("Record under a cancelled context = %v, %v; want nil, context.Canceled", rec, err)
+	}
 }
