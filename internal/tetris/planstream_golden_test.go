@@ -34,11 +34,10 @@ type linePair struct {
 	old, new []byte
 }
 
-// captureVips returns the first n writes of vips core 0 (seed 1), each
-// paired with the line's prior contents: the program's initial image on
-// first touch, the previous write after.
-func captureVips(t *testing.T, n int) []linePair {
-	par := pcm.DefaultParams()
+// captureVips returns the first n writes of vips core 0 (seed 1) drawn
+// with par's line size, each paired with the line's prior contents: the
+// program's initial image on first touch, the previous write after.
+func captureVips(t *testing.T, n int, par pcm.Params) []linePair {
 	prof, err := workload.ProfileByName("vips")
 	if err != nil {
 		t.Fatal(err)
@@ -63,9 +62,11 @@ func captureVips(t *testing.T, n int) []linePair {
 	return out
 }
 
-// planStreamConfig is one scheme the plan-stream golden replays.
+// planStreamConfig is one scheme the plan-stream golden replays, on a
+// stream drawn with par.
 type planStreamConfig struct {
 	name string
+	par  pcm.Params
 	new  func() schemes.Scheme
 }
 
@@ -73,7 +74,10 @@ type planStreamConfig struct {
 // covers — each base, each base with each decorator it accepts, and the
 // multi-decorator stacks the registry tests drive — followed by the
 // Tetris pulse-order configurations (GCP off, small budgets, every
-// Options variant, x8 chips, a Tset that K does not divide).
+// Options variant, x8 chips, a Tset that K does not divide), all on the
+// default geometry's stream, and then the static schemes on the
+// geometries of staticGeometries, each on a stream drawn with its own
+// Params.
 func planStreamConfigs(t *testing.T) []planStreamConfig {
 	reg := registry.Default()
 	var names []string
@@ -95,16 +99,60 @@ func planStreamConfigs(t *testing.T) []planStreamConfig {
 		}
 		out = append(out, planStreamConfig{
 			name: "registry/" + name,
+			par:  par,
 			new:  func() schemes.Scheme { return e.Factory(par) },
 		})
 	}
 	for _, c := range tetris.OrderConfigs() {
 		out = append(out, planStreamConfig{
 			name: "tetris/" + c.Name,
+			par:  par,
 			new:  func() schemes.Scheme { return tetris.NewWithOptions(c.Par, c.Opt) },
 		})
 	}
+	for _, g := range staticGeometries() {
+		for _, name := range []string{"conventional", "dcw", "fnw", "twostage", "threestage"} {
+			e, err := reg.Resolve(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, planStreamConfig{
+				name: "static/" + g.name + "/" + name,
+				par:  g.par,
+				new:  func() schemes.Scheme { return e.Factory(g.par) },
+			})
+		}
+	}
 	return out
+}
+
+// staticGeometries are the geometries besides the default on which the
+// static schemes' pulse order is pinned: x8 chips, alone and with a
+// small budget; the split slot regime of a small budget; no global
+// charge pump; 128-byte lines (64 cells); and two chips over 52-byte
+// lines, whose 26 cells end in a partial 64-bit word.
+func staticGeometries() []struct {
+	name string
+	par  pcm.Params
+} {
+	x8 := pcm.DefaultParams()
+	x8.ChipWidthBits = 8
+	x8b8 := x8
+	x8b8.ChipBudget = 8
+	b8 := pcm.DefaultParams()
+	b8.ChipBudget = 8
+	nogcp := pcm.DefaultParams()
+	nogcp.GlobalChargePump = false
+	wide := pcm.DefaultParams()
+	wide.LineBytes = 128
+	tail := pcm.DefaultParams()
+	tail.NumChips = 2
+	tail.LineBytes = 52
+	tail.CapacityBytes = tail.CapacityBytes / 64 * 52 // as many lines
+	return []struct {
+		name string
+		par  pcm.Params
+	}{{"x8", x8}, {"x8-budget8", x8b8}, {"budget8", b8}, {"gcp-off", nogcp}, {"line128", wide}, {"chips2-line52", tail}}
 }
 
 // planHasher writes plans into a hash field by field, in a fixed order
@@ -191,9 +239,9 @@ func replayDigest(s schemes.Scheme, stream []linePair) (digest, bad string) {
 }
 
 // TestPlanStreamGolden pins every plan a captured vips write stream
-// produces across every registry composition and the
-// Tetris geometry and option corners, to SHA-256 digests recorded in
-// testdata. A planner rewrite must leave every digest unchanged; run
+// produces across every registry composition, the Tetris geometry and
+// option corners and the static schemes' geometry corners, to SHA-256
+// digests recorded in testdata. A planner rewrite must leave every digest unchanged; run
 // with -update only for a reviewed behaviour change.
 func TestPlanStreamGolden(t *testing.T) {
 	// The digest writes every field explicitly; a new field must be
@@ -205,9 +253,17 @@ func TestPlanStreamGolden(t *testing.T) {
 	if n := reflect.TypeOf(schemes.Pulse{}).NumField(); n != 6 {
 		t.Fatalf("schemes.Pulse has %d fields, planHasher hashes 6", n)
 	}
-	stream := captureVips(t, planStreamWrites)
+	streams := map[pcm.Params][]linePair{}
 	got := map[string]string{}
 	for _, c := range planStreamConfigs(t) {
+		if err := c.par.Validate(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		stream, ok := streams[c.par]
+		if !ok {
+			stream = captureVips(t, planStreamWrites, c.par)
+			streams[c.par] = stream
+		}
 		d, bad := replayDigest(c.new(), stream)
 		if bad != "" {
 			t.Errorf("%s: %s", c.name, bad)
