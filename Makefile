@@ -56,6 +56,8 @@ race:
 # regressions that fixed test vectors miss, cheap enough for every CI run.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzFlipCoding -fuzztime=$(FUZZTIME) ./internal/bitutil
+	$(GO) test -run='^$$' -fuzz=FuzzLanes -fuzztime=$(FUZZTIME) ./internal/bitutil
+	$(GO) test -run='^$$' -fuzz=FuzzStaticPlanMatchesReference -fuzztime=$(FUZZTIME) ./internal/schemes
 	$(GO) test -run='^$$' -fuzz=FuzzParseTrace -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzPack -fuzztime=$(FUZZTIME) ./internal/tetris
 	$(GO) test -run='^$$' -fuzz=FuzzPlanWritePulseOrder -fuzztime=$(FUZZTIME) ./internal/tetris

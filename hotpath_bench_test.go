@@ -6,9 +6,8 @@ package tetriswrite
 // planning over a captured write stream, the workload generator that
 // feeds them (DESIGN.md, Workload RNG kernel), trace ingestion
 // (DESIGN.md, Trace ingestion) and latency recording.
-// They are part of the gated set (Makefile BENCHFILTER, ci.yml bench-gate) so the
-// fast paths cannot silently fall back to the scalar code — a fallback
-// shows up as an ns/op and allocs/op cliff.
+// They are part of the gated set (Makefile BENCHFILTER, ci.yml bench-gate) so a
+// slowdown of these paths shows up as an ns/op or allocs/op cliff.
 
 import (
 	"bytes"
@@ -31,8 +30,8 @@ import (
 // BenchmarkArrayFlipCount measures the SoA cell store's read surface:
 // one full-line decode into a scratch buffer plus a flip-tag popcount,
 // the operation crash recovery and the deep-check guard
-// run per inspected line. On the default x16 geometry this is the
-// word-parallel path — 4 cells per XOR — and must stay at 0 allocs/op.
+// run per inspected line: one XOR per line word, 4 cells of the
+// default x16 geometry each, at 0 allocs/op.
 func BenchmarkArrayFlipCount(b *testing.B) {
 	par := pcm.DefaultParams()
 	arr := schemes.NewArray(par)

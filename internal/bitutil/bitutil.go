@@ -12,7 +12,10 @@
 // and an unchanged bit needs no pulse at all.
 package bitutil
 
-import "math/bits"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // PopCount16 returns the number of set bits in x.
 func PopCount16(x uint16) int { return bits.OnesCount16(x) }
@@ -30,7 +33,7 @@ func HammingBytes(a, b []byte) int {
 	n := 0
 	i := 0
 	for ; i+8 <= len(a); i += 8 {
-		n += bits.OnesCount64(LoadLE64(a, i) ^ LoadLE64(b, i))
+		n += bits.OnesCount64(binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:]))
 	}
 	for ; i < len(a); i++ {
 		n += bits.OnesCount8(a[i] ^ b[i])
@@ -133,6 +136,28 @@ func FlipTransition(old FlipWord, next uint16, widthBits int) (enc FlipWord, dat
 		flipReset = true
 	}
 	return enc, data, flipSet, flipReset
+}
+
+// FlipCode is the Flip-N-Write coder of one cell, the one rule every
+// tag-coded planner applies: the cell holds logical value old, stored
+// inverted when tag is set, and is coded for logical value next exactly
+// as FlipTransition codes it. It returns the data cells' transition and
+// the cell's new tag; the flip cell SETs when the tag rises and RESETs
+// when it falls.
+func FlipCode(old, next uint16, tag bool, widthBits int) (Transition, bool) {
+	mask := uint16(1)<<widthBits - 1
+	stored, dist := old, 0
+	if tag {
+		stored, dist = ^old, 1 // the flip cell itself would RESET
+	}
+	stored &= mask
+	next &= mask
+	dist += bits.OnesCount16(stored ^ next)
+	flip := dist > widthBits/2
+	if flip {
+		next ^= mask // store the complement
+	}
+	return Transition16(stored, next), flip
 }
 
 // ChipSlice extracts chip c's slice of data unit u from a cache line,

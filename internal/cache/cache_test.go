@@ -409,10 +409,12 @@ func TestPayloadStorageTracksLinesHeld(t *testing.T) {
 // whether the controller takes each write-back at once or the
 // hierarchy has to buffer and retry it.
 func TestDirtyEvictionZeroAllocs(t *testing.T) {
-	for _, wq := range []int{0, 1} {
+	// A round of 8 stores fits the write queue; a round of
+	// 2*WriteQueue overflows it, so the hierarchy buffers write-backs.
+	for _, stores := range []int{8, 2 * memctrl.WriteQueue} {
 		eng := &sim.Engine{}
 		dev := pcm.MustNewDevice(pcm.DefaultParams())
-		ctrl := memctrl.New(eng, dev, schemes.NewDCW, memctrl.Config{WriteQueue: wq, OpportunisticWrites: true})
+		ctrl := memctrl.New(eng, dev, schemes.NewDCW, memctrl.Config{OpportunisticWrites: true})
 		h, err := New(eng, ctrl, tinyLevels())
 		if err != nil {
 			t.Fatal(err)
@@ -423,7 +425,7 @@ func TestDirtyEvictionZeroAllocs(t *testing.T) {
 			// 64 lines of one bank cycle through set 0 of each level:
 			// every store evicts a dirty line from both levels, and the
 			// write-backs queue behind one another at the bank.
-			for k := 0; k < 8; k++ {
+			for k := 0; k < stores; k++ {
 				data[0] = byte(next)
 				if !h.SubmitWrite(pcm.LineAddr(next%64*8), data, nil) {
 					t.Fatalf("store %d refused", next)
@@ -437,13 +439,13 @@ func TestDirtyEvictionZeroAllocs(t *testing.T) {
 		}
 		before := h.LevelStats()[1].WriteBacks
 		if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
-			t.Errorf("write queue %d: dirty evictions allocate %v objects per round, want 0", wq, allocs)
+			t.Errorf("%d stores a round: dirty evictions allocate %v objects per round, want 0", stores, allocs)
 		}
 		if h.LevelStats()[1].WriteBacks == before {
-			t.Fatalf("write queue %d: no last-level write-backs in the measured rounds", wq)
+			t.Fatalf("%d stores a round: no last-level write-backs in the measured rounds", stores)
 		}
-		if wq == 1 && len(h.wbFree) == 0 {
-			t.Errorf("write queue 1: no write-back was ever buffered")
+		if stores > memctrl.WriteQueue && len(h.wbFree) == 0 {
+			t.Errorf("%d stores a round: no write-back was ever buffered", stores)
 		}
 	}
 }

@@ -5,19 +5,11 @@ import (
 	"sort"
 	"strings"
 
-	"tetriswrite/internal/bitutil"
 	"tetriswrite/internal/pcm"
 	"tetriswrite/internal/stats"
 	"tetriswrite/internal/tetris"
 	"tetriswrite/internal/units"
 )
-
-func flipWord(logical uint16, flip bool, widthBits int) bitutil.FlipWord {
-	if flip {
-		return bitutil.FlipWord{Bits: ^logical & bitutil.WidthMask(widthBits), Flip: true}
-	}
-	return bitutil.FlipWord{Bits: logical}
-}
 
 // Figure4Counts returns the per-chip, per-data-unit write-1 and write-0
 // counts of the paper's worked example (Section III.B / Figure 4): eight

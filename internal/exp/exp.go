@@ -160,10 +160,9 @@ func Figure3(opt Options) *stats.Table {
 				for c := 0; c < nc; c++ {
 					bit := u*nc + c
 					w, m := bit/64, uint64(1)<<(bit%64)
-					lo := bitutil.ChipSlice(old, nc, wb, c, u)
-					stored := flipWord(lo, tags[w]&m != 0, wbits)
-					enc, tr, _, _ := bitutil.FlipTransition(stored, bitutil.ChipSlice(new, nc, wb, c, u), wbits)
-					if enc.Flip {
+					tr, flip := bitutil.FlipCode(bitutil.ChipSlice(old, nc, wb, c, u),
+						bitutil.ChipSlice(new, nc, wb, c, u), tags[w]&m != 0, wbits)
+					if flip {
 						tags[w] |= m
 					} else {
 						tags[w] &^= m

@@ -76,7 +76,10 @@ func figure3Reference(prof workload.Profile, opt Options) (resets, sets float64)
 		flip := tags[addr]
 		for u := 0; u < nu; u++ {
 			for c := 0; c < nc; c++ {
-				stored := flipWord(bitutil.ChipSlice(old, nc, wbits/8, c, u), flip[u*nc+c], wbits)
+				stored := bitutil.FlipWord{Bits: bitutil.ChipSlice(old, nc, wbits/8, c, u)}
+				if flip[u*nc+c] {
+					stored = bitutil.FlipWord{Bits: ^stored.Bits & bitutil.WidthMask(wbits), Flip: true}
+				}
 				enc, tr, _, _ := bitutil.FlipTransition(stored, bitutil.ChipSlice(new, nc, wbits/8, c, u), wbits)
 				flip[u*nc+c] = enc.Flip
 				sets += float64(tr.NumSets())

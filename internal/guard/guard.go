@@ -186,7 +186,7 @@ func (g *Guard) CheckClock(now units.Time) {
 }
 
 // CheckQueues verifies controller queue occupancies against their
-// configured capacities.
+// capacities.
 func (g *Guard) CheckQueues(now units.Time, reads, writes, readCap, writeCap int) {
 	if !g.active() {
 		return

@@ -19,26 +19,17 @@ import (
 	"tetriswrite/internal/units"
 )
 
-// DrainToEmpty is the DrainLow sentinel for "drain until the write queue
-// is completely empty". The zero value of DrainLow means "use the
-// default" (half the queue), so draining to exactly zero entries needs
-// its own named value; any negative DrainLow behaves like DrainToEmpty.
-const DrainToEmpty = -1
+// The queues of the paper's Table II: 32 read and 32 write entries. A
+// drain starts when the write queue is full and stops at DrainLow.
+const (
+	ReadQueue  = 32 // read queue capacity
+	WriteQueue = 32 // write queue capacity
+	DrainLow   = 16 // write-queue depth at which a drain stops
+)
 
 // Config tunes the controller. Zero values take the paper's defaults via
 // Normalize.
 type Config struct {
-	ReadQueue  int // read queue capacity (default 32)
-	WriteQueue int // write queue capacity (default 32)
-	// DrainLow is the write-queue depth at which a drain stops. A drain
-	// starts when the write queue is full. Three input regimes:
-	//
-	//	DrainLow == 0 (unset)  -> default, half the write queue
-	//	DrainLow == DrainToEmpty (or any negative) -> drain to empty (0)
-	//	DrainLow > 0           -> that depth, clamped to WriteQueue
-	//
-	// After Normalize, DrainLow holds the effective non-negative depth.
-	DrainLow int
 	// OpportunisticWrites lets idle banks service writes even when no
 	// drain is active and no read wants them (ablation; the paper's
 	// controller services writes only on a full write queue).
@@ -71,36 +62,11 @@ type Config struct {
 	// VerifyRetries is the per-write retry budget of the verify loop
 	// (default 3, the typical iterative-write bound of PCM controllers).
 	VerifyRetries int
-
-	// drainLowSet latches the one-time DrainLow sentinel resolution so
-	// Normalize is idempotent.
-	drainLowSet bool
 }
 
 // Normalize fills defaults in place. It is idempotent: normalizing an
 // already-normalized config changes nothing.
 func (c *Config) Normalize() {
-	if c.ReadQueue <= 0 {
-		c.ReadQueue = 32
-	}
-	if c.WriteQueue <= 0 {
-		c.WriteQueue = 32
-	}
-	if !c.drainLowSet {
-		// Resolve the DrainLow sentinels exactly once: 0 is "unset" only
-		// on the way in. Without the latch, a DrainToEmpty config
-		// normalized twice would silently revert to the default.
-		switch {
-		case c.DrainLow == 0:
-			c.DrainLow = c.WriteQueue / 2
-		case c.DrainLow < 0: // DrainToEmpty and friends
-			c.DrainLow = 0
-		}
-		c.drainLowSet = true
-	}
-	if c.DrainLow > c.WriteQueue {
-		c.DrainLow = c.WriteQueue
-	}
 	if c.Subarrays <= 0 {
 		c.Subarrays = 1
 	}
@@ -263,7 +229,7 @@ func (c *Controller) SetGuard(g *guard.Guard) { c.guard = g }
 
 // guardQueues reports the current queue occupancies to the guard.
 func (c *Controller) guardQueues() {
-	c.guard.CheckQueues(c.eng.Now(), c.nreadQ, len(c.writeQ), c.cfg.ReadQueue, c.cfg.WriteQueue)
+	c.guard.CheckQueues(c.eng.Now(), c.nreadQ, len(c.writeQ), ReadQueue, WriteQueue)
 }
 
 // CrashHook observes the two durability boundaries of every line write
@@ -451,7 +417,7 @@ func (c *Controller) place(addr pcm.LineAddr) (b *bank, sub int) {
 // callback — the controller reuses the buffer for later reads — so
 // callers that retain it must copy.
 func (c *Controller) SubmitRead(addr pcm.LineAddr, onDone func(at units.Time, data []byte)) bool {
-	if c.nreadQ >= c.cfg.ReadQueue {
+	if c.nreadQ >= ReadQueue {
 		c.stats.StallRejects++
 		return false
 	}
@@ -519,7 +485,7 @@ func (c *Controller) SubmitWrite(addr pcm.LineAddr, data []byte, onDone func(at 
 			}
 		}
 	}
-	if len(c.writeQ) >= c.cfg.WriteQueue {
+	if len(c.writeQ) >= WriteQueue {
 		c.stats.StallRejects++
 		return false
 	}
@@ -536,7 +502,7 @@ func (c *Controller) SubmitWrite(addr pcm.LineAddr, data []byte, onDone func(at 
 	}
 	c.writeQ = append(c.writeQ, req)
 	c.guardQueues()
-	if len(c.writeQ) >= c.cfg.WriteQueue && !c.draining {
+	if len(c.writeQ) >= WriteQueue && !c.draining {
 		// Queue just filled: enter drain mode. The drain makes every
 		// bank write-eligible at once, so this is the one submission
 		// that needs the full sweep.
@@ -553,7 +519,7 @@ func (c *Controller) SubmitWrite(addr pcm.LineAddr, data []byte, onDone func(at 
 // WhenWriteSpace registers fn to run (once) the next time write-queue
 // space frees up. If space exists now, fn runs on the next event.
 func (c *Controller) WhenWriteSpace(fn func()) {
-	if len(c.writeQ) < c.cfg.WriteQueue {
+	if len(c.writeQ) < WriteQueue {
 		c.eng.After(0, fn)
 		return
 	}
@@ -666,7 +632,7 @@ func (c *Controller) pickWrite(b *bank) *request {
 // noteWriteSpace wakes space waiters and ends a drain that reached its
 // low-water mark.
 func (c *Controller) noteWriteSpace() {
-	if c.draining && len(c.writeQ) <= c.cfg.DrainLow && len(c.idleWait) == 0 {
+	if c.draining && len(c.writeQ) <= DrainLow && len(c.idleWait) == 0 {
 		c.draining = false
 		c.stats.DrainExits++
 	}

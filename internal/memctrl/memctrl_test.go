@@ -45,13 +45,13 @@ func TestReadLatencyIdleBank(t *testing.T) {
 }
 
 func TestWritesWaitForDrain(t *testing.T) {
-	eng, c, _ := testController(Config{WriteQueue: 4})
+	eng, c, _ := testController(Config{})
 	data := make([]byte, 64)
 	data[0] = 1
 	completions := 0
 	eng.At(0, func() {
-		// Three writes: queue not full, no drain, nothing services them.
-		for i := 0; i < 3; i++ {
+		// One write short of full: no drain, nothing services them.
+		for i := 0; i < WriteQueue-1; i++ {
 			if !c.SubmitWrite(pcm.LineAddr(i), data, func(units.Time) { completions++ }) {
 				t.Error("write rejected below capacity")
 			}
@@ -64,14 +64,14 @@ func TestWritesWaitForDrain(t *testing.T) {
 	if c.Draining() {
 		t.Fatal("drain started below high-water mark")
 	}
-	// The fourth write fills the queue and triggers the drain, which runs
-	// until the low-water mark (half the queue = 2).
+	// The last write fills the queue and triggers the drain, which runs
+	// until the low-water mark (half the queue).
 	eng.At(eng.Now(), func() {
-		c.SubmitWrite(3, data, func(units.Time) { completions++ })
+		c.SubmitWrite(WriteQueue-1, data, func(units.Time) { completions++ })
 	})
 	eng.Run()
-	if completions != 2 {
-		t.Fatalf("drained %d writes, want 2 (down to the low-water mark)", completions)
+	if completions != WriteQueue-DrainLow {
+		t.Fatalf("drained %d writes, want %d (down to the low-water mark)", completions, WriteQueue-DrainLow)
 	}
 	if c.Stats().Drains != 1 {
 		t.Errorf("Drains = %d, want 1", c.Stats().Drains)
@@ -79,8 +79,8 @@ func TestWritesWaitForDrain(t *testing.T) {
 	// The end-of-run flush drains the rest.
 	eng.At(eng.Now(), func() { c.WhenIdle(func() {}) })
 	eng.Run()
-	if completions != 4 {
-		t.Fatalf("after flush: %d writes done, want 4", completions)
+	if completions != WriteQueue {
+		t.Fatalf("after flush: %d writes done, want %d", completions, WriteQueue)
 	}
 }
 
@@ -100,18 +100,18 @@ func TestOpportunisticWrites(t *testing.T) {
 
 func TestReadPriorityOverWrites(t *testing.T) {
 	// Fill the write queue for bank 0, then submit a read to the same
-	// bank: the read must be serviced before the remaining writes.
-	eng, c, _ := testController(Config{WriteQueue: 4, DrainLow: -1, DisableCoalescing: true})
+	// bank: the read must be serviced before the drain's remaining writes.
+	eng, c, _ := testController(Config{DisableCoalescing: true})
 	data := make([]byte, 64)
 	data[0] = 0xFF
 	var readDone, writesDone units.Time
 	wrote := 0
 	eng.At(0, func() {
-		for i := 0; i < 4; i++ {
+		for i := 0; i < WriteQueue; i++ {
 			// All to bank 0 (addresses multiples of 8 banks).
 			c.SubmitWrite(pcm.LineAddr(i*8), data, func(at units.Time) {
 				wrote++
-				if wrote == 4 {
+				if wrote == WriteQueue-DrainLow {
 					writesDone = at
 				}
 			})
@@ -229,17 +229,19 @@ func TestQueueRejection(t *testing.T) {
 	// All writes target bank 0, so the drain can only retire one at a
 	// time and the queue stays full at the instant of the overflowing
 	// submit.
-	eng, c, _ := testController(Config{WriteQueue: 2, DisableCoalescing: true})
+	eng, c, _ := testController(Config{DisableCoalescing: true})
 	data := make([]byte, 64)
 	eng.At(0, func() {
-		if !c.SubmitWrite(0, data, nil) || !c.SubmitWrite(8, data, nil) {
-			t.Error("writes rejected below capacity")
+		for i := 0; i < WriteQueue; i++ {
+			if !c.SubmitWrite(pcm.LineAddr(i*8), data, nil) {
+				t.Errorf("write %d rejected below capacity", i)
+			}
 		}
 		// The fill started a drain: bank 0 took one entry synchronously.
-		if !c.SubmitWrite(16, data, nil) {
+		if !c.SubmitWrite(WriteQueue*8, data, nil) {
 			t.Error("write rejected with space available")
 		}
-		if c.SubmitWrite(24, data, nil) {
+		if c.SubmitWrite((WriteQueue+1)*8, data, nil) {
 			t.Error("write accepted beyond capacity (bank busy, queue full)")
 		}
 		if c.Stats().StallRejects != 1 {
@@ -265,7 +267,6 @@ func TestRandomTrafficConsistency(t *testing.T) {
 		{},
 		{DisableCoalescing: true},
 		{OpportunisticWrites: true},
-		{WriteQueue: 4, DrainLow: 2},
 	} {
 		eng, c, _ := testController(cfg)
 		rng := rand.New(rand.NewSource(1))
@@ -316,25 +317,27 @@ func TestRandomTrafficConsistency(t *testing.T) {
 
 // TestWriteLatencyAccounting: latency includes queueing delay.
 func TestWriteLatencyAccounting(t *testing.T) {
-	eng, c, _ := testController(Config{WriteQueue: 2, DisableCoalescing: true, DrainLow: -1})
+	eng, c, _ := testController(Config{DisableCoalescing: true})
 	data := make([]byte, 64)
 	data[0] = 1
 	eng.At(0, func() {
-		c.SubmitWrite(0, data, nil)
-		c.SubmitWrite(8, data, nil) // fills queue -> drain both (same bank)
+		for i := 0; i < WriteQueue; i++ {
+			c.SubmitWrite(pcm.LineAddr(i*8), data, nil) // the last fills the queue -> drain (same bank)
+		}
 	})
 	eng.Run()
 	st := c.Stats()
-	if st.WriteLatency.Count() != 2 {
-		t.Fatalf("WriteLatency count = %d, want 2", st.WriteLatency.Count())
+	const drained = WriteQueue - DrainLow
+	if st.WriteLatency.Count() != drained {
+		t.Fatalf("WriteLatency count = %d, want %d", st.WriteLatency.Count(), drained)
 	}
-	// DCW service is 50ns + 8*430 = 3490ns; the second write also waits
-	// for the first, so its latency is ~2x.
-	if st.WriteLatency.Max() < 2*units.Nanoseconds(3490) {
+	// DCW service is 50ns + 8*430 = 3490ns; each drained write also
+	// waits for the ones before it, so the last one's latency is ~16x.
+	if st.WriteLatency.Max() < drained*units.Nanoseconds(3490) {
 		t.Errorf("max write latency %v does not include queueing", st.WriteLatency.Max())
 	}
-	if st.WriteUnits != 16 { // two DCW writes at 8 units each
-		t.Errorf("WriteUnits = %v, want 16", st.WriteUnits)
+	if st.WriteUnits != 8*drained { // DCW writes at 8 units each
+		t.Errorf("WriteUnits = %v, want %d", st.WriteUnits, 8*drained)
 	}
 }
 
@@ -440,7 +443,7 @@ func TestWritePausingSkipsNearlyDoneWrites(t *testing.T) {
 func TestWritePausingDataIntegrity(t *testing.T) {
 	// Random traffic with pausing on: reads must still always observe the
 	// latest completed-or-forwarded data.
-	eng, c, _ := testController(Config{WritePausing: true, WriteQueue: 8, DrainLow: 2})
+	eng, c, _ := testController(Config{WritePausing: true})
 	rng := rand.New(rand.NewSource(3))
 	golden := map[pcm.LineAddr][]byte{}
 	n := 0
@@ -451,7 +454,7 @@ func TestWritePausingDataIntegrity(t *testing.T) {
 			return
 		}
 		n++
-		addr := pcm.LineAddr(rng.Intn(24))
+		addr := pcm.LineAddr(rng.Intn(96)) // enough lines to fill the write queue
 		if rng.Intn(2) == 0 {
 			data := make([]byte, 64)
 			rng.Read(data)
@@ -473,6 +476,9 @@ func TestWritePausingDataIntegrity(t *testing.T) {
 	}
 	eng.At(0, step)
 	eng.Run()
+	if c.Stats().Drains == 0 {
+		t.Error("the write queue never filled: no drain ran")
+	}
 }
 
 // TestSubarrayReadOverlapsWrite: with Subarrays > 1, a read to a
@@ -534,7 +540,7 @@ func TestSubarraySameSubarrayStillBlocks(t *testing.T) {
 // TestSubarrayConsistencyUnderRandomTraffic: the full consistency check
 // with subarrays, pausing and preset-style churn off.
 func TestSubarrayConsistencyUnderRandomTraffic(t *testing.T) {
-	eng, c, _ := testController(Config{Subarrays: 4, WritePausing: true, WriteQueue: 8, DrainLow: 2})
+	eng, c, _ := testController(Config{Subarrays: 4, WritePausing: true})
 	rng := rand.New(rand.NewSource(21))
 	golden := map[pcm.LineAddr][]byte{}
 	n := 0
@@ -545,7 +551,7 @@ func TestSubarrayConsistencyUnderRandomTraffic(t *testing.T) {
 			return
 		}
 		n++
-		addr := pcm.LineAddr(rng.Intn(48))
+		addr := pcm.LineAddr(rng.Intn(96)) // enough lines to fill the write queue
 		if rng.Intn(2) == 0 {
 			data := make([]byte, 64)
 			rng.Read(data)
@@ -567,6 +573,9 @@ func TestSubarrayConsistencyUnderRandomTraffic(t *testing.T) {
 	}
 	eng.At(0, step)
 	eng.Run()
+	if c.Stats().Drains == 0 {
+		t.Error("the write queue never filled: no drain ran")
+	}
 }
 
 func TestBankUtilization(t *testing.T) {
@@ -588,18 +597,13 @@ func TestBankUtilization(t *testing.T) {
 	}
 }
 
-// TestAllFeaturesTogether: pausing + subarrays + tiny queues + coalescing
+// TestAllFeaturesTogether: pausing + subarrays + full queues + coalescing
 // under random traffic, with the golden-model read check — the features
 // must compose without consistency or liveness failures.
 func TestAllFeaturesTogether(t *testing.T) {
 	eng := &sim.Engine{}
 	dev := pcm.MustNewDevice(pcm.DefaultParams())
-	c := New(eng, dev, tetris.New, Config{
-		WritePausing: true,
-		Subarrays:    4,
-		WriteQueue:   6,
-		DrainLow:     2,
-	})
+	c := New(eng, dev, tetris.New, Config{WritePausing: true, Subarrays: 4})
 	rng := rand.New(rand.NewSource(123))
 	golden := map[pcm.LineAddr][]byte{}
 	reads, readsDone := 0, 0
@@ -635,6 +639,9 @@ func TestAllFeaturesTogether(t *testing.T) {
 	}
 	eng.At(0, step)
 	eng.Run()
+	if c.Stats().Drains == 0 {
+		t.Error("the write queue never filled: no drain ran")
+	}
 	if reads != readsDone {
 		t.Fatalf("%d of %d reads never completed", reads-readsDone, reads)
 	}
@@ -645,11 +652,11 @@ func TestAllFeaturesTogether(t *testing.T) {
 }
 
 func TestReadQueueRejection(t *testing.T) {
-	eng, c, _ := testController(Config{ReadQueue: 2})
+	eng, c, _ := testController(Config{})
 	accepted, rejected := 0, 0
 	eng.At(0, func() {
 		// All to bank 0: one starts immediately, the rest queue.
-		for i := 0; i < 5; i++ {
+		for i := 0; i < ReadQueue+3; i++ {
 			if c.SubmitRead(pcm.LineAddr(i*8), func(units.Time, []byte) {}) {
 				accepted++
 			} else {
@@ -659,10 +666,10 @@ func TestReadQueueRejection(t *testing.T) {
 	})
 	eng.Run()
 	if rejected == 0 {
-		t.Error("tiny read queue never rejected")
+		t.Error("full read queue never rejected")
 	}
-	if accepted < 3 { // 1 in flight + 2 queued
-		t.Errorf("accepted %d, want >= 3", accepted)
+	if accepted < ReadQueue+1 { // 1 in flight + a full queue
+		t.Errorf("accepted %d, want >= %d", accepted, ReadQueue+1)
 	}
 	if c.Stats().StallRejects == 0 {
 		t.Error("rejections not counted")

@@ -16,14 +16,17 @@ import (
 // leaves the right bits in the array. A fresh Array is all zeros with all
 // flip cells cleared, matching a fresh Device and fresh scheme state.
 //
-// Lines are stored inline in a linestore.Store: four 16-bit cell words
-// per uint64, followed by a flip-cell bitmap. The invariant guard keeps
-// one Array per scheme under test and touches it on every deep-checked
-// write, so the layout matters the same way the device's does.
+// Lines are stored inline in a linestore.Store: the data cells in the
+// bitutil.Lanes layout of a line (cell u*NumChips+c is the lane at bit
+// (u*NumChips+c)*ChipWidthBits), followed by a flip-cell bitmap, bit i
+// for cell i. The invariant guard keeps one Array per scheme under test
+// and touches it on every deep-checked write, so the layout matters the
+// same way the device's does.
 type Array struct {
 	par       pcm.Params
+	g         bitutil.Lanes
 	lines     *linestore.Store
-	bitsWords int // words holding the packed uint16 cells
+	bitsWords int // words holding the data cells
 
 	// pulseBuf is the reusable sort scratch of Apply. Arrays are
 	// single-owner like the schemes they shadow, so reuse is safe.
@@ -32,11 +35,11 @@ type Array struct {
 
 // NewArray returns an empty encoded-cell model.
 func NewArray(par pcm.Params) *Array {
-	n := par.DataUnits() * par.NumChips
-	bitsWords := (n + 3) / 4
-	flipWords := (n + 63) / 64
+	bitsWords := linestore.Words(par.LineBytes)
+	flipWords := (par.DataUnits()*par.NumChips + 63) / 64
 	return &Array{
 		par:       par,
+		g:         bitutil.NewLanes(par.ChipWidthBits),
 		lines:     linestore.NewStore(bitsWords + flipWords),
 		bitsWords: bitsWords,
 	}
@@ -47,15 +50,6 @@ func (a *Array) line(addr pcm.LineAddr) []uint64 {
 }
 
 func (a *Array) idx(c, u int) int { return u*a.par.NumChips + c }
-
-func cellBits(l []uint64, i int) uint16 {
-	return uint16(l[i>>2] >> (16 * uint(i&3)))
-}
-
-func setCellBits(l []uint64, i int, v uint16) {
-	sh := 16 * uint(i&3)
-	l[i>>2] = l[i>>2]&^(0xFFFF<<sh) | uint64(v)<<sh
-}
 
 func (a *Array) cellFlip(l []uint64, i int) bool {
 	return l[a.bitsWords+i>>6]&(1<<uint(i&63)) != 0
@@ -82,12 +76,12 @@ func (a *Array) Apply(addr pcm.LineAddr, p Plan) {
 	for _, pl := range sorted.Pulses {
 		i := a.idx(pl.Chip, pl.Unit)
 		if pl.Kind == Set {
-			setCellBits(l, i, cellBits(l, i)|pl.Mask)
+			a.g.SetCell(l, i, a.g.Cell(l, i)|pl.Mask)
 			if pl.FlipCell {
 				a.setCellFlip(l, i, true)
 			}
 		} else {
-			setCellBits(l, i, cellBits(l, i)&^pl.Mask)
+			a.g.SetCell(l, i, a.g.Cell(l, i)&^pl.Mask)
 			if pl.FlipCell {
 				a.setCellFlip(l, i, false)
 			}
@@ -103,34 +97,18 @@ func (a *Array) Logical(addr pcm.LineAddr) []byte {
 }
 
 // LogicalInto decodes the stored cells of one line into dst, which must
-// be one line long. For x16 chips the packed cell words ARE the logical
-// little-endian byte layout up to inversion coding, so decoding is one
-// XOR per four cells: the flip bitmap nibble expands to 16-bit lanes of
-// ones and flips exactly the inverted cells' data words.
+// be one line long. The data cells' lanes ARE the logical little-endian
+// byte layout up to inversion coding, so decoding is one XOR per word:
+// the flip bitmap's bits of the word's cells expand to lanes of ones
+// and flip exactly the inverted cells.
 func (a *Array) LogicalInto(dst []byte, addr pcm.LineAddr) {
 	if len(dst) != a.par.LineBytes {
 		panic("schemes: LogicalInto buffer size mismatch")
 	}
 	l := a.line(addr)
-	n := a.par.DataUnits() * a.par.NumChips
-	if a.par.ChipWidthBits == 16 && n%4 == 0 {
-		for w := 0; w < n/4; w++ {
-			nib := l[a.bitsWords+w>>4] >> (4 * uint(w&15))
-			bitutil.StoreLE64(dst, w*8, l[w]^bitutil.LaneMask16(nib))
-		}
-		return
-	}
-	mask := bitutil.WidthMask(a.par.ChipWidthBits)
-	wb := a.par.ChipWidthBits / 8
-	for u := 0; u < a.par.DataUnits(); u++ {
-		for c := 0; c < a.par.NumChips; c++ {
-			i := a.idx(c, u)
-			w := cellBits(l, i)
-			if a.cellFlip(l, i) {
-				w = ^w & mask
-			}
-			bitutil.SetChipSlice(dst, a.par.NumChips, wb, c, u, w)
-		}
+	flips := l[a.bitsWords:]
+	for j, w := range l[:a.bitsWords] {
+		bitutil.PutLineWord(dst, j, w^a.g.Tags(flips, j))
 	}
 }
 
@@ -140,30 +118,13 @@ func (a *Array) LogicalInto(dst []byte, addr pcm.LineAddr) {
 // array to the device's actual stored contents — which can drift from
 // the pulse-train model under fault injection — before replaying the
 // next plan: the scheme plans from the device's real old image, so the
-// oracle must start there too.
+// oracle must start there too. Encoding is the same involution as
+// decoding (see LogicalInto).
 func (a *Array) SyncLogical(addr pcm.LineAddr, logical []byte) {
 	l := a.line(addr)
-	n := a.par.DataUnits() * a.par.NumChips
-	if a.par.ChipWidthBits == 16 && n%4 == 0 && len(logical) >= n*2 {
-		// Encoding is the same involution as decoding: XOR the lanes
-		// whose flip tags are set (see LogicalInto).
-		for w := 0; w < n/4; w++ {
-			nib := l[a.bitsWords+w>>4] >> (4 * uint(w&15))
-			l[w] = bitutil.LoadLE64(logical, w*8) ^ bitutil.LaneMask16(nib)
-		}
-		return
-	}
-	mask := bitutil.WidthMask(a.par.ChipWidthBits)
-	wb := a.par.ChipWidthBits / 8
-	for u := 0; u < a.par.DataUnits(); u++ {
-		for c := 0; c < a.par.NumChips; c++ {
-			i := a.idx(c, u)
-			w := bitutil.ChipSlice(logical, a.par.NumChips, wb, c, u)
-			if a.cellFlip(l, i) {
-				w = ^w & mask
-			}
-			setCellBits(l, i, w)
-		}
+	flips := l[a.bitsWords:]
+	for j := range l[:a.bitsWords] {
+		l[j] = bitutil.LineWord(logical, j) ^ a.g.Tags(flips, j)
 	}
 }
 
@@ -185,7 +146,7 @@ func (a *Array) FlipTags(addr pcm.LineAddr) uint64 {
 func (a *Array) Encoded(addr pcm.LineAddr, c, u int) (bits uint16, flip bool) {
 	l := a.line(addr)
 	i := a.idx(c, u)
-	return cellBits(l, i), a.cellFlip(l, i)
+	return a.g.Cell(l, i), a.cellFlip(l, i)
 }
 
 // CheckWrite is the all-in-one oracle used by the scheme test suites: it

@@ -10,8 +10,8 @@ import (
 )
 
 // packedArray is the pre-SoA Array implementation, kept verbatim as a
-// test-only oracle: every operation walks the packed cells one at a
-// time, with no word-parallel fast paths. The property tests below
+// test-only oracle: every operation walks the cells one at a time,
+// each in a 16-bit slot whatever the chip width. The property tests below
 // drive it in lock-step with the real Array through randomized pulse
 // replays, re-anchors and decodes, and require bit-for-bit agreement —
 // the SoA rewrite must be invisible to every consumer, including the
@@ -165,9 +165,9 @@ func randomPlan(rng *rand.Rand, par pcm.Params) Plan {
 
 // TestArrayMatchesPackedOracle drives the SoA Array and the packed
 // per-cell oracle through identical randomized sequences of pulse
-// replays, logical re-anchors, decodes and tag reads, across the x16
-// fast-path geometry, an x8 scalar geometry, and a non-multiple-of-four
-// cell count.
+// replays, logical re-anchors, decodes and tag reads, across the
+// default x16 geometry, x8 chips (eight cells per lane word) and 26
+// cells over 52 bytes, whose last lane word is partial.
 func TestArrayMatchesPackedOracle(t *testing.T) {
 	geometries := []struct {
 		name string

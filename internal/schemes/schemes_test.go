@@ -40,8 +40,9 @@ func mutate(rng *rand.Rand, line []byte, nbits int) {
 // geometries are the configurations TestSchemesWriteCorrectness runs
 // every static scheme under: the shared slot regime with and without a
 // global charge pump, the split regime of a tiny per-chip budget, where
-// emission takes the accumulator walk, and x8 chips, where the x16
-// word-parallel passes give way to the per-cell loops.
+// emission takes the accumulator walk, x8 chips, whose lanes hold eight
+// cells per 64-bit word, and two chips over 52-byte lines, whose 26
+// cells end in a partial word that the planners' word walk zero pads.
 func geometries() []struct {
 	name string
 	par  pcm.Params
@@ -52,10 +53,14 @@ func geometries() []struct {
 	split.ChipBudget = 8
 	x8 := strictParams()
 	x8.ChipWidthBits = 8
+	tail := strictParams()
+	tail.NumChips = 2
+	tail.LineBytes = 52
+	tail.CapacityBytes = tail.CapacityBytes / 64 * 52
 	return []struct {
 		name string
 		par  pcm.Params
-	}{{"strict", strictParams()}, {"gcp", gcp}, {"budget8", split}, {"x8", x8}}
+	}{{"strict", strictParams()}, {"gcp", gcp}, {"budget8", split}, {"x8", x8}, {"chips2-line52", tail}}
 }
 
 // TestSchemesWriteCorrectness drives every scheme, and the flip-minimizer

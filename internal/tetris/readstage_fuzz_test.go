@@ -67,10 +67,10 @@ func checkReadMasks(t *testing.T, g maskGeometry, rule flipRule, old, new []byte
 				want &^= tag
 			}
 			cell := fmt.Sprintf("cell %d (unit %d, chip %d)", i, u, c)
-			if s := m.g.cell(m.sets, i); s != uc.Tr.Sets {
+			if s := m.g.Cell(m.sets, i); s != uc.Tr.Sets {
 				t.Fatalf("%s: SET mask %#x, reference %#x", cell, s, uc.Tr.Sets)
 			}
-			if r := m.g.cell(m.resets, i); r != uc.Tr.Resets {
+			if r := m.g.Cell(m.resets, i); r != uc.Tr.Resets {
 				t.Fatalf("%s: RESET mask %#x, reference %#x", cell, r, uc.Tr.Resets)
 			}
 			if fs := bit(m.flipSet, i); fs != uc.FlipSet {

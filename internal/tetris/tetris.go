@@ -164,7 +164,7 @@ func (s *scheme) plan(p *schemes.Plan) {
 // which lie side by side in the line words, times the per-cell current.
 func (s *scheme) unitNeeds(dom packDomain) (in1, in0 []int) {
 	sets, resets := s.masks.sets, s.masks.resets
-	lg := s.masks.g.lg
+	lg := s.masks.g.Lg
 	cost1, cost0 := s.par.CurrentSet, s.par.CurrentReset
 	lo, n, stride := dom.c0<<lg, (dom.c1-dom.c0)<<lg, s.nc<<lg
 	in1, in0 = s.in1, s.in0
@@ -412,16 +412,16 @@ func (e *emitter) whole(dom packDomain, u int, ws []uint64, kind schemes.PulseKi
 	row := u * e.nc
 	base := idx * e.nc
 	for i, end := row+dom.c0, row+dom.c1; i < end; {
-		b := i << g.lg
-		cnt := min(64-b&63, (end-i)<<g.lg) >> g.lg // cells of the domain in this word
+		b := i << g.Lg
+		cnt := min(64-b&63, (end-i)<<g.Lg) >> g.Lg // cells of the domain in this word
 		x := ws[b>>6] >> (b & 63)
 		c := i - row
 		n := len(e.pulses)
 		pulses := slices.Grow(e.pulses, cnt)[:n+cnt]
 		counts := e.counts[base+c : base+c+cnt]
 		for l := range counts {
-			mask := uint16(x & g.ones)
-			x >>= g.w
+			mask := uint16(x & g.Ones)
+			x >>= g.W
 			pl := &pulses[n]
 			pl.Chip, pl.Unit, pl.Start, pl.Mask, pl.Kind, pl.FlipCell = c+l, u, at, mask, kind, false
 			inc := 0
@@ -447,14 +447,14 @@ func (e *emitter) whole(dom packDomain, u int, ws []uint64, kind schemes.PulseKi
 func (e *emitter) split(dom packDomain, u int, ws []uint64, kind schemes.PulseKind, allocs []Alloc, cost, scale int) {
 	g, row := e.m.g, u*e.nc
 	c := dom.c0
-	rem := g.cell(ws, row+c) // cells of chip c not yet handed out
+	rem := g.Cell(ws, row+c) // cells of chip c not yet handed out
 	for _, a := range allocs {
 		idx := a.Slot * scale
 		at := e.clk.at(idx)
 		for n := a.Amount / cost; n > 0; {
 			for rem == 0 {
 				c++
-				rem = g.cell(ws, row+c)
+				rem = g.Cell(ws, row+c)
 			}
 			take := rem
 			if avail := bits.OnesCount16(rem); avail <= n {

@@ -222,8 +222,9 @@ func TestRemapperEndToEnd(t *testing.T) {
 func TestRemapperPendingCopyVisible(t *testing.T) {
 	eng := &sim.Engine{}
 	dev := pcm.MustNewDevice(pcm.DefaultParams())
-	// No opportunistic writes and a tiny queue: copies stay buffered.
-	ctrl := memctrl.New(eng, dev, schemes.NewDCW, memctrl.Config{WriteQueue: 4})
+	// No opportunistic writes and a queue far from full: copies stay
+	// buffered.
+	ctrl := memctrl.New(eng, dev, schemes.NewDCW, memctrl.Config{})
 	reg, _ := NewRegion(0, 4, 1) // move on every write
 	rm := NewRemapper(ctrl, reg, 64, ctrl.Snoop)
 
@@ -292,12 +293,16 @@ func TestRegionAndRemapperSmallAPIs(t *testing.T) {
 func TestRemapperBufferedCopyUnderFullQueue(t *testing.T) {
 	eng := &sim.Engine{}
 	dev := pcm.MustNewDevice(pcm.DefaultParams())
-	// Drain-only controller with a tiny queue: copies will be rejected.
-	ctrl := memctrl.New(eng, dev, schemes.NewDCW, memctrl.Config{WriteQueue: 2, DrainLow: -1})
+	// Drain-only controller whose write queue is one short of full with
+	// writes to bank 0, outside the region: the next write fills it, and
+	// from then on bank 0 retires one write per DCW service time, so a
+	// gap-move copy that lands behind a bank-0 write is rejected.
+	ctrl := memctrl.New(eng, dev, schemes.NewDCW, memctrl.Config{})
 	reg, _ := NewRegion(0, 8, 1) // gap move on every write
 	rm := NewRemapper(ctrl, reg, 64, ctrl.Snoop)
 	data := make([]byte, 64)
 	writes := 0
+	retried := false
 	var step func()
 	step = func() {
 		if writes >= 12 {
@@ -308,13 +313,22 @@ func TestRemapperBufferedCopyUnderFullQueue(t *testing.T) {
 		if rm.SubmitWrite(pcm.LineAddr(writes%8), data, nil) {
 			writes++
 		}
+		retried = retried || rm.retrying
 		eng.After(100*units.Nanosecond, step)
 	}
-	eng.At(0, func() { step() })
+	eng.At(0, func() {
+		for i := 0; i < memctrl.WriteQueue-1; i++ {
+			ctrl.SubmitWrite(pcm.LineAddr(64+8*i), data, nil)
+		}
+		step()
+	})
 	eng.Run()
 	st := rm.Stats()
 	if st.GapMoves == 0 {
 		t.Fatal("no gap moves")
+	}
+	if !retried {
+		t.Fatal("no gap-move copy was ever rejected and retried")
 	}
 	if st.CopyBytes == 0 {
 		t.Fatal("no copies ever drained")
