@@ -4,13 +4,15 @@ GO ?= go
 FUZZTIME ?= 10s
 # The gated hot-path benchmarks: per-write planning cost (base and
 # registry-composed schemes, one fixed line pair and a captured vips
-# write stream), one full system simulation end to end,
-# the event engine on the long-trace pattern (at the 4-16 events a
-# full-system run keeps pending, and at a 4Ki-32Ki tail), workload
+# write stream), two full system simulations end to end (one short
+# enough to draw its ops inline, one whose workload pipeline hands off
+# to producer goroutines), the event engine on the long-trace pattern
+# (at the 4-16 events a full-system run keeps pending, and at a
+# 4Ki-32Ki tail), workload
 # synthesis alone, trace ingestion (Parse of a 300k-record vips
 # trace plus draining one CoreSource per core), and recording one
 # latency sample.
-BENCHFILTER ?= BenchmarkSchemePlanWrite|BenchmarkComposedSchemePlanWrite|BenchmarkSchemePlanWriteDense|BenchmarkSchemePlanStream|BenchmarkArrayFlipCount|BenchmarkCacheHit|BenchmarkFullSystemSingle|BenchmarkEngineLongTrace|BenchmarkGeneratorNext|BenchmarkTraceParse|BenchmarkLatencyAdd
+BENCHFILTER ?= BenchmarkSchemePlanWrite|BenchmarkComposedSchemePlanWrite|BenchmarkSchemePlanWriteDense|BenchmarkSchemePlanStream|BenchmarkArrayFlipCount|BenchmarkCacheHit|BenchmarkFullSystemSingle|BenchmarkFullSystemLong|BenchmarkEngineLongTrace|BenchmarkGeneratorNext|BenchmarkTraceParse|BenchmarkLatencyAdd
 BENCHCOUNT ?= 3
 
 # Build stamping for `<binary> -version`: ldflags override the
@@ -65,6 +67,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzStructuralEquivalence -fuzztime=$(FUZZTIME) ./internal/tetris
 	$(GO) test -run='^$$' -fuzz=FuzzSourceMatchesMathRand -fuzztime=$(FUZZTIME) ./internal/workload
 	$(GO) test -run='^$$' -fuzz=FuzzReplayMatchesGenerator -fuzztime=$(FUZZTIME) ./internal/workload
+	$(GO) test -run='^$$' -fuzz=FuzzPipelinedMatchesGenerator -fuzztime=$(FUZZTIME) ./internal/workload
 	$(GO) test -run='^$$' -fuzz=FuzzEnginePopOrder -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run='^$$' -fuzz=FuzzRunTrace -fuzztime=$(FUZZTIME) ./internal/system
 	$(GO) test -run='^$$' -fuzz=FuzzLevelMatchesLRUReference -fuzztime=$(FUZZTIME) ./internal/cache

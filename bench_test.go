@@ -7,6 +7,7 @@ package tetriswrite
 // the whole evaluation. Use cmd/tetrisbench for full-scale tables.
 
 import (
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -283,10 +284,30 @@ func BenchmarkEngineLongTrace(b *testing.B) {
 }
 
 // BenchmarkFullSystemSingle measures one full-system simulation
-// (canneal under Tetris) end to end.
+// (canneal under Tetris) end to end. At about 150 ops per core, each
+// core's stream ends inside the workload pipeline's inline batch, so
+// the run starts no producer goroutine.
 func BenchmarkFullSystemSingle(b *testing.B) {
-	prof, _ := workload.ProfileByName("canneal")
-	cfg := system.Config{Params: DefaultParams(), InstrBudget: 50_000}
+	benchFullSystem(b, "canneal", 50_000)
+}
+
+// BenchmarkFullSystemLong is BenchmarkFullSystemSingle on vips at 1.5M
+// instructions per core: about 6,200 ops per core, so each core's
+// stream crosses from the inline batch to a producer goroutine and
+// spans twelve of its batches. It runs at GOMAXPROCS 1, where the
+// producers share the simulation's one CPU. That is the pipeline's
+// worst case, so ns/op gates its hand-off cost rather than the spare
+// CPUs of the host. It also keeps allocs/op exact: with two Ps the
+// runtime's goroutine and channel-waiter free lists migrate between
+// per-P caches and allocs/op drifts by 1 or 2 from run to run.
+func BenchmarkFullSystemLong(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	benchFullSystem(b, "vips", 1_500_000)
+}
+
+func benchFullSystem(b *testing.B, profile string, instr int64) {
+	prof, _ := workload.ProfileByName(profile)
+	cfg := system.Config{Params: DefaultParams(), InstrBudget: instr}
 	for i := 0; i < b.N; i++ {
 		_, err := system.Run(prof, tetris.New, cfg)
 		if err != nil {

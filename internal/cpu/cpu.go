@@ -15,11 +15,17 @@ import (
 	"tetriswrite/internal/workload"
 )
 
-// OpSource supplies a core's instruction stream. A write's Data is
-// read-only to the core and everything below it, and is only valid
-// until the source's next Next call: a workload.Generator overwrites
-// one buffer per write, and a trace.CoreSource hands out subslices of
-// the parsed trace shared with later replays. The memory ports
+// OpSource supplies a core's instruction stream. The sources are a
+// workload.Pipe (a live run's ops, drawn a batch ahead on a producer
+// goroutine and applied to the program's shadow in Next), a
+// workload.Replay (a recording's ops, applied the same way), a
+// workload.Generator (drawn and applied in Next), and a
+// trace.CoreSource. Next is only ever called on the engine's
+// goroutine. A write's Data is read-only to the core and everything
+// below it, and is only valid until the source's next Next call: the
+// workload sources overwrite one buffer per write, and a
+// trace.CoreSource hands out subslices of the parsed trace shared with
+// later replays. The memory ports
 // therefore copy the data they keep. A core whose write was refused
 // waits in WhenWriteSpace and retries the same op without calling
 // Next, so the retry still sees its own data.

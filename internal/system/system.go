@@ -366,13 +366,14 @@ func RunCtx(ctx context.Context, prof workload.Profile, factory schemes.Factory,
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	return run(ctx, prof.Name, factory, cfg, func() (*workload.Program, []cpu.OpSource) {
+	return run(ctx, prof.Name, factory, cfg, func() (*workload.Program, []cpu.OpSource, *workload.Pipeline) {
 		prog := workload.NewProgram(prof, cfg.Cores, cfg.Seed, cfg.Params)
+		pl := prog.Pipeline(cfg.InstrBudget)
 		srcs := make([]cpu.OpSource, cfg.Cores)
 		for i := range srcs {
-			srcs[i] = prog.Generator(i)
+			srcs[i] = pl.Source(i)
 		}
-		return prog, srcs
+		return prog, srcs, pl
 	})
 }
 
@@ -392,13 +393,13 @@ func RunRecordedCtx(ctx context.Context, rec *workload.Recording, factory scheme
 		return Result{}, fmt.Errorf("system: %w", err)
 	}
 	prof := rec.Profile()
-	return run(ctx, prof.Name, factory, cfg, func() (*workload.Program, []cpu.OpSource) {
+	return run(ctx, prof.Name, factory, cfg, func() (*workload.Program, []cpu.OpSource, *workload.Pipeline) {
 		prog := workload.NewProgram(prof, cfg.Cores, cfg.Seed, cfg.Params)
 		srcs := make([]cpu.OpSource, cfg.Cores)
 		for i := range srcs {
 			srcs[i] = rec.Replay(prog, i)
 		}
-		return prog, srcs
+		return prog, srcs, nil
 	})
 }
 
@@ -434,12 +435,12 @@ func RunTraceCtx(ctx context.Context, label string, recs []trace.Record, cores i
 			return Result{}, fmt.Errorf("system: trace record %d: line address %d out of range [0, %d)", i+1, r.Op.Addr, lines)
 		}
 	}
-	return run(ctx, label, factory, cfg, func() (*workload.Program, []cpu.OpSource) {
+	return run(ctx, label, factory, cfg, func() (*workload.Program, []cpu.OpSource, *workload.Pipeline) {
 		srcs := make([]cpu.OpSource, cfg.Cores)
 		for i := range srcs {
 			srcs[i] = trace.NewCoreSource(recs, i)
 		}
-		return nil, srcs
+		return nil, srcs, nil
 	})
 }
 
@@ -453,16 +454,20 @@ func Fingerprint(name string, factory schemes.Factory, cfg Config) guard.Fingerp
 
 // run assembles the platform for a validated config, drives it, and
 // reports. feed returns one operation source per core and, for a
-// synthetic workload, the program behind them (nil for a trace). It is
-// called under the run's panic recovery, so a profile the workload model
-// rejects surfaces as a *PanicError like any other fault of the run.
+// synthetic workload, the program behind them (nil for a trace). When
+// the sources are a live Pipeline, feed returns it too, and every
+// return of run, a recovered panic included, stops its producers. feed
+// is called under the run's panic recovery, so a profile the workload
+// model rejects surfaces as a *PanicError like any other fault of the
+// run, before any producer starts.
 func run(ctx context.Context, name string, factory schemes.Factory, cfg Config,
-	feed func() (*workload.Program, []cpu.OpSource)) (res Result, err error) {
+	feed func() (*workload.Program, []cpu.OpSource, *workload.Pipeline)) (res Result, err error) {
 	p := &platform{eng: &sim.Engine{}}
 	fp := Fingerprint(name, factory, cfg)
 	defer recoverRun(&err, p.eng, fp)
 
-	prog, srcs := feed()
+	prog, srcs, pl := feed()
+	defer pl.Stop()
 	label := name
 	if prog == nil {
 		label += " (trace)"

@@ -403,13 +403,13 @@ func TestReplayPastEndIsPanicError(t *testing.T) {
 		t.Fatal(err)
 	}
 	// run bypasses RunRecordedCtx's budget check.
-	_, err = run(context.Background(), prof.Name, schemes.NewDCW, cfg, func() (*workload.Program, []cpu.OpSource) {
+	_, err = run(context.Background(), prof.Name, schemes.NewDCW, cfg, func() (*workload.Program, []cpu.OpSource, *workload.Pipeline) {
 		prog := workload.NewProgram(prof, cfg.Cores, cfg.Seed, cfg.Params)
 		srcs := make([]cpu.OpSource, cfg.Cores)
 		for i := range srcs {
 			srcs[i] = rec.Replay(prog, i)
 		}
-		return prog, srcs
+		return prog, srcs, nil
 	})
 	var pe *PanicError
 	if !errors.As(err, &pe) {

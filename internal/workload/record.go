@@ -38,10 +38,9 @@ type stream struct {
 }
 
 // Record draws the stream of every core of the program NewProgram(prof,
-// cores, seed, par) builds, each until its think total reaches budget.
-// That is the rule a cpu.Core stops on: the op whose think gap reaches
-// the remaining budget is the last one the core fetches, so it is the
-// last one recorded.
+// cores, seed, par) builds, each until its think total reaches budget
+// (see budgeted). It refuses a think gap of 2⁶² or more, which the
+// recording's layout cannot hold beside the op's kind.
 //
 // Each core's stream is drawn twice: first on a copy of its generator,
 // to size the buffers, then into buffers of exactly that size. Drawing
@@ -63,24 +62,32 @@ func Record(ctx context.Context, prof Profile, cores int, seed int64, par pcm.Pa
 		sizer := *g
 		var s stream
 		nops, nmasks := 0, 0
-		err := drawStream(ctx, &sizer, budget, func(d drawn) {
+		var tooLarge int64
+		err := drawStream(ctx, &sizer, budget, func(d drawn, masks []uint64) {
+			if d.think >= 1<<62 {
+				// The shift under the kind would overflow it.
+				tooLarge = max(tooLarge, d.think)
+			}
 			s.n++
 			nops += uvarintLen(uint64(d.think)<<2|uint64(d.kind)) + uvarintLen(uint64(d.addr))
 			if d.kind != opRead {
 				nops += bitmapBytes
-				for _, m := range sizer.masks {
+				for _, m := range masks {
 					if m != 0 {
 						nmasks++
 					}
 				}
 			}
 		})
+		if err == nil && tooLarge != 0 {
+			err = fmt.Errorf("think gap %d is too large to record", tooLarge)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("workload: %s core %d: %w", prof.Name, c, err)
 		}
 		s.ops, s.masks = make([]byte, 0, nops), make([]uint64, 0, nmasks)
 		// The same draws as the sizing pass: only ctx can stop them now.
-		err = drawStream(ctx, g, budget, func(d drawn) {
+		err = drawStream(ctx, g, budget, func(d drawn, masks []uint64) {
 			s.ops = binary.AppendUvarint(s.ops, uint64(d.think)<<2|uint64(d.kind))
 			s.ops = binary.AppendUvarint(s.ops, uint64(d.addr))
 			if d.kind == opRead {
@@ -88,7 +95,7 @@ func Record(ctx context.Context, prof Profile, cores int, seed int64, par pcm.Pa
 			}
 			bitmap := len(s.ops)
 			s.ops = s.ops[:bitmap+bitmapBytes]
-			for u, m := range g.masks {
+			for u, m := range masks {
 				// A unit left untouched, or drawn with no bits, takes
 				// no mask.
 				if m != 0 {
@@ -110,24 +117,39 @@ func Record(ctx context.Context, prof Profile, cores int, seed int64, par pcm.Pa
 const drawPoll = 1024
 
 // drawStream draws g's ops until their think total reaches budget,
-// passing each to emit. It fails on a think gap of 2⁶² or more, which a
-// recording cannot hold beside the op's kind, and when ctx is done.
-func drawStream(ctx context.Context, g *Generator, budget int64, emit func(drawn)) error {
-	for retired, n := int64(0), 0; ; n++ {
-		if n%drawPoll == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
+// passing each to emit, and fails when ctx is done.
+func drawStream(ctx context.Context, g *Generator, budget int64, emit func(d drawn, masks []uint64)) error {
+	for s := (budgeted{g: g, left: budget}); !s.done; {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		d := g.draw()
-		if d.think >= 1<<62 {
-			return fmt.Errorf("think gap %d is too large to record", d.think)
+		s.fill(drawPoll, emit)
+	}
+	return nil
+}
+
+// budgeted is a core's generator drawing against its instruction
+// budget. It stops where a cpu.Core does: the op whose think gap
+// reaches the remaining budget is the last one the core fetches, so it
+// is the last one drawn. Record and Pipeline both draw through fill,
+// so the rule has one definition.
+type budgeted struct {
+	g    *Generator
+	left int64 // instructions the core has yet to retire
+	done bool  // the last op is drawn
+}
+
+// fill draws up to n more ops, passing each to emit with a write's
+// per-unit masks, and stops early after the last op.
+func (s *budgeted) fill(n int, emit func(d drawn, masks []uint64)) {
+	for ; n > 0 && !s.done; n-- {
+		d := s.g.draw()
+		if d.think >= s.left {
+			s.done = true
+		} else {
+			s.left -= d.think
 		}
-		emit(d)
-		if d.think >= budget-retired {
-			return nil
-		}
-		retired += d.think
+		emit(d, s.g.masks)
 	}
 }
 

@@ -12,11 +12,9 @@ import (
 )
 
 // checkReplay records a program's streams up to budget and checks that
-// every core's Replay yields the same ops as its live Generator, payload
-// bytes included, with the cores taking turns op by op so shared lines
-// see the same interleaving on both sides. It follows each stream to
-// the op a cpu.Core stops on, then checks that one more Next panics
-// naming the core and the op index.
+// every core's Replay yields the same ops as its live Generator (see
+// checkStreams), then that one more Next panics naming the core and
+// the op index.
 func checkReplay(t testing.TB, prof Profile, cores int, seed int64, lineBytes int, budget int64) {
 	t.Helper()
 	par := pcm.DefaultParams()
@@ -25,10 +23,28 @@ func checkReplay(t testing.TB, prof Profile, cores int, seed int64, lineBytes in
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, replayed := NewProgram(prof, cores, seed, par), NewProgram(prof, cores, seed, par)
-	gens, reps := make([]*Generator, cores), make([]*Replay, cores)
+	replayed := NewProgram(prof, cores, seed, par)
+	reps := make([]interface{ Next() Op }, cores)
+	for c := range reps {
+		reps[c] = rec.Replay(replayed, c)
+	}
+	ops := checkStreams(t, prof, cores, seed, par, budget, reps)
+	for c, rp := range reps {
+		checkPastEnd(t, rp, fmt.Sprintf("core %d replay ran past its end: op %d ", c, ops[c]))
+	}
+}
+
+// checkStreams checks that srcs yield the same ops as the program's
+// live Generators, payload bytes included, with the cores taking turns
+// op by op so shared lines see the same interleaving on both sides. It
+// follows each stream to the op a cpu.Core with the given budget stops
+// on, and returns each core's op count.
+func checkStreams(t testing.TB, prof Profile, cores int, seed int64, par pcm.Params, budget int64, srcs []interface{ Next() Op }) []int {
+	t.Helper()
+	live := NewProgram(prof, cores, seed, par)
+	gens := make([]*Generator, cores)
 	for c := range gens {
-		gens[c], reps[c] = live.Generator(c), rec.Replay(replayed, c)
+		gens[c] = live.Generator(c)
 	}
 	retired, ops := make([]int64, cores), make([]int, cores)
 	for left := cores; left > 0; {
@@ -36,10 +52,10 @@ func checkReplay(t testing.TB, prof Profile, cores int, seed int64, lineBytes in
 			if ops[c] < 0 {
 				continue
 			}
-			want, got := gens[c].Next(), reps[c].Next()
+			want, got := gens[c].Next(), srcs[c].Next()
 			if got.Think != want.Think || got.Write != want.Write || got.Addr != want.Addr || !bytes.Equal(got.Data, want.Data) {
-				t.Fatalf("%s seed %d, %d-byte lines, %d cores: core %d op %d: replay %+v, generator %+v",
-					prof.Name, seed, lineBytes, cores, c, ops[c], got, want)
+				t.Fatalf("%s seed %d, %d-byte lines, %d cores, budget %d: core %d op %d: source %+v, generator %+v",
+					prof.Name, seed, par.LineBytes, cores, budget, c, ops[c], got, want)
 			}
 			ops[c]++
 			if want.Think >= budget-retired[c] {
@@ -49,17 +65,22 @@ func checkReplay(t testing.TB, prof Profile, cores int, seed int64, lineBytes in
 			retired[c] += want.Think
 		}
 	}
-	for c, rp := range reps {
-		func() {
-			defer func() {
-				msg := fmt.Sprint(recover())
-				if want := fmt.Sprintf("core %d replay ran past its end: op %d ", c, -ops[c]); !strings.Contains(msg, want) {
-					t.Errorf("Next past the end of core %d: panic %q, want it to contain %q", c, msg, want)
-				}
-			}()
-			rp.Next()
-		}()
+	for c := range ops {
+		ops[c] = -ops[c]
 	}
+	return ops
+}
+
+// checkPastEnd checks that src's next Next panics with a message
+// containing want.
+func checkPastEnd(t testing.TB, src interface{ Next() Op }, want string) {
+	t.Helper()
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, want) {
+			t.Errorf("Next past the end: panic %q, want it to contain %q", msg, want)
+		}
+	}()
+	src.Next()
 }
 
 // TestReplayMatchesGenerator: a replayed recording is the live stream,

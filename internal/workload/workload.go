@@ -235,17 +235,26 @@ func (p *Program) Profile() Profile { return p.prof }
 
 // Generator returns core c's operation stream.
 func (p *Program) Generator(core int) *Generator {
+	g := new(Generator)
+	p.initGenerator(g, core)
+	g.payload = make([]byte, p.par.LineBytes)
+	return g
+}
+
+// initGenerator sets g up as core's generator, in place: g.masks points
+// into g itself. Only the payload buffer, which Next alone uses, is
+// left nil.
+func (p *Program) initGenerator(g *Generator, core int) {
 	if core < 0 || core >= p.cores {
 		panic(fmt.Sprintf("workload: core %d of %d", core, p.cores))
 	}
 	apki := p.prof.RPKI + p.prof.WPKI
 	total := p.prof.MeanSets + p.prof.MeanResets
-	g := &Generator{
+	*g = Generator{
 		prof:      p.prof,
 		core:      core,
 		prog:      p,
 		privBase:  pcm.LineAddr(int64(core) * int64(p.prof.PrivateLines)),
-		payload:   make([]byte, p.par.LineBytes),
 		meanGap:   1000 / apki,
 		freshFrac: (p.prof.MeanSets - p.prof.MeanResets) / total,
 		writeFrac: p.prof.WPKI / apki,
@@ -262,7 +271,6 @@ func (p *Program) Generator(core int) *Generator {
 	g.zipfShrd = newZipf(p.prof.ZipfS, 1, uint64(p.prof.SharedLines-1))
 	scale := 1 / (1 - p.prof.UntouchedUnits)
 	g.expUnitMean = math.Exp(-total * scale)
-	return g
 }
 
 // initialLine returns the deterministic initial contents of a line:
