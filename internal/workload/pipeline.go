@@ -116,14 +116,15 @@ func (pl *Pipeline) start(pp *Pipe) {
 	if pl.done == nil {
 		pl.done = make(chan struct{})
 	}
+	// Each channel holds every batch of the core, so no send blocks.
 	pp.full, pp.free = make(chan *batch, coreBatches), make(chan *batch, coreBatches)
 	pl.wg.Add(1)
 	go pp.produce(pl.done, &pl.wg)
 }
 
-// Stop ends every producer and waits for them to return. A Pipe must
-// not be read after Stop. Stop may be called more than once, and on a
-// nil Pipeline.
+// Stop ends every producer and waits for them to return. It is called
+// on the goroutine that reads the Pipes, which must not read them
+// after it. Stop may be called more than once, and on a nil Pipeline.
 func (pl *Pipeline) Stop() {
 	if pl == nil || pl.done == nil {
 		return
@@ -158,7 +159,7 @@ func (pp *Pipe) produce(done <-chan struct{}, wg *sync.WaitGroup) {
 		b.ops, b.masks = b.ops[:0], b.masks[:0]
 		pp.src.fill(batchOps, b.add)
 		b.last = pp.src.done
-		pp.full <- b // never blocks: the channel holds every batch
+		pp.full <- b
 	}
 }
 
