@@ -101,7 +101,11 @@ func (p *Program) Pipeline(budget int64) *Pipeline {
 		pp.src.fill(inline, pp.first.add)
 		pp.first.last = pp.src.done
 		pp.cur = &pp.first
-		if !pp.src.done {
+	}
+	// Only once every inline draw is made, so that a panic in one starts
+	// no goroutine that the caller could not stop.
+	for c := range pl.pipes {
+		if pp := &pl.pipes[c]; !pp.src.done {
 			pl.start(pp)
 		}
 	}
