@@ -169,19 +169,6 @@ func BenchmarkSchemePlanWrite(b *testing.B) {
 	}
 }
 
-// BenchmarkComposedSchemePlanWrite measures the decorator overhead of
-// registry-composed schemes on the same steady-state path: the flipmin
-// re-encoding pass, the remap density/wear ledger and the mlc P&V bill
-// all sit on the per-write hot path and are expected to stay at
-// 0 allocs/op like the bases they wrap.
-func BenchmarkComposedSchemePlanWrite(b *testing.B) {
-	for _, name := range []string{
-		"dcw+flipmin", "dcw+remap", "tetris+remap", "dcw+mlc", "dcw+flipmin+remap",
-	} {
-		b.Run(name, func(b *testing.B) { benchPlanWrite(b, name) })
-	}
-}
-
 func benchPlanWrite(b *testing.B, name string) {
 	s, err := NewScheme(name, DefaultParams())
 	if err != nil {

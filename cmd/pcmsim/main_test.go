@@ -54,8 +54,15 @@ func TestRunFlagsValidation(t *testing.T) {
 			t.Errorf("args %v accepted", args)
 		}
 	}
+	// A name outside the registry, such as a composition of the deleted
+	// decorators, fails with the sorted catalogue before anything runs.
+	out.Reset()
+	err := run(context.Background(), []string{"-scheme", "dcw+flipmin"}, &out, &errb)
+	if want := `registry: unknown scheme "dcw+flipmin" (schemes: 2stage, 3stage, baseline, conventional, dcw, flip-n-write, fnw, tetris, threestage, twostage)`; err == nil || err.Error() != want || out.Len() != 0 {
+		t.Errorf("-scheme dcw+flipmin: err = %v, output %q; want %q and no output", err, out.String(), want)
+	}
 	// The orphan message names the offending flags.
-	err := run(context.Background(), []string{"-fault-seed", "7", "-spare", "32"}, &out, &errb)
+	err = run(context.Background(), []string{"-fault-seed", "7", "-spare", "32"}, &out, &errb)
 	if err == nil || !strings.Contains(err.Error(), "-fault-seed") || !strings.Contains(err.Error(), "-spare") {
 		t.Errorf("orphan fault flags error unhelpful: %v", err)
 	}

@@ -7,11 +7,11 @@ import (
 )
 
 // TestResolveSchemesComposed checks the registry path of ResolveSchemes:
-// paper labels keep their table spelling, aliases and compositions
-// resolve to canonical names, and unknown names fail with the sorted
-// catalogue.
+// paper labels keep their table spelling, aliases resolve to canonical
+// names, and unknown names, the '+'-composed names of the deleted
+// decorators among them, fail with the sorted catalogue.
 func TestResolveSchemesComposed(t *testing.T) {
-	set, err := ResolveSchemes([]string{"baseline", "dcw+flipmin", "adaptive", "2stage"})
+	set, err := ResolveSchemes([]string{"baseline", "flip-n-write", "conventional", "2stage"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,35 +22,32 @@ func TestResolveSchemesComposed(t *testing.T) {
 	// "baseline" and "2stage" are paper table labels, kept verbatim so
 	// historical tables render byte-identically; registry-only names are
 	// displayed canonically.
-	want := []string{"baseline", "dcw+flipmin", "adaptive", "2stage"}
+	want := []string{"baseline", "fnw", "conventional", "2stage"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("resolved names %v, want %v", got, want)
 	}
 
-	_, err = ResolveSchemes([]string{"dwc"})
-	if err == nil {
-		t.Fatal("ResolveSchemes(dwc) succeeded")
-	}
-	for _, frag := range []string{"dcw", "tetris", "adaptive", "baseline", "flipmin", "remap", "mlc"} {
-		if !strings.Contains(err.Error(), frag) {
-			t.Errorf("unknown-scheme error omits %q: %v", frag, err)
+	for _, bad := range []string{"dwc", "dcw+flipmin", "adaptive"} {
+		_, err = ResolveSchemes([]string{"dcw", bad})
+		if err == nil {
+			t.Fatalf("ResolveSchemes(%s) succeeded", bad)
 		}
-	}
-
-	_, err = ResolveSchemes([]string{"fnw+flipmin"})
-	if err == nil || !strings.Contains(err.Error(), "flip cells") {
-		t.Errorf("invalid composition error = %v", err)
+		for _, frag := range []string{"dcw", "tetris", "conventional", "baseline", "flip-n-write"} {
+			if !strings.Contains(err.Error(), frag) {
+				t.Errorf("unknown-scheme error omits %q: %v", frag, err)
+			}
+		}
 	}
 }
 
-// TestComposedSweepParallelIdentity is the harness-level determinism
-// gate for composed schemes: a sweep restricted to registry
-// compositions must produce bit-identical FullResults at Parallel 1 and
-// Parallel 4. Scheme state lives per bank inside each cell's own
+// TestRegistrySweepParallelIdentity is the harness-level determinism
+// gate for sweeps named through the registry: a sweep over every
+// registry scheme must produce bit-identical FullResults at Parallel 1
+// and Parallel 4. Scheme state lives per bank inside each cell's own
 // simulation, so no concurrency degree may leak into the numbers.
-func TestComposedSweepParallelIdentity(t *testing.T) {
+func TestRegistrySweepParallelIdentity(t *testing.T) {
 	opt := fastOptions()
-	opt.Schemes = []string{"dcw", "dcw+flipmin", "tetris+remap", "adaptive"}
+	opt.Schemes = []string{"conventional", "dcw", "fnw", "twostage", "threestage", "tetris"}
 	opt.Parallel = 1
 	serial, err := RunFullSystem(opt)
 	if err != nil {
@@ -62,7 +59,7 @@ func TestComposedSweepParallelIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(serial.Results, par.Results) {
-		t.Error("composed sweep differs between Parallel=1 and Parallel=4")
+		t.Error("registry sweep differs between Parallel=1 and Parallel=4")
 	}
 	if g, w := serial.Figure12().String(), par.Figure12().String(); g != w {
 		t.Errorf("rendered Figure 12 differs:\nserial:\n%s\nparallel:\n%s", g, w)

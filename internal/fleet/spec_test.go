@@ -153,7 +153,7 @@ func TestRunShardUnknownNames(t *testing.T) {
 
 // TestFingerprintCanonicalizesSchemes: the v2 fingerprint hashes the
 // registry-canonical scheme name, so alias spellings share one cache
-// entry while distinct compositions stay distinct.
+// entry while distinct schemes stay distinct.
 func TestFingerprintCanonicalizesSchemes(t *testing.T) {
 	fp := func(scheme string) string {
 		s := ShardSpec{Workload: "vips", Scheme: scheme, Seed: 1, Instr: 1000,
@@ -165,14 +165,13 @@ func TestFingerprintCanonicalizesSchemes(t *testing.T) {
 		{"2stage", "twostage"},
 		{"3stage", "threestage"},
 		{"flip-n-write", "fnw"},
-		{"baseline+remap", "dcw+remap"},
 	}
 	for _, pair := range same {
 		if fp(pair[0]) != fp(pair[1]) {
 			t.Errorf("Fingerprint(%q) != Fingerprint(%q): aliases must share cache entries", pair[0], pair[1])
 		}
 	}
-	distinct := []string{"dcw", "dcw+flipmin", "dcw+remap", "dcw+flipmin+remap", "dcw+mlc", "adaptive", "adaptive+remap"}
+	distinct := []string{"conventional", "dcw", "fnw", "twostage", "threestage", "tetris"}
 	seen := map[string]string{}
 	for _, name := range distinct {
 		h := fp(name)
@@ -183,38 +182,51 @@ func TestFingerprintCanonicalizesSchemes(t *testing.T) {
 	}
 }
 
-// TestRunShardComposedScheme: a composed registry name runs end to end
-// through the fleet shard runner, deterministically.
-func TestRunShardComposedScheme(t *testing.T) {
-	sp := ShardSpec{Workload: "canneal", Scheme: "dcw+flipmin", Seed: 1,
-		Instr: 2000, Cores: 2, LineBytes: 64, Engine: "wheel"}
-	s1, err := RunShard(context.Background(), sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := RunShard(context.Background(), sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s1 != s2 {
-		t.Errorf("composed-scheme shard not deterministic:\n%+v\n%+v", s1, s2)
-	}
-	if s1.Scheme != "dcw+flipmin" {
-		t.Errorf("summary scheme = %q", s1.Scheme)
+// TestRunShardEveryScheme: every registry scheme, under its canonical
+// name or an alias, runs end to end through the fleet shard runner,
+// deterministically, and the summary carries the canonical name.
+func TestRunShardEveryScheme(t *testing.T) {
+	for _, tc := range [][2]string{
+		{"conventional", "conventional"}, {"baseline", "dcw"}, {"fnw", "fnw"},
+		{"2stage", "twostage"}, {"threestage", "threestage"}, {"tetris", "tetris"},
+	} {
+		scheme, canonical := tc[0], tc[1]
+		sp := ShardSpec{Workload: "canneal", Scheme: scheme, Seed: 1,
+			Instr: 2000, Cores: 2, LineBytes: 64, Engine: "wheel"}
+		s1, err := RunShard(context.Background(), sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s2, err := RunShard(context.Background(), sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s1 != s2 {
+			t.Errorf("%s shard not deterministic:\n%+v\n%+v", scheme, s1, s2)
+		}
+		if s1.Scheme != canonical {
+			t.Errorf("%s: summary scheme = %q, want %q", scheme, s1.Scheme, canonical)
+		}
 	}
 }
 
-// TestSpecNormalizeAcceptsComposedSchemes: the sweep grid validates
-// scheme names through the registry, so compositions and the adaptive
-// meta-scheme are sweepable, and invalid compositions are rejected at
-// spec time, not deep inside a worker.
-func TestSpecNormalizeAcceptsComposedSchemes(t *testing.T) {
-	s := SweepSpec{Workloads: []string{"vips"}, Schemes: []string{"dcw", "dcw+flipmin", "adaptive+remap"}}
+// TestSpecNormalizeSchemes: the sweep grid validates scheme names
+// through the registry, so every registry name and alias is sweepable,
+// and an unknown name — a typo, or a composition of the deleted
+// decorators — is rejected at spec time with the sorted catalogue, not
+// deep inside a worker.
+func TestSpecNormalizeSchemes(t *testing.T) {
+	s := SweepSpec{Workloads: []string{"vips"}, Schemes: []string{"conventional", "baseline", "fnw", "2stage", "3stage", "tetris"}}
 	if err := s.Normalize(); err != nil {
-		t.Fatalf("composed schemes rejected: %v", err)
+		t.Fatalf("registry schemes rejected: %v", err)
 	}
-	bad := SweepSpec{Workloads: []string{"vips"}, Schemes: []string{"fnw+flipmin"}}
-	if err := bad.Normalize(); err == nil {
-		t.Error("invalid composition fnw+flipmin accepted by Normalize")
+	for _, name := range []string{"dwc", "dcw+flipmin", "fnw+flipmin"} {
+		bad := SweepSpec{Workloads: []string{"vips"}, Schemes: []string{"dcw", name}}
+		err := bad.Normalize()
+		if err == nil {
+			t.Errorf("unknown scheme %s accepted by Normalize", name)
+		} else if !strings.Contains(err.Error(), "2stage, 3stage, baseline, conventional") {
+			t.Errorf("Normalize(%s) error lacks the sorted catalogue: %v", name, err)
+		}
 	}
 }

@@ -288,11 +288,6 @@ type bank struct {
 	// handed back as soon as the controller has extracted what it needs
 	// (service time, counts), so steady-state planning reuses one buffer.
 	recycler schemes.PlanRecycler
-	// observer is scheme's QueueObserver side, if it has one: it sees
-	// the controller's queue depths right before each PlanWrite, letting
-	// adaptive schemes react to load without touching the request path
-	// for everyone else.
-	observer schemes.QueueObserver
 	// write is the in-flight write, if any; reads[sub] is
 	// the subarray's in-flight read (nreads counts them). With
 	// Subarrays == 1 the two are mutually exclusive (monolithic bank);
@@ -345,7 +340,6 @@ func NewWithSchemes(eng *sim.Engine, dev *pcm.Device, insts []schemes.Scheme, cf
 	for _, s := range insts {
 		b := &bank{scheme: s, reads: make([]*request, cfg.Subarrays)}
 		b.recycler, _ = b.scheme.(schemes.PlanRecycler)
-		b.observer, _ = b.scheme.(schemes.QueueObserver)
 		c.banks = append(c.banks, b)
 	}
 	return c
@@ -730,9 +724,6 @@ func (c *Controller) startWrite(b *bank, req *request) {
 	}
 	old := c.oldBuf // synchronous use only: released before the next event
 	c.dev.PeekLine(req.addr, old)
-	if b.observer != nil {
-		b.observer.ObserveQueues(c.nreadQ, len(c.writeQ))
-	}
 	plan := b.scheme.PlanWrite(req.addr, old, req.data)
 	c.guard.CheckWritePlan(c.eng.Now(), req.addr, old, req.data, plan)
 	sets, resets := plan.Sets, plan.Resets

@@ -107,22 +107,18 @@ func (a *Array) Read(i int) Level { return a.cells[i] }
 // Stats returns the counters.
 func (a *Array) Stats() Stats { return a.stats }
 
-// Iterations returns the deterministic P&V iteration count for driving
+// iterations returns the deterministic P&V iteration count for driving
 // cell i to an intermediate level: a hash of the cell address, target
 // level and seed standing in for process variation, so simulations
 // replay identically.
-func (p Params) Iterations(i int64, target Level) int {
+func (a *Array) iterations(i int, target Level) int {
+	p := a.par
 	h := uint64(i)*0x9E3779B97F4A7C15 ^ uint64(target)*0xBF58476D1CE4E5B9 ^ p.Seed
 	h ^= h >> 31
 	h *= 0x94D049BB133111EB
 	h ^= h >> 29
 	span := uint64(p.MaxIter - p.MinIter + 1)
 	return p.MinIter + int(h%span)
-}
-
-// iterations is the Array-internal view of Iterations.
-func (a *Array) iterations(i int, target Level) int {
-	return a.par.Iterations(int64(i), target)
 }
 
 // Write programs cell i to the target level and returns the time the

@@ -170,3 +170,27 @@ func TestWritePairEncoding(t *testing.T) {
 		}
 	}
 }
+
+// TestIterationsBounds checks the per-cell variation hash stays inside
+// [MinIter, MaxIter] and actually varies across cells.
+func TestIterationsBounds(t *testing.T) {
+	par := DefaultParams()
+	a, err := NewArray(par, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[int]bool{}
+	for i := 0; i < 4096; i++ {
+		for _, lvl := range []Level{1, 2} {
+			n := a.iterations(i, lvl)
+			if n < par.MinIter || n > par.MaxIter {
+				t.Fatalf("iterations(%d, %d) = %d outside [%d, %d]",
+					i, lvl, n, par.MinIter, par.MaxIter)
+			}
+			seen[n] = true
+		}
+	}
+	if len(seen) < 2 {
+		t.Error("iteration hash shows no per-cell variation")
+	}
+}

@@ -2,6 +2,7 @@ package registry_test
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -16,6 +17,10 @@ import (
 func TestBasesResolve(t *testing.T) {
 	r := registry.Default()
 	par := pcm.DefaultParams()
+	want := []string{"conventional", "dcw", "fnw", "tetris", "threestage", "twostage"}
+	if got := r.Bases(); !slices.Equal(got, want) {
+		t.Errorf("Bases() = %v, want %v", got, want)
+	}
 	for _, name := range r.Bases() {
 		e, err := r.Resolve(name)
 		if err != nil {
@@ -46,79 +51,35 @@ func TestAliases(t *testing.T) {
 			t.Errorf("Canonical(%q) = %q, want %q", alias, got, want)
 		}
 	}
-	// Aliases compose too, and canonicalize through the base.
-	if got, err := r.Canonical("baseline+remap"); err != nil || got != "dcw+remap" {
-		t.Errorf("Canonical(baseline+remap) = %q, %v; want dcw+remap", got, err)
+	// The six bases and these four aliases are the whole catalogue.
+	if n := len(r.Names()); n != 10 {
+		t.Errorf("Names() has %d entries, want 6 bases + 4 aliases: %v", n, r.Names())
+	}
+	// Surrounding whitespace is tolerated; the canonical name is tight.
+	if got, err := r.Canonical(" baseline "); err != nil || got != "dcw" {
+		t.Errorf("Canonical(\" baseline \") = %q, %v", got, err)
 	}
 }
 
-// TestComposition checks decorators apply left to right and the composed
-// entry's Name matches both the spelling and the built scheme.
-func TestComposition(t *testing.T) {
-	r := registry.Default()
-	par := pcm.DefaultParams()
-	for _, name := range []string{
-		"dcw+flipmin", "conventional+flipmin", "dcw+remap", "tetris+remap",
-		"fnw+remap", "dcw+flipmin+remap", "dcw+mlc", "tetris+remap+mlc",
-		"adaptive+remap",
-	} {
-		e, err := r.Resolve(name)
-		if err != nil {
-			t.Fatalf("Resolve(%q): %v", name, err)
-		}
-		if e.Name != name {
-			t.Errorf("Resolve(%q).Name = %q", name, e.Name)
-		}
-		if got := e.Factory(par).Name(); got != name {
-			t.Errorf("built scheme for %q reports Name() = %q", name, got)
-		}
-	}
-	// Whitespace around segments is tolerated; the canonical name is tight.
-	if got, err := r.Canonical("dcw + flipmin"); err != nil || got != "dcw+flipmin" {
-		t.Errorf("Canonical(\"dcw + flipmin\") = %q, %v", got, err)
-	}
-}
-
-// TestFlipMinTraitRejection: one inversion tag per data unit admits one
-// writer, so flipmin must refuse to wrap any scheme that already drives
-// the flip cells.
-func TestFlipMinTraitRejection(t *testing.T) {
-	r := registry.Default()
-	for _, name := range []string{
-		"fnw+flipmin", "2stage+flipmin", "twostage+flipmin",
-		"threestage+flipmin", "tetris+flipmin", "adaptive+flipmin",
-		"dcw+flipmin+flipmin", // flipmin itself drives flip cells
-	} {
-		_, err := r.Resolve(name)
-		if err == nil {
-			t.Fatalf("Resolve(%q) succeeded; want flip-cell clash", name)
-		}
-		if !strings.Contains(err.Error(), "flip cells") {
-			t.Errorf("Resolve(%q) error %q does not name the clash", name, err)
-		}
-	}
-}
-
-// TestUnknownNameError: unknown segments fail with the sorted catalogue,
-// so a typo at any front end tells the user what is available.
+// TestUnknownNameError: unknown names, typos and the '+'-composed names
+// of the deleted decorators alike, fail with the sorted catalogue, so a
+// typo at any front end tells the user what is available.
 func TestUnknownNameError(t *testing.T) {
 	r := registry.Default()
-	_, err := r.Resolve("dwc")
-	if err == nil {
-		t.Fatal("Resolve(dwc) succeeded")
-	}
-	for _, want := range append(r.Names(), r.Decorators()...) {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("unknown-scheme error omits %q: %v", want, err)
+	for _, name := range []string{"dwc", "dcw+flipmin", "tetris+remap", "adaptive"} {
+		_, err := r.Resolve(name)
+		if err == nil {
+			t.Fatalf("Resolve(%s) succeeded", name)
 		}
-	}
-	if idx := strings.Index(err.Error(), "2stage"); idx < 0 ||
-		idx > strings.Index(err.Error(), "tetris") {
-		t.Errorf("catalogue not sorted in error: %v", err)
-	}
-	_, err = r.Resolve("dcw+remp")
-	if err == nil || !strings.Contains(err.Error(), "unknown decorator") {
-		t.Errorf("Resolve(dcw+remp) = %v; want unknown decorator", err)
+		for _, want := range r.Names() {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("unknown-scheme error omits %q: %v", want, err)
+			}
+		}
+		_, list, _ := strings.Cut(err.Error(), "schemes: ")
+		if idx := strings.Index(list, "2stage"); idx < 0 || idx > strings.Index(list, "tetris") {
+			t.Errorf("catalogue not sorted in error: %v", err)
+		}
 	}
 }
 
@@ -138,18 +99,12 @@ func TestRegistrationErrors(t *testing.T) {
 	}
 	ok(r.Register(registry.Entry{Name: "a", Factory: schemes.NewDCW}))
 	ok(r.RegisterAlias("b", "a"))
-	ok(r.RegisterDecorator(registry.Decorator{
-		Name: "d", Wrap: func(e registry.Entry) (registry.Entry, error) { return e, nil },
-	}))
 
 	bad(r.Register(registry.Entry{Name: "a", Factory: schemes.NewDCW}), "already registered")
 	bad(r.Register(registry.Entry{Name: "b", Factory: schemes.NewDCW}), "alias")
-	bad(r.Register(registry.Entry{Name: "d", Factory: schemes.NewDCW}), "decorator")
 	bad(r.Register(registry.Entry{Name: "", Factory: schemes.NewDCW}), "invalid name")
-	bad(r.Register(registry.Entry{Name: "x+y", Factory: schemes.NewDCW}), "invalid name")
 	bad(r.Register(registry.Entry{Name: "c"}), "no factory")
 	bad(r.RegisterAlias("e", "zzz"), "unknown base")
-	bad(r.RegisterDecorator(registry.Decorator{Name: "e"}), "no wrapper")
 }
 
 // splitmix64 is the deterministic byte stream behind the oracle test.
@@ -163,20 +118,14 @@ func (s *splitmix64) next() uint64 {
 	return z ^ (z >> 31)
 }
 
-// TestComposedSchemesDecode drives every composed scheme the PR ships
-// through hundreds of deterministic writes against the encoded-cell
+// TestBasesDecode drives every catalogued scheme through hundreds of
+// deterministic writes to a set of lines against the encoded-cell
 // oracle: each plan must validate structurally, respect the power
-// budget, and leave the array decoding to exactly the written line —
-// the single-XOR decode invariant every decorator promises to preserve.
-func TestComposedSchemesDecode(t *testing.T) {
-	names := []string{
-		"dcw+flipmin", "conventional+flipmin", "dcw+remap", "tetris+remap",
-		"twostage+remap", "dcw+flipmin+remap", "dcw+mlc", "dcw+flipmin+mlc",
-		"tetris+remap+mlc", "adaptive", "adaptive+remap",
-	}
+// budget, and leave the array decoding to exactly the written line.
+func TestBasesDecode(t *testing.T) {
 	par := pcm.DefaultParams()
 	r := registry.Default()
-	for _, name := range names {
+	for _, name := range r.Bases() {
 		t.Run(name, func(t *testing.T) {
 			e, err := r.Resolve(name)
 			if err != nil {
@@ -223,22 +172,16 @@ func TestComposedSchemesDecode(t *testing.T) {
 	}
 }
 
-// TestComposedSchemesCrashRecovery extends the decode oracle across a
-// power cut: every composition is torn at three seeded pulse boundaries
-// (only a schedule-order prefix of the plan lands) and then driven
-// through the scheme-side recovery contract — restore the coding state
-// from the physical flip cells, replan from the decoded contents —
-// after which the array must decode to exactly
-// the intended line again.
-func TestComposedSchemesCrashRecovery(t *testing.T) {
-	names := []string{
-		"dcw+flipmin", "conventional+flipmin", "dcw+remap", "tetris+remap",
-		"twostage+remap", "dcw+flipmin+remap", "dcw+mlc", "dcw+flipmin+mlc",
-		"tetris+remap+mlc", "adaptive", "adaptive+remap",
-	}
+// TestBasesCrashRecovery extends the decode oracle across a power cut:
+// every catalogued scheme is torn at three seeded pulse boundaries (only
+// a schedule-order prefix of the plan lands) and then driven through the
+// scheme-side recovery contract — restore the coding state from the
+// physical flip cells, replan from the decoded contents — after which
+// the array must decode to exactly the intended line again.
+func TestBasesCrashRecovery(t *testing.T) {
 	par := pcm.DefaultParams()
 	r := registry.Default()
-	for _, name := range names {
+	for _, name := range r.Bases() {
 		t.Run(name, func(t *testing.T) {
 			e, err := r.Resolve(name)
 			if err != nil {
@@ -321,56 +264,5 @@ func TestComposedSchemesCrashRecovery(t *testing.T) {
 				t.Error("no crash left a torn line; the recovery path never ran")
 			}
 		})
-	}
-}
-
-// TestAdaptiveStats checks the meta-scheme's telemetry contract: the
-// stat series set is complete and stable immediately after construction
-// (the memctrl sampler discovers series names at registration time,
-// before any write), and the activity counters move once writes flow.
-func TestAdaptiveStats(t *testing.T) {
-	par := pcm.DefaultParams()
-	e, err := registry.Default().Resolve("adaptive")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := e.Factory(par)
-	sp, ok := s.(schemes.StatProvider)
-	if !ok {
-		t.Fatal("adaptive does not implement StatProvider")
-	}
-	series := func() map[string]float64 {
-		out := map[string]float64{}
-		sp.SchemeStats(func(n string, v float64) { out[n] = v })
-		return out
-	}
-	before := series()
-	for _, want := range []string{
-		"scheme.adaptive.switches", "scheme.adaptive.epochs",
-		"scheme.adaptive.handovers", "scheme.adaptive.sticky_writes",
-		"scheme.adaptive.active",
-	} {
-		if _, ok := before[want]; !ok {
-			t.Errorf("series %q absent before first write", want)
-		}
-	}
-	rng := splitmix64(7)
-	old := make([]byte, par.LineBytes)
-	next := make([]byte, par.LineBytes)
-	for i := 0; i < 1024; i++ {
-		for b := range next {
-			next[b] = old[b]
-		}
-		next[rng.next()%uint64(par.LineBytes)] ^= 0xFF
-		p := s.PlanWrite(pcm.LineAddr(i%16), old, next)
-		_ = p
-		copy(old, next)
-	}
-	after := series()
-	if len(after) != len(before) {
-		t.Errorf("series set changed across writes: %d -> %d", len(before), len(after))
-	}
-	if after["scheme.adaptive.epochs"] == 0 {
-		t.Error("no epochs recorded after 1024 writes")
 	}
 }

@@ -309,32 +309,11 @@ type Factory func(pcm.Params) Scheme
 // line's tag word (zero for a line never written); RestoreFlipTags
 // overwrites it wholesale. Crash recovery compares the word with the
 // physical flip cells to judge a torn line, then restores it from them.
-// The adaptive meta-scheme hands a line over between candidates only
-// when the tags are all clear, so the receiving scheme's (implicitly
-// zero) state still decodes the line. A scheme without the interface
-// keeps no tags and never pulses a flip cell: its tags count as 0.
+// A scheme without the interface keeps no tags and never pulses a flip
+// cell: its tags count as 0.
 type FlipTagger interface {
 	FlipTags(addr pcm.LineAddr) uint64
 	RestoreFlipTags(addr pcm.LineAddr, tags uint64)
-}
-
-// QueueObserver is implemented by schemes that adapt to controller load.
-// The memory controller calls ObserveQueues with the bank's current read
-// and write queue depths immediately before each PlanWrite. The depths
-// are a deterministic function of the simulated request stream, so
-// schemes may fold them into planning decisions without breaking the
-// replay-identical contract.
-type QueueObserver interface {
-	ObserveQueues(reads, writes int)
-}
-
-// StatProvider is implemented by schemes that export internal counters
-// to the telemetry layer. SchemeStats calls emit once per counter with a
-// fully-qualified series name (e.g. "scheme.adaptive.switches") and its
-// current value. Decorators forward their inner scheme's stats and add
-// their own; the controller sums the emissions across banks.
-type StatProvider interface {
-	SchemeStats(emit func(name string, value float64))
 }
 
 // PowerBudget derives the bank's power constraint from the device

@@ -63,18 +63,13 @@ func geometries() []struct {
 	}{{"strict", strictParams()}, {"gcp", gcp}, {"budget8", split}, {"x8", x8}, {"chips2-line52", tail}}
 }
 
-// TestSchemesWriteCorrectness drives every scheme, and the flip-minimizer
-// over DCW, through a long random write sequence under each of
-// geometries and checks, after every write, that the plan is
-// structurally valid with counts that match its pulses, respects the
-// power budget, and leaves the array storing exactly the logical data
-// written.
+// TestSchemesWriteCorrectness drives every scheme through a long random
+// write sequence under each of geometries and checks, after every
+// write, that the plan is structurally valid with counts that match its
+// pulses, respects the power budget, and leaves the array storing
+// exactly the logical data written.
 func TestSchemesWriteCorrectness(t *testing.T) {
-	flipMinDCW := func(par pcm.Params) Scheme { return NewFlipMin(NewDCW(par), par) }
-	for _, tc := range append(factories, struct {
-		name string
-		f    Factory
-	}{"dcw+flipmin", flipMinDCW}) {
+	for _, tc := range factories {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, g := range geometries() {
 				par := g.par

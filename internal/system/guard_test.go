@@ -14,10 +14,12 @@ import (
 	"tetriswrite/internal/workload"
 )
 
-var allFactories = []struct {
+type namedFactory struct {
 	name    string
 	factory schemes.Factory
-}{
+}
+
+var allFactories = []namedFactory{
 	{"dcw", schemes.NewDCW},
 	{"fnw", schemes.NewFlipNWrite},
 	{"2stage", schemes.NewTwoStage},
@@ -26,13 +28,15 @@ var allFactories = []struct {
 }
 
 // TestGuardViolationFreeAndBitIdentical is the headline acceptance test
-// of the invariant guard: every seed workload under every scheme runs to
-// completion with deep checks enabled and no violation, and the guarded
-// run's results are bit-identical to the unguarded run's — the guard
-// observes, never perturbs.
+// of the invariant guard: every seed workload under every scheme, the
+// paper's five and conventional, runs to completion with deep checks
+// enabled and no violation, and the guarded run's results are
+// bit-identical to the unguarded run's — the guard observes, never
+// perturbs. Deep checks replay every plan on the shadow array, so this
+// is also the system-level form of the decode oracle.
 func TestGuardViolationFreeAndBitIdentical(t *testing.T) {
 	for _, prof := range workload.Profiles() {
-		for _, mk := range allFactories {
+		for _, mk := range append([]namedFactory{{"conventional", schemes.NewConventional}}, allFactories...) {
 			t.Run(prof.Name+"/"+mk.name, func(t *testing.T) {
 				cfg := smallConfig()
 				cfg.InstrBudget = 20_000

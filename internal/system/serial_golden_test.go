@@ -11,36 +11,17 @@ import (
 
 	"tetriswrite/internal/registry"
 	"tetriswrite/internal/schemes"
-	"tetriswrite/internal/tetris"
 	"tetriswrite/internal/workload"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// serialGoldenNames is the composition set the serial-engine golden
-// sweeps: every base scheme plus one instance of each decorator and the
-// adaptive meta-scheme.
-var serialGoldenNames = []string{
-	"conventional", "dcw", "fnw", "twostage", "threestage", "tetris",
-	"dcw+flipmin", "dcw+remap", "tetris+remap", "dcw+mlc", "adaptive",
-}
+// serialGoldenNames is the scheme set the serial-engine golden sweeps:
+// every registry scheme.
+var serialGoldenNames = []string{"conventional", "dcw", "fnw", "twostage", "threestage", "tetris"}
 
 func serialGoldenFactory(t *testing.T, name string) schemes.Factory {
 	t.Helper()
-	switch name {
-	case "conventional":
-		return schemes.NewConventional
-	case "dcw":
-		return schemes.NewDCW
-	case "fnw":
-		return schemes.NewFlipNWrite
-	case "twostage":
-		return schemes.NewTwoStage
-	case "threestage":
-		return schemes.NewThreeStage
-	case "tetris":
-		return tetris.New
-	}
 	e, err := registry.Default().Resolve(name)
 	if err != nil {
 		t.Fatal(err)

@@ -70,9 +70,7 @@ type planStreamConfig struct {
 	new  func() schemes.Scheme
 }
 
-// planStreamConfigs returns every registry composition the golden
-// covers — each base, each base with each decorator it accepts, and the
-// multi-decorator stacks the registry tests drive — followed by the
+// planStreamConfigs returns every registry scheme, followed by the
 // Tetris pulse-order configurations (GCP off, small budgets, every
 // Options variant, x8 chips, a Tset that K does not divide), all on the
 // default geometry's stream, and then the static schemes on the
@@ -80,19 +78,9 @@ type planStreamConfig struct {
 // Params.
 func planStreamConfigs(t *testing.T) []planStreamConfig {
 	reg := registry.Default()
-	var names []string
-	for _, b := range reg.Bases() {
-		names = append(names, b)
-		for _, d := range reg.Decorators() {
-			if _, err := reg.Resolve(b + "+" + d); err == nil {
-				names = append(names, b+"+"+d)
-			}
-		}
-	}
-	names = append(names, "dcw+flipmin+remap", "dcw+flipmin+mlc", "tetris+remap+mlc")
 	var out []planStreamConfig
 	par := pcm.DefaultParams()
-	for _, name := range names {
+	for _, name := range reg.Bases() {
 		e, err := reg.Resolve(name)
 		if err != nil {
 			t.Fatal(err)
@@ -239,7 +227,7 @@ func replayDigest(s schemes.Scheme, stream []linePair) (digest, bad string) {
 }
 
 // TestPlanStreamGolden pins every plan a captured vips write stream
-// produces across every registry composition, the Tetris geometry and
+// produces across every registry scheme, the Tetris geometry and
 // option corners and the static schemes' geometry corners, to SHA-256
 // digests recorded in testdata. A planner rewrite must leave every digest unchanged; run
 // with -update only for a reviewed behaviour change.
