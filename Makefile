@@ -2,9 +2,9 @@
 
 GO ?= go
 FUZZTIME ?= 10s
-# The gated hot-path benchmarks: per-write planning cost (every
-# registry scheme, on one fixed line pair and on a captured vips write
-# stream), two full system simulations end to end (one short
+# The gated hot-path benchmarks: per-write planning cost (base and
+# registry-composed schemes, one fixed line pair and a captured vips
+# write stream), two full system simulations end to end (one short
 # enough to draw its ops inline, one whose workload pipeline hands off
 # to producer goroutines), the event engine on the long-trace pattern
 # (at the 4-16 events a full-system run keeps pending, and at a
@@ -12,7 +12,7 @@ FUZZTIME ?= 10s
 # synthesis alone, trace ingestion (Parse of a 300k-record vips
 # trace plus draining one CoreSource per core), and recording one
 # latency sample.
-BENCHFILTER ?= BenchmarkSchemePlanWrite|BenchmarkSchemePlanWriteDense|BenchmarkSchemePlanStream|BenchmarkArrayFlipCount|BenchmarkCacheHit|BenchmarkFullSystemSingle|BenchmarkFullSystemLong|BenchmarkEngineLongTrace|BenchmarkGeneratorNext|BenchmarkTraceParse|BenchmarkLatencyAdd
+BENCHFILTER ?= BenchmarkSchemePlanWrite|BenchmarkComposedSchemePlanWrite|BenchmarkSchemePlanWriteDense|BenchmarkSchemePlanStream|BenchmarkArrayFlipCount|BenchmarkCacheHit|BenchmarkFullSystemSingle|BenchmarkFullSystemLong|BenchmarkEngineLongTrace|BenchmarkGeneratorNext|BenchmarkTraceParse|BenchmarkLatencyAdd
 BENCHCOUNT ?= 3
 
 # Build stamping for `<binary> -version`: ldflags override the

@@ -169,6 +169,16 @@ func BenchmarkSchemePlanWrite(b *testing.B) {
 	}
 }
 
+// BenchmarkComposedSchemePlanWrite measures the decorator overhead of
+// registry-composed schemes on the same steady-state path: the remap
+// density/wear ledger sits on the per-write hot path and is expected to
+// stay at 0 allocs/op like the bases it wraps.
+func BenchmarkComposedSchemePlanWrite(b *testing.B) {
+	for _, name := range []string{"dcw+remap", "tetris+remap"} {
+		b.Run(name, func(b *testing.B) { benchPlanWrite(b, name) })
+	}
+}
+
 func benchPlanWrite(b *testing.B, name string) {
 	s, err := NewScheme(name, DefaultParams())
 	if err != nil {

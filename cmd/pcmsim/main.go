@@ -38,9 +38,10 @@ import (
 	"tetriswrite/internal/workload"
 )
 
-// Scheme names resolve through the shared registry: the six schemes and
-// their aliases ("baseline", "2stage"). Unknown names fail with the
-// sorted catalogue before anything runs.
+// Scheme names resolve through the shared registry: the six schemes,
+// their aliases ("baseline", "2stage") and names composed with the remap
+// decorator ("tetris+remap"). Unknown names fail with the sorted
+// catalogue before anything runs.
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -58,7 +59,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 	fs.SetOutput(stderr)
 	var (
 		wl        = fs.String("workload", "vips", "workload: one of the 8 PARSEC profiles")
-		scheme    = fs.String("scheme", "tetris", "write scheme: a registry name (conventional|dcw|fnw|2stage|3stage|tetris, or an alias such as baseline)")
+		scheme    = fs.String("scheme", "tetris", "write scheme: a registry name (conventional|dcw|fnw|2stage|3stage|tetris, or an alias such as baseline), composable with +remap")
 		instr     = fs.Int64("instr", 1_000_000, "instructions per core")
 		coresN    = fs.Int("cores", 4, "number of cores")
 		seed      = fs.Int64("seed", 1, "workload seed")

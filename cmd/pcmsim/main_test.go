@@ -54,11 +54,12 @@ func TestRunFlagsValidation(t *testing.T) {
 			t.Errorf("args %v accepted", args)
 		}
 	}
-	// A name outside the registry, such as a composition of the deleted
-	// decorators, fails with the sorted catalogue before anything runs.
+	// A name outside the registry, such as a composition with the deleted
+	// flipmin decorator, fails with the sorted catalogue before anything
+	// runs.
 	out.Reset()
 	err := run(context.Background(), []string{"-scheme", "dcw+flipmin"}, &out, &errb)
-	if want := `registry: unknown scheme "dcw+flipmin" (schemes: 2stage, 3stage, baseline, conventional, dcw, flip-n-write, fnw, tetris, threestage, twostage)`; err == nil || err.Error() != want || out.Len() != 0 {
+	if want := `registry: unknown decorator "flipmin" (schemes: 2stage, 3stage, baseline, conventional, dcw, flip-n-write, fnw, tetris, threestage, twostage; decorators, composed with '+': remap)`; err == nil || err.Error() != want || out.Len() != 0 {
 		t.Errorf("-scheme dcw+flipmin: err = %v, output %q; want %q and no output", err, out.String(), want)
 	}
 	// The orphan message names the offending flags.

@@ -198,3 +198,80 @@ func TestTelemetryFlagValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestAdaptiveTelemetryGoldenSchema pins the scheme-level telemetry a
+// registry composition adds to the JSON-lines export: the counters the
+// remap decorator exports through schemes.StatProvider. The test keeps
+// its name from when it also pinned the series of the adaptive
+// meta-scheme, since deleted. Like the main schema golden, any rename or
+// drop must surface as a reviewable diff.
+func TestAdaptiveTelemetryGoldenSchema(t *testing.T) {
+	outDir := t.TempDir()
+	var out, errb bytes.Buffer
+	err := run(context.Background(), []string{"-workload", "canneal", "-scheme", "tetris+remap",
+		"-instr", "40000", "-epoch", "10us", "-metrics-out", outDir, "-json"}, &out, &errb)
+	if err != nil {
+		t.Fatalf("run: %v (stderr: %s)", err, errb.String())
+	}
+	f, err := os.Open(filepath.Join(outDir, "epochs.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	seriesSet := map[string]struct{}{}
+	sc := bufio.NewScanner(f)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	var nRecords int
+	for sc.Scan() {
+		var rec epochRecord
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			t.Fatalf("record %d: %v", nRecords, err)
+		}
+		for name := range rec.Metrics {
+			seriesSet[name] = struct{}{}
+		}
+		nRecords++
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if nRecords == 0 {
+		t.Fatal("epochs.jsonl is empty")
+	}
+
+	names := make([]string, 0, len(seriesSet))
+	for n := range seriesSet {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+
+	// The scheme series must be present in every epoch record from the
+	// first one — the sampler discovers the set at registration, so no
+	// series may appear mid-run.
+	for _, want := range []string{"scheme.remap.migrations", "scheme.remap.tracked_lines"} {
+		if _, ok := seriesSet[want]; !ok {
+			t.Errorf("series %q missing from export; have %v", want, names)
+		}
+	}
+
+	var schema bytes.Buffer
+	for _, n := range names {
+		if strings.HasPrefix(n, "scheme.") {
+			fmt.Fprintf(&schema, "series:%s\n", n)
+		}
+	}
+	golden := filepath.Join("testdata", "scheme_schema.golden")
+	if *update {
+		if err := os.WriteFile(golden, schema.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if !bytes.Equal(schema.Bytes(), want) {
+		t.Errorf("scheme.* schema drifted from %s (rerun with -update if intended):\ngot:\n%s\nwant:\n%s",
+			golden, schema.String(), want)
+	}
+}

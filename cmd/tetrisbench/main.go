@@ -60,7 +60,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		seed       = fs.Int64("seed", 1, "workload seed")
 		par        = fs.Int("parallel", 0, "concurrent full-system simulations (0 = all CPUs, 1 = one at a time; tables are bit-identical at any value)")
 		runTO      = fs.Duration("run-timeout", 0, "wall-clock limit per full-system simulation, e.g. 5m (0 = none)")
-		schemeList = fs.String("schemes", "", "comma-separated scheme names for the full-system figures (registry names or aliases, e.g. conventional,baseline,tetris); empty = the paper set; the first is the normalization baseline")
+		schemeList = fs.String("schemes", "", "comma-separated scheme names for the full-system figures (registry names or aliases, composable with +remap, e.g. conventional,baseline,tetris+remap); empty = the paper set; the first is the normalization baseline")
 		energy     = fs.Bool("energy", false, "also print the energy-per-write table with the full-system figures")
 		sweep      = fs.String("sweep", "", "extra sweep beyond the paper: 'line' (64/128/256 B) or 'budget' (32..4)")
 		endur      = fs.Bool("endurance", false, "also run the endurance (wear leveling) table")

@@ -232,8 +232,8 @@ func TestBadParallelFlag(t *testing.T) {
 		{[]string{"-seeds", "-2"}, "-seeds -2: seed count cannot be negative"},
 		{[]string{"-crash-every", "-5"}, "-crash-every -5: cut interval cannot be negative"},
 		{[]string{"-crash-every", "64", "-crash-cuts", "-3"}, "-crash-cuts -3: cut cap cannot be negative"},
-		{[]string{"-fig", "13", "-schemes", "dcw,dcw+flipmin"}, `-schemes: exp: registry: unknown scheme "dcw+flipmin" ` +
-			`(schemes: 2stage, 3stage, baseline, conventional, dcw, flip-n-write, fnw, tetris, threestage, twostage)`},
+		{[]string{"-fig", "13", "-schemes", "dcw,dcw+flipmin"}, `-schemes: exp: registry: unknown decorator "flipmin" ` +
+			`(schemes: 2stage, 3stage, baseline, conventional, dcw, flip-n-write, fnw, tetris, threestage, twostage; decorators, composed with '+': remap)`},
 	} {
 		out.Reset()
 		err := run(context.Background(), tc.args, &out, &errb)

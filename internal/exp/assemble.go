@@ -35,10 +35,11 @@ func ResolveProfiles(names []string) ([]workload.Profile, error) {
 // given order; an empty list selects the full SchemeSet in paper order.
 // Names matching a paper table label ("baseline", "2stage", ...) keep
 // that label as display name, so the rendered tables stay byte-identical
-// to the historical ones; everything else — canonical names and aliases
-// such as "dcw" or "flip-n-write" — resolves through the scheme registry
-// and is displayed under its canonical spelling. Unknown names fail with
-// the sorted list of registered names. Note the first resolved scheme is the normalization baseline of
+// to the historical ones; everything else — canonical names, aliases
+// and composed names like "flip-n-write" or "tetris+remap" — resolves through the
+// scheme registry and is displayed under its canonical spelling. Unknown
+// names fail with the sorted list of registered scheme and decorator
+// names. Note the first resolved scheme is the normalization baseline of
 // every figure table, exactly as in a direct sweep.
 func ResolveSchemes(want []string) ([]NamedFactory, error) {
 	set := SchemeSet()

@@ -7,11 +7,12 @@ import (
 )
 
 // TestResolveSchemesComposed checks the registry path of ResolveSchemes:
-// paper labels keep their table spelling, aliases resolve to canonical
-// names, and unknown names, the '+'-composed names of the deleted
-// decorators among them, fail with the sorted catalogue.
+// paper labels keep their table spelling, aliases and compositions
+// resolve to canonical names, and unknown names, the names of the
+// deleted adaptive scheme and flipmin decorator among them, fail with
+// the sorted catalogue.
 func TestResolveSchemesComposed(t *testing.T) {
-	set, err := ResolveSchemes([]string{"baseline", "flip-n-write", "conventional", "2stage"})
+	set, err := ResolveSchemes([]string{"baseline", "flip-n-write", "baseline+remap", "conventional", "2stage"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +23,7 @@ func TestResolveSchemesComposed(t *testing.T) {
 	// "baseline" and "2stage" are paper table labels, kept verbatim so
 	// historical tables render byte-identically; registry-only names are
 	// displayed canonically.
-	want := []string{"baseline", "fnw", "conventional", "2stage"}
+	want := []string{"baseline", "fnw", "dcw+remap", "conventional", "2stage"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("resolved names %v, want %v", got, want)
 	}
@@ -32,7 +33,7 @@ func TestResolveSchemesComposed(t *testing.T) {
 		if err == nil {
 			t.Fatalf("ResolveSchemes(%s) succeeded", bad)
 		}
-		for _, frag := range []string{"dcw", "tetris", "conventional", "baseline", "flip-n-write"} {
+		for _, frag := range []string{"dcw", "tetris", "conventional", "baseline", "flip-n-write", "remap"} {
 			if !strings.Contains(err.Error(), frag) {
 				t.Errorf("unknown-scheme error omits %q: %v", frag, err)
 			}
@@ -40,14 +41,15 @@ func TestResolveSchemesComposed(t *testing.T) {
 	}
 }
 
-// TestRegistrySweepParallelIdentity is the harness-level determinism
+// TestComposedSweepParallelIdentity is the harness-level determinism
 // gate for sweeps named through the registry: a sweep over every
-// registry scheme must produce bit-identical FullResults at Parallel 1
-// and Parallel 4. Scheme state lives per bank inside each cell's own
-// simulation, so no concurrency degree may leak into the numbers.
-func TestRegistrySweepParallelIdentity(t *testing.T) {
+// registry scheme and a remap composition must produce bit-identical
+// FullResults at Parallel 1 and Parallel 4. Scheme state lives per bank
+// inside each cell's own simulation, so no concurrency degree may leak
+// into the numbers.
+func TestComposedSweepParallelIdentity(t *testing.T) {
 	opt := fastOptions()
-	opt.Schemes = []string{"conventional", "dcw", "fnw", "twostage", "threestage", "tetris"}
+	opt.Schemes = []string{"conventional", "dcw", "fnw", "twostage", "threestage", "tetris", "tetris+remap"}
 	opt.Parallel = 1
 	serial, err := RunFullSystem(opt)
 	if err != nil {
@@ -59,7 +61,7 @@ func TestRegistrySweepParallelIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(serial.Results, par.Results) {
-		t.Error("registry sweep differs between Parallel=1 and Parallel=4")
+		t.Error("composed sweep differs between Parallel=1 and Parallel=4")
 	}
 	if g, w := serial.Figure12().String(), par.Figure12().String(); g != w {
 		t.Errorf("rendered Figure 12 differs:\nserial:\n%s\nparallel:\n%s", g, w)

@@ -68,19 +68,24 @@ const crashGolden = "testdata/crash_golden.txt"
 
 // TestCrashTableGolden pins the crash classification table — the
 // artifact of `tetrisbench -crash-every 64 -crash-cuts 4 -writes 80` —
-// for the default grid, which holds every registry scheme. Rewrite the
-// file with -update only for an intended change to how torn lines are
-// classified or repaired.
+// for the default grid and for a grid of remap compositions over tagged
+// inner schemes. Rewrite the file with -update only for an intended
+// change to how torn lines are classified or repaired.
 func TestCrashTableGolden(t *testing.T) {
-	res, err := CrashSweep(CrashSweepOptions{
-		Options: Options{Writes: 80, Seed: 1},
-		Every:   64,
-		MaxCuts: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
+	var b strings.Builder
+	for _, grid := range [][]string{nil, {"fnw+remap", "tetris+remap"}} {
+		res, err := CrashSweep(CrashSweepOptions{
+			Options: Options{Writes: 80, Seed: 1, Schemes: grid},
+			Every:   64,
+			MaxCuts: 4,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.WriteString(res.Table().String())
+		b.WriteByte('\n')
 	}
-	got := res.Table().String() + "\n"
+	got := b.String()
 	if *update {
 		if err := os.WriteFile(crashGolden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)

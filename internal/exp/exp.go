@@ -48,8 +48,9 @@ func SchemeSet() []NamedFactory {
 type Options struct {
 	Params pcm.Params
 	// Schemes selects the swept schemes by name — paper table labels
-	// ("baseline", "2stage") or registry names ("dcw", "conventional")
-	// — resolved through ResolveSchemes. Empty selects the full paper SchemeSet. The first
+	// ("baseline", "2stage"), registry canonical names or composed
+	// registry names ("dcw", "tetris+remap") — resolved through
+	// ResolveSchemes. Empty selects the full paper SchemeSet. The first
 	// scheme is the normalization baseline of every figure table.
 	Schemes []string
 	// Writes is the number of line writes sampled per workload by the

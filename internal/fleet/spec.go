@@ -197,7 +197,8 @@ type ShardSpec struct {
 // The scheme name is canonicalized through the registry before hashing
 // (v2): "baseline" and "dcw", or "2stage" and "twostage", are the same
 // computation under different display labels and must share one cache
-// entry, while every distinct scheme stays a distinct identity. A name the registry cannot resolve hashes as
+// entry, while every distinct composed name ("dcw+remap") stays a
+// distinct identity. A name the registry cannot resolve hashes as
 // spelled — Normalize has already rejected it for real jobs.
 func (s ShardSpec) Fingerprint() string {
 	scheme := s.Scheme

@@ -153,7 +153,7 @@ func TestRunShardUnknownNames(t *testing.T) {
 
 // TestFingerprintCanonicalizesSchemes: the v2 fingerprint hashes the
 // registry-canonical scheme name, so alias spellings share one cache
-// entry while distinct schemes stay distinct.
+// entry while distinct compositions stay distinct.
 func TestFingerprintCanonicalizesSchemes(t *testing.T) {
 	fp := func(scheme string) string {
 		s := ShardSpec{Workload: "vips", Scheme: scheme, Seed: 1, Instr: 1000,
@@ -165,13 +165,14 @@ func TestFingerprintCanonicalizesSchemes(t *testing.T) {
 		{"2stage", "twostage"},
 		{"3stage", "threestage"},
 		{"flip-n-write", "fnw"},
+		{"baseline+remap", "dcw+remap"},
 	}
 	for _, pair := range same {
 		if fp(pair[0]) != fp(pair[1]) {
 			t.Errorf("Fingerprint(%q) != Fingerprint(%q): aliases must share cache entries", pair[0], pair[1])
 		}
 	}
-	distinct := []string{"conventional", "dcw", "fnw", "twostage", "threestage", "tetris"}
+	distinct := []string{"conventional", "dcw", "fnw", "twostage", "threestage", "tetris", "dcw+remap", "tetris+remap"}
 	seen := map[string]string{}
 	for _, name := range distinct {
 		h := fp(name)
@@ -182,13 +183,15 @@ func TestFingerprintCanonicalizesSchemes(t *testing.T) {
 	}
 }
 
-// TestRunShardEveryScheme: every registry scheme, under its canonical
-// name or an alias, runs end to end through the fleet shard runner,
-// deterministically, and the summary carries the canonical name.
-func TestRunShardEveryScheme(t *testing.T) {
+// TestRunShardComposedScheme: every registry scheme, under its
+// canonical name, an alias or a remap composition, runs end to end
+// through the fleet shard runner, deterministically, and the summary
+// carries the canonical name.
+func TestRunShardComposedScheme(t *testing.T) {
 	for _, tc := range [][2]string{
 		{"conventional", "conventional"}, {"baseline", "dcw"}, {"fnw", "fnw"},
 		{"2stage", "twostage"}, {"threestage", "threestage"}, {"tetris", "tetris"},
+		{"baseline+remap", "dcw+remap"},
 	} {
 		scheme, canonical := tc[0], tc[1]
 		sp := ShardSpec{Workload: "canneal", Scheme: scheme, Seed: 1,
@@ -210,17 +213,18 @@ func TestRunShardEveryScheme(t *testing.T) {
 	}
 }
 
-// TestSpecNormalizeSchemes: the sweep grid validates scheme names
-// through the registry, so every registry name and alias is sweepable,
-// and an unknown name — a typo, or a composition of the deleted
-// decorators — is rejected at spec time with the sorted catalogue, not
+// TestSpecNormalizeAcceptsComposedSchemes: the sweep grid validates
+// scheme names through the registry, so every registry name, alias and
+// remap composition is sweepable, and an unknown name — a typo, the
+// deleted adaptive scheme, or a composition with the deleted flipmin
+// decorator — is rejected at spec time with the sorted catalogue, not
 // deep inside a worker.
-func TestSpecNormalizeSchemes(t *testing.T) {
-	s := SweepSpec{Workloads: []string{"vips"}, Schemes: []string{"conventional", "baseline", "fnw", "2stage", "3stage", "tetris"}}
+func TestSpecNormalizeAcceptsComposedSchemes(t *testing.T) {
+	s := SweepSpec{Workloads: []string{"vips"}, Schemes: []string{"conventional", "baseline", "fnw", "2stage", "3stage", "tetris", "dcw+remap"}}
 	if err := s.Normalize(); err != nil {
 		t.Fatalf("registry schemes rejected: %v", err)
 	}
-	for _, name := range []string{"dwc", "dcw+flipmin", "fnw+flipmin"} {
+	for _, name := range []string{"dwc", "adaptive", "dcw+flipmin", "fnw+flipmin"} {
 		bad := SweepSpec{Workloads: []string{"vips"}, Schemes: []string{"dcw", name}}
 		err := bad.Normalize()
 		if err == nil {

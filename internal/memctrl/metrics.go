@@ -3,6 +3,7 @@ package memctrl
 import (
 	"fmt"
 
+	"tetriswrite/internal/schemes"
 	"tetriswrite/internal/telemetry"
 	"tetriswrite/internal/units"
 )
@@ -86,6 +87,38 @@ func (c *Controller) RegisterMetrics(reg *telemetry.Registry) {
 		reg.GaugeFunc(fmt.Sprintf("memctrl.bank%d.util", i), "bank array occupancy fraction", func() float64 {
 			return c.BankUtilization()[i]
 		})
+	}
+
+	// Scheme-exported counters (schemes.StatProvider), summed across the
+	// per-bank scheme instances: the remap decorator's migration
+	// counters. The series set is discovered from bank 0 at registration
+	// time — every bank runs the same factory, so all banks emit the
+	// same names.
+	if sp0, ok := c.banks[0].scheme.(schemes.StatProvider); ok {
+		var names []string
+		seen := map[string]bool{}
+		sp0.SchemeStats(func(name string, _ float64) {
+			if !seen[name] {
+				seen[name] = true
+				names = append(names, name)
+			}
+		})
+		for _, name := range names {
+			name := name
+			reg.GaugeFunc(name, "scheme counter, summed across banks", func() float64 {
+				var sum float64
+				for _, b := range c.banks {
+					if sp, ok := b.scheme.(schemes.StatProvider); ok {
+						sp.SchemeStats(func(n string, v float64) {
+							if n == name {
+								sum += v
+							}
+						})
+					}
+				}
+				return sum
+			})
+		}
 	}
 
 	// Power layer: the pulse mix and the charge-pump budget view. The

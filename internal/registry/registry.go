@@ -1,14 +1,19 @@
 // Package registry is the name-keyed catalogue of write schemes: the
 // six the paper compares, each under its canonical name, plus the
 // paper's table labels as aliases ("baseline" for "dcw", "2stage" for
-// "twostage").
+// "twostage"). A name may add decorators joined with '+', applied left
+// to right, so the last decorator is outermost:
+//
+//	resolve("baseline+remap") = remap(dcw)
+//
+// The one registered decorator is remap.
 //
 // The registry is how every front end — exp sweeps, cmd/pcmsim,
 // cmd/tetrisbench, the fleet wire format — agrees on what a scheme name
 // means. Canonical spelling matters to the fleet: shard fingerprints
 // hash the canonical name (aliases like "baseline" resolve to "dcw"), so
 // cached shard results stay correct across spellings while distinct
-// schemes stay distinct.
+// compositions stay distinct.
 package registry
 
 import (
@@ -17,11 +22,13 @@ import (
 	"strings"
 	"sync"
 
+	"tetriswrite/internal/pcm"
 	"tetriswrite/internal/schemes"
 	"tetriswrite/internal/tetris"
 )
 
-// Entry is one resolvable scheme.
+// Entry is one resolvable scheme: a base registration or the result of
+// applying decorators to one.
 type Entry struct {
 	// Name is the canonical name: the same string the built scheme's
 	// Name() method returns.
@@ -30,13 +37,21 @@ type Entry struct {
 	Factory schemes.Factory
 }
 
-// Registry maps names to scheme entries. The zero value is not usable;
+// Decorator wraps an Entry into a new Entry.
+type Decorator struct {
+	Name string
+	Wrap func(Entry) Entry
+}
+
+// Registry maps names to scheme entries and decorators. The zero value
+// is not usable;
 // New returns an empty registry and Default() the shared one with the
 // repository's full catalogue. A Registry is immutable after its
 // registration phase and safe for concurrent resolution.
 type Registry struct {
 	bases   map[string]Entry
 	aliases map[string]string
+	decos   map[string]Decorator
 }
 
 // New returns an empty registry.
@@ -44,10 +59,12 @@ func New() *Registry {
 	return &Registry{
 		bases:   map[string]Entry{},
 		aliases: map[string]string{},
+		decos:   map[string]Decorator{},
 	}
 }
 
-// Register adds a base scheme. The name must be new.
+// Register adds a base scheme. The name must be new and must not
+// contain the composition separator.
 func (r *Registry) Register(e Entry) error {
 	if err := r.checkName(e.Name); err != nil {
 		return err
@@ -72,8 +89,20 @@ func (r *Registry) RegisterAlias(alias, canonical string) error {
 	return nil
 }
 
+// RegisterDecorator adds a decorator.
+func (r *Registry) RegisterDecorator(d Decorator) error {
+	if err := r.checkName(d.Name); err != nil {
+		return err
+	}
+	if d.Wrap == nil {
+		return fmt.Errorf("registry: decorator %q has no wrapper", d.Name)
+	}
+	r.decos[d.Name] = d
+	return nil
+}
+
 func (r *Registry) checkName(name string) error {
-	if name == "" {
+	if name == "" || strings.Contains(name, "+") {
 		return fmt.Errorf("registry: invalid name %q", name)
 	}
 	if _, ok := r.bases[name]; ok {
@@ -81,6 +110,9 @@ func (r *Registry) checkName(name string) error {
 	}
 	if _, ok := r.aliases[name]; ok {
 		return fmt.Errorf("registry: %q already registered as alias", name)
+	}
+	if _, ok := r.decos[name]; ok {
+		return fmt.Errorf("registry: %q already registered as decorator", name)
 	}
 	return nil
 }
@@ -95,8 +127,8 @@ func (r *Registry) Bases() []string {
 	return out
 }
 
-// Names returns every resolvable name — canonical bases and aliases —
-// sorted.
+// Names returns every resolvable single-segment name — canonical bases
+// and aliases — sorted.
 func (r *Registry) Names() []string {
 	out := make([]string, 0, len(r.bases)+len(r.aliases))
 	for n := range r.bases {
@@ -109,24 +141,43 @@ func (r *Registry) Names() []string {
 	return out
 }
 
-// Resolve returns the Entry of a canonical name or alias, ignoring
-// surrounding whitespace. The error of an unknown name lists the sorted
-// registered names.
+// Decorators returns the sorted decorator names.
+func (r *Registry) Decorators() []string {
+	out := make([]string, 0, len(r.decos))
+	for n := range r.decos {
+		out = append(out, n)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// Resolve parses a possibly-composed name, ignoring whitespace around
+// its segments, and returns its Entry. The error of an unknown segment
+// lists the sorted registered names.
 func (r *Registry) Resolve(name string) (Entry, error) {
-	name = strings.TrimSpace(name)
-	canon := name
-	if c, ok := r.aliases[name]; ok {
+	segs := strings.Split(name, "+")
+	base := strings.TrimSpace(segs[0])
+	canon := base
+	if c, ok := r.aliases[base]; ok {
 		canon = c
 	}
 	e, ok := r.bases[canon]
 	if !ok {
-		return Entry{}, fmt.Errorf("registry: unknown scheme %q (schemes: %s)",
-			name, strings.Join(r.Names(), ", "))
+		return Entry{}, r.unknownErr("scheme", base)
+	}
+	for _, seg := range segs[1:] {
+		dn := strings.TrimSpace(seg)
+		d, ok := r.decos[dn]
+		if !ok {
+			return Entry{}, r.unknownErr("decorator", dn)
+		}
+		e = d.Wrap(e)
 	}
 	return e, nil
 }
 
-// Canonical returns the canonical spelling of a possibly-aliased name:
+// Canonical returns the canonical spelling of a possibly-composed,
+// possibly-aliased name:
 // the Name() the built scheme reports. This is the identity the fleet
 // fingerprints hash.
 func (r *Registry) Canonical(name string) (string, error) {
@@ -137,14 +188,19 @@ func (r *Registry) Canonical(name string) (string, error) {
 	return e.Name, nil
 }
 
+func (r *Registry) unknownErr(kind, name string) error {
+	return fmt.Errorf("registry: unknown %s %q (schemes: %s; decorators, composed with '+': %s)",
+		kind, name, strings.Join(r.Names(), ", "), strings.Join(r.Decorators(), ", "))
+}
+
 var (
 	defaultOnce sync.Once
 	defaultReg  *Registry
 )
 
 // Default returns the shared registry holding the repository's full
-// scheme catalogue: the six paper schemes and their table-label
-// aliases.
+// scheme catalogue: the six paper schemes, their table-label aliases
+// and the remap decorator.
 func Default() *Registry {
 	defaultOnce.Do(func() {
 		defaultReg = New()
@@ -167,6 +223,20 @@ func Default() *Registry {
 		must(defaultReg.RegisterAlias("flip-n-write", "fnw"))
 		must(defaultReg.RegisterAlias("2stage", "twostage"))
 		must(defaultReg.RegisterAlias("3stage", "threestage"))
+
+		// DATACON-style content-aware wear remapping.
+		must(defaultReg.RegisterDecorator(Decorator{
+			Name: "remap",
+			Wrap: func(e Entry) Entry {
+				inner := e.Factory
+				return Entry{
+					Name: e.Name + "+remap",
+					Factory: func(par pcm.Params) schemes.Scheme {
+						return schemes.NewRemap(inner(par), par)
+					},
+				}
+			},
+		}))
 	})
 	return defaultReg
 }

@@ -51,27 +51,74 @@ func TestAliases(t *testing.T) {
 			t.Errorf("Canonical(%q) = %q, want %q", alias, got, want)
 		}
 	}
-	// The six bases and these four aliases are the whole catalogue.
+	// The six bases and these four aliases are the whole single-segment
+	// catalogue, and remap the only decorator.
 	if n := len(r.Names()); n != 10 {
 		t.Errorf("Names() has %d entries, want 6 bases + 4 aliases: %v", n, r.Names())
 	}
-	// Surrounding whitespace is tolerated; the canonical name is tight.
-	if got, err := r.Canonical(" baseline "); err != nil || got != "dcw" {
-		t.Errorf("Canonical(\" baseline \") = %q, %v", got, err)
+	if got := r.Decorators(); !slices.Equal(got, []string{"remap"}) {
+		t.Errorf("Decorators() = %v, want [remap]", got)
+	}
+	// Aliases compose too, and canonicalize through the base.
+	if got, err := r.Canonical("baseline+remap"); err != nil || got != "dcw+remap" {
+		t.Errorf("Canonical(baseline+remap) = %q, %v; want dcw+remap", got, err)
 	}
 }
 
-// TestUnknownNameError: unknown names, typos and the '+'-composed names
-// of the deleted decorators alike, fail with the sorted catalogue, so a
-// typo at any front end tells the user what is available.
+// TestComposition checks the remap decorator wraps every base, and the
+// composed entry's Name matches both the spelling and the built scheme.
+func TestComposition(t *testing.T) {
+	r := registry.Default()
+	par := pcm.DefaultParams()
+	for _, base := range r.Bases() {
+		name := base + "+remap"
+		e, err := r.Resolve(name)
+		if err != nil {
+			t.Fatalf("Resolve(%q): %v", name, err)
+		}
+		if e.Name != name {
+			t.Errorf("Resolve(%q).Name = %q", name, e.Name)
+		}
+		s := e.Factory(par)
+		if got := s.Name(); got != name {
+			t.Errorf("built scheme for %q reports Name() = %q", name, got)
+		}
+		// The decorator's counters are what telemetry exports for it.
+		sp, ok := s.(schemes.StatProvider)
+		if !ok {
+			t.Fatalf("%s does not implement StatProvider", name)
+		}
+		series := map[string]bool{}
+		sp.SchemeStats(func(n string, _ float64) { series[n] = true })
+		if !series["scheme.remap.migrations"] {
+			t.Errorf("%s exports no scheme.remap.migrations: %v", name, series)
+		}
+	}
+	// Whitespace around segments is tolerated; the canonical name is tight.
+	if got, err := r.Canonical(" baseline + remap "); err != nil || got != "dcw+remap" {
+		t.Errorf("Canonical(\" baseline + remap \") = %q, %v", got, err)
+	}
+}
+
+// TestUnknownNameError: unknown segments — typos, and the names of the
+// deleted adaptive scheme and flipmin/mlc decorators — fail with the
+// sorted catalogue, so a typo at any front end tells the user what is
+// available.
 func TestUnknownNameError(t *testing.T) {
 	r := registry.Default()
-	for _, name := range []string{"dwc", "dcw+flipmin", "tetris+remap", "adaptive"} {
-		_, err := r.Resolve(name)
+	for _, tc := range []struct{ name, kind string }{
+		{"dwc", "unknown scheme"}, {"adaptive", "unknown scheme"},
+		{"dcw+flipmin", "unknown decorator"}, {"tetris+remap+mlc", "unknown decorator"},
+		{"dcw+remp", "unknown decorator"},
+	} {
+		_, err := r.Resolve(tc.name)
 		if err == nil {
-			t.Fatalf("Resolve(%s) succeeded", name)
+			t.Fatalf("Resolve(%s) succeeded", tc.name)
 		}
-		for _, want := range r.Names() {
+		if !strings.Contains(err.Error(), tc.kind) {
+			t.Errorf("Resolve(%s) = %v; want %s", tc.name, err, tc.kind)
+		}
+		for _, want := range append(r.Names(), r.Decorators()...) {
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("unknown-scheme error omits %q: %v", want, err)
 			}
@@ -99,12 +146,18 @@ func TestRegistrationErrors(t *testing.T) {
 	}
 	ok(r.Register(registry.Entry{Name: "a", Factory: schemes.NewDCW}))
 	ok(r.RegisterAlias("b", "a"))
+	ok(r.RegisterDecorator(registry.Decorator{
+		Name: "d", Wrap: func(e registry.Entry) registry.Entry { return e },
+	}))
 
 	bad(r.Register(registry.Entry{Name: "a", Factory: schemes.NewDCW}), "already registered")
 	bad(r.Register(registry.Entry{Name: "b", Factory: schemes.NewDCW}), "alias")
+	bad(r.Register(registry.Entry{Name: "d", Factory: schemes.NewDCW}), "decorator")
 	bad(r.Register(registry.Entry{Name: "", Factory: schemes.NewDCW}), "invalid name")
+	bad(r.Register(registry.Entry{Name: "x+y", Factory: schemes.NewDCW}), "invalid name")
 	bad(r.Register(registry.Entry{Name: "c"}), "no factory")
 	bad(r.RegisterAlias("e", "zzz"), "unknown base")
+	bad(r.RegisterDecorator(registry.Decorator{Name: "e"}), "no wrapper")
 }
 
 // splitmix64 is the deterministic byte stream behind the oracle test.
@@ -118,14 +171,20 @@ func (s *splitmix64) next() uint64 {
 	return z ^ (z >> 31)
 }
 
-// TestBasesDecode drives every catalogued scheme through hundreds of
-// deterministic writes to a set of lines against the encoded-cell
-// oracle: each plan must validate structurally, respect the power
-// budget, and leave the array decoding to exactly the written line.
-func TestBasesDecode(t *testing.T) {
+// composedNames are the remap compositions the oracle tests add to the
+// bases: over a tagless scheme and over two that keep flip tags.
+var composedNames = []string{"dcw+remap", "tetris+remap", "twostage+remap"}
+
+// TestComposedSchemesDecode drives every catalogued scheme, bare and
+// composed with remap, through hundreds of deterministic writes to a set
+// of lines against the encoded-cell oracle: each plan must validate
+// structurally, respect the power budget, and leave the array decoding
+// to exactly the written line — the single-XOR decode invariant the
+// decorator promises to preserve.
+func TestComposedSchemesDecode(t *testing.T) {
 	par := pcm.DefaultParams()
 	r := registry.Default()
-	for _, name := range r.Bases() {
+	for _, name := range append(r.Bases(), composedNames...) {
 		t.Run(name, func(t *testing.T) {
 			e, err := r.Resolve(name)
 			if err != nil {
@@ -172,16 +231,17 @@ func TestBasesDecode(t *testing.T) {
 	}
 }
 
-// TestBasesCrashRecovery extends the decode oracle across a power cut:
-// every catalogued scheme is torn at three seeded pulse boundaries (only
-// a schedule-order prefix of the plan lands) and then driven through the
-// scheme-side recovery contract — restore the coding state from the
-// physical flip cells, replan from the decoded contents — after which
-// the array must decode to exactly the intended line again.
-func TestBasesCrashRecovery(t *testing.T) {
+// TestComposedSchemesCrashRecovery extends the decode oracle across a
+// power cut: every catalogued scheme, bare and composed with remap, is
+// torn at three seeded pulse boundaries (only a schedule-order prefix of
+// the plan lands) and then driven through the scheme-side recovery
+// contract — restore the coding state from the physical flip cells,
+// replan from the decoded contents — after which the array must decode
+// to exactly the intended line again.
+func TestComposedSchemesCrashRecovery(t *testing.T) {
 	par := pcm.DefaultParams()
 	r := registry.Default()
-	for _, name := range r.Bases() {
+	for _, name := range append(r.Bases(), composedNames...) {
 		t.Run(name, func(t *testing.T) {
 			e, err := r.Resolve(name)
 			if err != nil {

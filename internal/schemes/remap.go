@@ -108,22 +108,12 @@ func (s *remapper) RecyclePlan(p Plan) {
 	}
 }
 
-// ObserveQueues forwards controller load to the inner scheme.
-func (s *remapper) ObserveQueues(reads, writes int) {
-	if o, ok := s.inner.(QueueObserver); ok {
-		o.ObserveQueues(reads, writes)
-	}
-}
-
 // SchemeStats implements StatProvider.
 func (s *remapper) SchemeStats(emit func(name string, value float64)) {
 	emit("scheme.remap.migrations", float64(s.stats.migrations))
 	emit("scheme.remap.migration_time", float64(s.stats.migTime))
 	emit("scheme.remap.hot_writes", float64(s.stats.hotWrites))
 	emit("scheme.remap.tracked_lines", float64(s.fwd.Len()))
-	if sp, ok := s.inner.(StatProvider); ok {
-		sp.SchemeStats(emit)
-	}
 }
 
 // phys returns the line's current frame, establishing the identity

@@ -316,6 +316,14 @@ type FlipTagger interface {
 	RestoreFlipTags(addr pcm.LineAddr, tags uint64)
 }
 
+// StatProvider is implemented by schemes that export internal counters
+// to the telemetry layer. SchemeStats calls emit once per counter with a
+// fully-qualified series name (e.g. "scheme.remap.migrations") and its
+// current value; the controller sums the emissions across banks.
+type StatProvider interface {
+	SchemeStats(emit func(name string, value float64))
+}
+
 // PowerBudget derives the bank's power constraint from the device
 // parameters.
 func PowerBudget(par pcm.Params) power.Budget {

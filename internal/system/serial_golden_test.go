@@ -17,8 +17,12 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // serialGoldenNames is the scheme set the serial-engine golden sweeps:
-// every registry scheme.
-var serialGoldenNames = []string{"conventional", "dcw", "fnw", "twostage", "threestage", "tetris"}
+// every base scheme plus the remap decorator over a tagless and over a
+// flip-tagged one.
+var serialGoldenNames = []string{
+	"conventional", "dcw", "fnw", "twostage", "threestage", "tetris",
+	"dcw+remap", "tetris+remap",
+}
 
 func serialGoldenFactory(t *testing.T, name string) schemes.Factory {
 	t.Helper()

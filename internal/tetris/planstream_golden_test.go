@@ -70,17 +70,24 @@ type planStreamConfig struct {
 	new  func() schemes.Scheme
 }
 
-// planStreamConfigs returns every registry scheme, followed by the
-// Tetris pulse-order configurations (GCP off, small budgets, every
-// Options variant, x8 chips, a Tset that K does not divide), all on the
-// default geometry's stream, and then the static schemes on the
-// geometries of staticGeometries, each on a stream drawn with its own
-// Params.
+// planStreamConfigs returns every registry scheme, bare and composed
+// with each decorator, followed by the Tetris pulse-order
+// configurations (GCP off, small budgets, every Options variant, x8
+// chips, a Tset that K does not divide), all on the default geometry's
+// stream, and then the static schemes on the geometries of
+// staticGeometries, each on a stream drawn with its own Params.
 func planStreamConfigs(t *testing.T) []planStreamConfig {
 	reg := registry.Default()
+	var names []string
+	for _, b := range reg.Bases() {
+		names = append(names, b)
+		for _, d := range reg.Decorators() {
+			names = append(names, b+"+"+d)
+		}
+	}
 	var out []planStreamConfig
 	par := pcm.DefaultParams()
-	for _, name := range reg.Bases() {
+	for _, name := range names {
 		e, err := reg.Resolve(name)
 		if err != nil {
 			t.Fatal(err)

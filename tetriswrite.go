@@ -70,14 +70,19 @@ func DefaultParams() Params { return pcm.DefaultParams() }
 // NewDevice creates a PCM device.
 func NewDevice(p Params) (*Device, error) { return pcm.NewDevice(p) }
 
-// SchemeNames returns the canonical scheme names accepted by NewScheme,
-// sorted. The paper's table labels ("baseline", "2stage") also resolve,
-// as aliases.
+// SchemeNames returns the canonical base scheme names accepted by
+// NewScheme, sorted. The paper's table labels ("baseline", "2stage")
+// also resolve, as aliases, and so do names composed with a decorator
+// ("tetris+remap").
 func SchemeNames() []string { return registry.Default().Bases() }
 
-// NewScheme builds a write scheme by name: a canonical name or an alias
-// (baseline, flip-n-write, 2stage, 3stage). Unknown names fail with the
-// sorted catalogue.
+// SchemeDecorators returns the decorator names composable onto any base
+// scheme with '+', sorted.
+func SchemeDecorators() []string { return registry.Default().Decorators() }
+
+// NewScheme builds a write scheme by name: a canonical base name, an
+// alias (baseline, flip-n-write, 2stage, 3stage) or a '+'-composed name
+// such as "dcw+remap". Unknown names fail with the sorted catalogue.
 func NewScheme(name string, par Params) (Scheme, error) {
 	e, err := registry.Default().Resolve(name)
 	if err != nil {
